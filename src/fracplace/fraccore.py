@@ -40,6 +40,9 @@ __all__ = [
 # Dense transition factors are refused above this state dimension; use the
 # structural path instead, which never materializes numeric matrices.
 MAX_DENSE_DIMENSION = 512
+# A factor stack larger than this many bytes is refused before the tails or
+# the stack are allocated; n = K = 512 takes 1 GiB.
+MAX_FACTOR_STACK_BYTES = 2 * 2**30
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -208,6 +211,13 @@ def transition_factors(system: FracSystem) -> TransitionSequence:
             f"dense transition factors refused for n={n} > {MAX_DENSE_DIMENSION}; "
             "use the structural path, which never builds numeric factors"
         )
+    stack_bytes = (K + 1) * n * n * np.dtype(float).itemsize
+    if stack_bytes > MAX_FACTOR_STACK_BYTES:
+        raise ValueError(
+            f"transition factors for n={n}, K={K} need {stack_bytes / 2**30:.1f} GiB, "
+            f"above the {MAX_FACTOR_STACK_BYTES / 2**30:.0f} GiB limit; "
+            "lower the horizon or the number of steps"
+        )
     tails = gl_tails(system).table
     stack = np.empty((K + 1, n, n))
     stack[0] = system.A
@@ -230,7 +240,8 @@ def simulate(
     """Trajectory x_0..x_steps via x_k = T_k x_0 (k >= 1).
 
     ``steps`` must not exceed the system horizon.  Pass ``factors`` to
-    reuse a precomputed sequence.
+    reuse a precomputed sequence; otherwise factors are built only up to
+    T_steps (T_k does not depend on the horizon beyond k).
     """
     steps = int(steps)
     if steps < 0:
@@ -244,7 +255,7 @@ def simulate(
     if x0.shape[0] != system.n:
         raise ValueError(f"x0 has {x0.shape[0]} entries, expected {system.n}")
     if factors is None:
-        factors = transition_factors(system)
+        factors = transition_factors(FracSystem(system.A, system.alpha, steps))
     states = np.empty((steps + 1, system.n))
     states[0] = x0
     for k in range(1, steps + 1):

@@ -6,21 +6,23 @@ weights restricted to {0, 1}.  Missing (row, col) pairs mean an
 unusable edge; they are represented by absence, never by a big finite
 constant, so all arithmetic stays exact.
 
-The weighted solver returns a canonical optimum: among all matchings
-with maximum cardinality and minimum total weight, the one whose sorted
-(row, col) pair sequence is lexicographically smallest.  That makes
-placement output reproducible across platforms and library versions.
+The weighted solver works in pure Python integers, in three steps:
+Hopcroft-Karp on the weight-0 edges; one successive-shortest-path step
+per row left free, over reduced costs with row and column potentials;
+and a tie-break that walks the rows in ascending order and moves each
+onto its smallest column lying on a zero-reduced-cost alternating cycle
+of the current optimum.  It returns a canonical optimum: among all
+matchings with maximum cardinality and minimum total weight, the one
+whose sorted (row, col) pair sequence is lexicographically smallest.
+That makes placement output reproducible across platforms.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Iterable, Sequence
-
-import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from .structure import Pattern
 
@@ -182,76 +184,177 @@ def max_matching(graph: WeightedBipartite) -> Matching:
     return Matching(pairs, sum(weight[p] for p in pairs))
 
 
-def _optimum(rows, cols, weights, n_rows, n_cols):
-    """(cardinality, weight) of a min-weight max-cardinality matching.
+def _match_cheapest(s, cost, y, z, match_row, match_col) -> None:
+    """Match free row ``s`` along a cheapest alternating path.
 
-    Reduction to a full row assignment: every row gets one finite slack
-    column with cost L = min(n_rows, n_cols) + 2, and real edge costs are
-    shifted to w + 1 (sparse storage cannot hold explicit zeros).  Since
-    any real matching weight is at most min(n_rows, n_cols) < L - 1, the
-    assignment optimum maximizes cardinality first, then minimizes real
-    weight; both adjustments cancel exactly in integer arithmetic.
+    One successive-shortest-path step: Dijkstra over the reduced costs
+    ``cost - y - z``, which the potentials keep non-negative, from ``s``
+    to the nearest free column; row ``s``'s own slack column is always
+    free, so one is found.  Each node reached closer than the path's
+    length D, at distance d, then moves by D - d (row potentials up,
+    column potentials down), which keeps the potentials feasible and
+    makes the path tight before it is flipped.
     """
-    m = len(rows)
-    if n_rows == 0 or m == 0:
-        return 0, 0
-    big = min(n_rows, n_cols) + 2
-    data = np.concatenate([np.asarray(weights) + 1, np.full(n_rows, big)])
-    r_ind = np.concatenate([np.asarray(rows), np.arange(n_rows)])
-    c_ind = np.concatenate([np.asarray(cols), np.arange(n_rows) + n_cols])
-    mat = csr_matrix(
-        (data.astype(float), (r_ind, c_ind)), shape=(n_rows, n_cols + n_rows)
-    )
-    row_ind, col_ind = min_weight_full_bipartite_matching(mat)
-    real = col_ind < n_cols
-    card = int(np.count_nonzero(real))
-    lookup = {(int(r), int(c)): int(w) for r, c, w in zip(rows, cols, weights)}
-    total = sum(lookup[(int(r), int(c))] for r, c in zip(row_ind[real], col_ind[real]))
-    return card, total
+    dist: dict = {}  # settled column -> distance from s
+    best: dict = {}  # column -> tentative distance
+    via: dict = {}  # column -> the row it was reached from
+    reached = [(s, 0)]  # rows with their distance, s first
+    heap: list = []
+    i, d = s, 0
+    while True:
+        yi, own = y[i], match_row[i]
+        for j, w in cost[i].items():
+            if j == own or j in dist:
+                continue
+            nd = d + w - yi - z[j]
+            if nd < best.get(j, nd + 1):
+                best[j] = nd
+                via[j] = i
+                heappush(heap, (nd, j))
+        d, j = heappop(heap)
+        while j in dist:  # stale entry of a column settled earlier
+            d, j = heappop(heap)
+        dist[j] = d
+        i = match_col[j]
+        if i == -1:
+            break
+        reached.append((i, d))
+    for i, di in reached:
+        y[i] += d - di
+    for j, dj in dist.items():
+        z[j] -= d - dj
+    while True:
+        i = via[j]
+        j_next = match_row[i]
+        match_row[i] = j
+        match_col[j] = i
+        if i == s:
+            return
+        j = j_next
+
+
+def _tight_cycle(r, c, tight, optional, match_row, match_col, fixed, seen):
+    """Arcs of a zero-reduced-cost alternating cycle through (r, c), or None.
+
+    The residual digraph of the current optimum has an arc row -> column
+    for every tight unmatched edge and column -> row for every matched
+    one.  A free column leads to a sink pseudo-row (index ``len(tight)``)
+    and the sink leads to every matched column of zero potential: an
+    alternative optimum may take a free column and leave one of those,
+    while a column of negative potential is matched in every optimum
+    (complementary slackness).
+    Rows (and the sink) found unable to reach ``r`` are marked
+    ``seen[node] == r`` and not searched again for ``r``.
+    """
+    sink = len(tight)
+    path = [(r, c)]  # path[k] is the arc into stack[k]
+    owner = match_col[c]
+    first = sink if owner == -1 else owner
+    if seen[first] == r:
+        return None
+    seen[first] = r
+    stack = [[first, 0]]
+    while stack:
+        frame = stack[-1]
+        node, pos = frame
+        if node == sink:
+            cols, own = optional, -1
+        else:
+            cols, own = tight[node], match_row[node]
+        while pos < len(cols):
+            j = cols[pos]
+            pos += 1
+            if j == own or fixed[j]:
+                continue
+            owner = match_col[j]
+            if owner == -1:
+                if node == sink:  # the sink only frees matched columns
+                    continue
+                owner = sink
+            elif owner == r:
+                path.append((node, j))
+                return path
+            if seen[owner] != r:
+                seen[owner] = r
+                frame[1] = pos
+                path.append((node, j))
+                stack.append([owner, 0])
+                break
+        else:
+            stack.pop()
+            path.pop()
+    return None
 
 
 def min_weight_max_matching(graph: WeightedBipartite) -> Matching:
     """Minimum total weight among maximum-cardinality matchings.
 
-    Solved as a sparse assignment over the existing edges only.  Ties are
-    broken canonically: pairs are forced greedily in ascending (row, col)
-    order, keeping a pair exactly when the remaining graph still reaches
-    the optimal (cardinality, weight); the result is the lexicographically
-    smallest optimal pair sequence.
+    Every row gets a slack column of its own at cost
+    ``min(n_rows, n_cols) + 1``, more than any real matching weighs, so
+    the cheapest assignment of all rows to real or slack columns is a
+    maximum matching of minimum weight.  It is found in three steps:
+
+    1. Hopcroft-Karp on the weight-0 edges, optimal for the rows it
+       matches with all potentials at 0;
+    2. one successive-shortest-path step (Dijkstra on reduced costs) per
+       row left free, keeping the row and column potentials;
+    3. the canonical tie-break: rows in ascending order, each takes the
+       smallest column through which a zero-reduced-cost alternating
+       cycle runs in the residual graph of the current optimum (the
+       edges of some optimum, as in Regin's 1994 all-different
+       filtering); the cycle is rotated in, and the row and its column
+       are fixed.
+
+    The result is the lexicographically smallest optimal sorted pair
+    sequence.  The potentials stay an optimal dual throughout step 3, so
+    its residual graph is built once.
     """
-    edges = sorted(graph.edges)
-    if not edges:
-        return Matching((), 0)
-    er = np.array([e[0] for e in edges])
-    ec = np.array([e[1] for e in edges])
-    ew = np.array([e[2] for e in edges])
     n_rows, n_cols = graph.n_rows, graph.n_cols
-
-    best_card, best_weight = _optimum(er, ec, ew, n_rows, n_cols)
-    if best_card == 0:
+    if not graph.edges:
         return Matching((), 0)
+    slack = min(n_rows, n_cols) + 1
+    cost: list[dict] = [{} for _ in range(n_rows)]
+    for r, c, w in graph.edges:
+        cost[r][c] = w
+    zero_adj = [sorted(c for c, w in row.items() if w == 0) for row in cost]
+    for r in range(n_rows):
+        cost[r][n_cols + r] = slack  # row r left unmatched
 
-    order = np.arange(len(edges))
-    free_row = np.ones(n_rows, dtype=bool)
-    free_col = np.ones(n_cols, dtype=bool)
-    forced: list[tuple] = []
-    need_card, need_weight = best_card, best_weight
-    for t, (r, c, w) in enumerate(edges):
-        if not (free_row[r] and free_col[c]):
-            continue
-        mask = (order > t) & free_row[er] & free_col[ec] & (er != r) & (ec != c)
-        card, weight = _optimum(er[mask], ec[mask], ew[mask], n_rows, n_cols)
-        if card == need_card - 1 and weight == need_weight - w:
-            forced.append((r, c))
-            free_row[r] = False
-            free_col[c] = False
-            need_card -= 1
-            need_weight -= w
-            if need_card == 0:
+    match_row = _hopcroft_karp(zero_adj, n_cols)
+    match_col = [-1] * (n_cols + n_rows)
+    for r, c in enumerate(match_row):
+        if c != -1:
+            match_col[c] = r
+    y = [0] * n_rows
+    z = [0] * (n_cols + n_rows)
+    for r in range(n_rows):
+        if match_row[r] == -1:
+            _match_cheapest(r, cost, y, z, match_row, match_col)
+
+    tight = [sorted(j for j, w in cost[r].items() if w == y[r] + z[j]) for r in range(n_rows)]
+    optional = [j for j, zj in enumerate(z) if zj == 0]
+    fixed = [False] * len(z)
+    seen = [-1] * (n_rows + 1)
+    for r in range(n_rows):
+        for c in tight[r]:
+            if c == match_row[r]:
                 break
-    if need_card != 0:
-        raise RuntimeError("tie-breaking failed to reconstruct the optimum")
-    return Matching(forced, best_weight)
+            if fixed[c]:
+                continue
+            cycle = _tight_cycle(r, c, tight, optional, match_row, match_col, fixed, seen)
+            if cycle is not None:
+                for node, j in cycle:
+                    if node == n_rows:  # the sink leaves column j
+                        match_col[j] = -1
+                for node, j in cycle:
+                    if node != n_rows:
+                        match_row[node] = j
+                        match_col[j] = node
+                break
+        fixed[match_row[r]] = True
+
+    pairs = [(r, c) for r, c in enumerate(match_row) if c < n_cols]
+    return Matching(pairs, sum(cost[r][c] for r, c in pairs))
 
 
 def generic_rank(patterns: Sequence[Pattern], extra_cols: Pattern | None = None) -> int:

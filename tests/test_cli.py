@@ -1,8 +1,14 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
+
+from fracplace.cli import main
 
 CHAIN_SPARSE = """\
 fracsys 1
@@ -171,6 +177,39 @@ class TestSimulate:
         assert proc.returncode == 2
         assert "structural" in proc.stderr
 
+    def test_huge_horizon_fails_cleanly(self, tmp_path):
+        # n = 64 with K = 700000 would need a 21 GiB factor stack
+        rng = np.random.default_rng(7)
+        n = 64
+        rows = [" ".join(repr(float(v)) for v in row) for row in rng.normal(0, 0.1, (n, n))]
+        sysf = tmp_path / "deep.fracsys"
+        sysf.write_text(
+            "\n".join(["fracsys 1", f"n {n}", "alpha 0.8", "k 700000", "matrix dense", *rows, "end"])
+            + "\n"
+        )
+        x0 = tmp_path / "x0.txt"
+        x0.write_text(" ".join(["1"] * n))
+        base = ["simulate", str(sysf), "--x0", str(x0)]
+
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main([*base, "--steps", "1"]) == 0
+        assert len(out.getvalue().splitlines()) == 3
+
+        out, err = io.StringIO(), io.StringIO()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([*base, "--steps", "700000"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert err.getvalue().startswith("fracplace: error:")
+        assert "Traceback" not in err.getvalue()
+        assert out.getvalue() == ""
+        assert peak < 64 * 2**20
+
 
 class TestSweep:
     def test_seeded_runs_are_byte_identical(self):
@@ -198,3 +237,11 @@ class TestSweep:
     def test_level_out_of_range(self):
         proc = run_cli("sweep", "--n", "6", "--levels", "1.0")
         assert proc.returncode == 2
+
+
+class TestImports:
+    def test_runtime_does_not_import_scipy(self):
+        code = "import sys, fracplace.cli, fracplace; print('scipy' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,7 @@ from fracplace import (
     simulate,
     transition_factors,
 )
+from fracplace.fraccore import MAX_FACTOR_STACK_BYTES
 
 
 def exact_gl(alpha: float, j: int) -> Fraction:
@@ -170,6 +172,18 @@ class TestTransitionFactors:
         with pytest.raises(ValueError):
             transition_factors(FracSystem(np.zeros((513, 513)), np.ones(513) * 0.5, 1))
 
+    def test_refuses_oversized_stack_before_allocating(self):
+        n = 64
+        K = MAX_FACTOR_STACK_BYTES // (8 * n * n)  # one factor over the limit
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="GiB"):
+                transition_factors(FracSystem(np.eye(n), np.full(n, 0.5), K))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
 
 class TestSimulate:
     def test_zero_initial_state(self):
@@ -194,6 +208,20 @@ class TestSimulate:
         other = simulate(sysm, y0, 4).states
         combined = simulate(sysm, scale * x0 + y0, 4).states
         assert np.allclose(combined, scale * base + other, rtol=1e-12, atol=1e-12)
+
+    def test_factor_prefix_does_not_depend_on_horizon(self):
+        rng = np.random.default_rng(12)
+        n = 6
+        A = rng.normal(0.0, 0.4, (n, n))
+        alpha = rng.uniform(0.5, 1.3, n)
+        x0 = rng.normal(size=n)
+        full = transition_factors(FracSystem(A, alpha, 120))
+        for steps in (0, 1, 7, 60):
+            short = transition_factors(FracSystem(A, alpha, steps))
+            assert np.array_equal(short.stack, full.stack[: steps + 1])
+            system = FracSystem(A, alpha, 120)
+            own = simulate(system, x0, steps).states
+            assert np.array_equal(own, simulate(system, x0, steps, full).states)
 
     def test_steps_beyond_horizon(self):
         sysm = FracSystem([[0.0]], [0.5], 2)
