@@ -184,7 +184,6 @@ def _cmd_sweep(args) -> int:
         base_matrix=base,
         horizon=args.k,
         seed=args.seed,
-        strict_j3=args.strict_j3,
     )
     rows = run_sweep(spec)
     if args.format == "json":
@@ -274,7 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--trials", type=int, default=1, help="trials per level")
     p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.add_argument("--strict-j3", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(run=_cmd_sweep, default_format="csv")
 
     return parser

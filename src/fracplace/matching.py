@@ -51,19 +51,18 @@ class WeightedBipartite:
         n_rows, n_cols = int(n_rows), int(n_cols)
         if n_rows < 0 or n_cols < 0:
             raise ValueError("vertex counts must be non-negative")
-        triples = frozenset((int(r), int(c), int(w)) for r, c, w in edges)
-        pairs = set()
-        for r, c, w in triples:
+        weight: dict = {}
+        for r, c, w in edges:
+            r, c, w = int(r), int(c), int(w)
             if not (0 <= r < n_rows and 0 <= c < n_cols):
                 raise ValueError(f"edge ({r}, {c}) outside {n_rows} x {n_cols} graph")
             if w not in (0, 1):
                 raise ValueError(f"edge weight must be 0 or 1, got {w}")
-            if (r, c) in pairs:
+            if weight.setdefault((r, c), w) != w:
                 raise ValueError(f"duplicate edge for pair ({r}, {c})")
-            pairs.add((r, c))
         object.__setattr__(self, "n_rows", n_rows)
         object.__setattr__(self, "n_cols", n_cols)
-        object.__setattr__(self, "edges", triples)
+        object.__setattr__(self, "edges", frozenset((r, c, w) for (r, c), w in weight.items()))
 
     def adjacency(self) -> list[list[int]]:
         """Per-row sorted column lists (weights dropped)."""
@@ -370,14 +369,15 @@ def generic_rank(patterns: Sequence[Pattern], extra_cols: Pattern | None = None)
     if not pats:
         return 0
     n_rows = pats[0].nrows
-    edges = []
+    rows = [0] * n_rows
     offset = 0
     for p in pats:
         if p.nrows != n_rows:
             raise ValueError(
                 f"row-count mismatch: {p.nrows} vs {n_rows} in concatenation"
             )
-        edges.extend((r, offset + c, 0) for r, c in p.entries)
+        for r, m in enumerate(p.rows):
+            rows[r] |= m << offset
         offset += p.ncols
-    graph = WeightedBipartite(n_rows, offset, edges)
-    return max_matching(graph).cardinality
+    adj = Pattern.from_masks(n_rows, offset, rows).row_columns()
+    return sum(c != -1 for c in _hopcroft_karp(adj, offset))

@@ -104,7 +104,7 @@ def sink_scc_columns(cond: Condensation) -> Pattern:
     is deterministic; column p has an entry at every state of the p-th
     sink SCC.
     """
-    sink_ids = sorted(cond.sink_sccs, key=lambda cid: min(cond.sccs[cid]))
+    sink_ids = sorted(cond.sink_sccs)  # SCC ids ascend with smallest member
     entries = []
     for p, cid in enumerate(sink_ids):
         entries.extend((state, p) for state in cond.sccs[cid])
@@ -127,11 +127,14 @@ def verify_observability(
     for s in sensor_set:
         if not (0 <= s < n):
             raise ValueError(f"sensor index {s} outside 0..{n - 1}")
-    union = transition_union(pattern, horizon)
-    blocked = non_accessible_states(union, sensor_set)
-    rank = generic_rank(
-        [union.transpose()], Pattern.identity_columns(n, sensor_set)
-    )
+    return _certify(transition_union(pattern, horizon), sensor_set)
+
+
+def _certify(union: Pattern, sensors: frozenset) -> Certificate:
+    """Both conditions on an already computed union pattern."""
+    n = union.nrows
+    blocked = non_accessible_states(union, sensors)
+    rank = generic_rank([union.transpose()], Pattern.identity_columns(n, sensors))
     return Certificate(
         condition_i=not blocked,
         condition_ii=rank == n,
@@ -142,8 +145,9 @@ def verify_observability(
 
 def _placement_graph(union: Pattern, sink_cols: Pattern) -> WeightedBipartite:
     n = union.nrows
-    edges = [(i, j, 0) for j, i in union.entries]  # column j of the transpose
-    edges.extend((i, n + p, 1) for i, p in sink_cols.entries)
+    # row i of the graph is column i of the union: its columns j have (j, i)
+    edges = [(i, j, 0) for j, cols in enumerate(union.row_columns()) for i in cols]
+    edges.extend((i, n + p, 1) for i, cols in enumerate(sink_cols.row_columns()) for p in cols)
     return WeightedBipartite(n, n + sink_cols.ncols, edges)
 
 
@@ -170,7 +174,7 @@ def minimal_sensors(
     union = transition_union(pattern, horizon)
     cond = condense(union)
     sink_cols = sink_scc_columns(cond)
-    sink_ids = sorted(cond.sink_sccs, key=lambda cid: min(cond.sccs[cid]))
+    sink_ids = sorted(cond.sink_sccs)
 
     matching: Matching = min_weight_max_matching(_placement_graph(union, sink_cols))
 
@@ -193,7 +197,7 @@ def minimal_sensors(
         j_triple.add(min(members))
 
     sensors = SensorSet(j_prime, j_double, j_triple - j_prime - j_double)
-    cert = verify_observability(pattern, horizon, sensors.all)
+    cert = _certify(union, sensors.all)
     if not cert.observable:
         raise RuntimeError("internal error: placement failed its own certificate")
     return PlacementReport(

@@ -30,48 +30,73 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Pattern:
-    """Sparse boolean matrix: a set of (row, col) positions, 0-based."""
+    """Sparse boolean matrix stored as row bitmasks, 0-based.
+
+    Bit c of ``rows[r]`` is set iff (r, c) is present.  Two patterns are
+    equal iff their dimensions and entries are.
+    """
 
     nrows: int
     ncols: int
-    entries: frozenset
+    rows: tuple
 
     def __init__(self, nrows: int, ncols: int, entries: Iterable = ()):
         nrows, ncols = int(nrows), int(ncols)
         if nrows < 0 or ncols < 0:
             raise ValueError("pattern dimensions must be non-negative")
-        ent = frozenset((int(r), int(c)) for r, c in entries)
-        for r, c in ent:
+        rows = [0] * nrows
+        for r, c in entries:
+            r, c = int(r), int(c)
             if not (0 <= r < nrows and 0 <= c < ncols):
                 raise ValueError(
                     f"entry ({r}, {c}) outside a {nrows} x {ncols} pattern"
                 )
+            rows[r] |= 1 << c
         object.__setattr__(self, "nrows", nrows)
         object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "entries", ent)
+        object.__setattr__(self, "rows", tuple(rows))
+
+    @property
+    def entries(self) -> frozenset:
+        """The present (row, col) positions."""
+        return frozenset((r, c) for r, cols in enumerate(self.row_columns()) for c in cols)
 
     @property
     def count(self) -> int:
-        return len(self.entries)
+        return sum(m.bit_count() for m in self.rows)
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
+    def row_columns(self) -> list[list[int]]:
+        """Each row's present columns, in ascending order."""
+        out = []
+        for m in self.rows:
+            cols = []
+            while m:
+                low = m & -m
+                cols.append(low.bit_length() - 1)
+                m ^= low
+            out.append(cols)
+        return out
+
     def transpose(self) -> "Pattern":
-        return Pattern(self.ncols, self.nrows, ((c, r) for r, c in self.entries))
+        masks = [0] * self.ncols
+        for r, cols in enumerate(self.row_columns()):
+            bit = 1 << r
+            for c in cols:
+                masks[c] |= bit
+        return Pattern.from_masks(self.ncols, self.nrows, masks)
 
     def to_array(self, dtype=float) -> np.ndarray:
         a = np.zeros((self.nrows, self.ncols), dtype=dtype)
-        for r, c in self.entries:
-            a[r, c] = 1
+        for r, cols in enumerate(self.row_columns()):
+            a[r, cols] = 1
         return a
 
-    def row_masks(self) -> list[int]:
+    def row_masks(self) -> tuple:
         """Row bitmasks; bit c of mask r is set iff (r, c) is present."""
-        masks = [0] * self.nrows
-        for r, c in self.entries:
-            masks[r] |= 1 << c
-        return masks
+        return self.rows
 
     @classmethod
     def identity(cls, n: int) -> "Pattern":
@@ -88,13 +113,15 @@ class Pattern:
 
     @classmethod
     def from_masks(cls, nrows: int, ncols: int, masks: Sequence[int]) -> "Pattern":
-        entries = []
-        for r, m in enumerate(masks):
-            while m:
-                low = m & -m
-                entries.append((r, low.bit_length() - 1))
-                m ^= low
-        return cls(nrows, ncols, entries)
+        """Pattern whose row r has the columns set in ``masks[r]``."""
+        pattern = cls(nrows, ncols)  # checks the dimensions
+        rows = tuple(int(m) for m in masks)
+        if len(rows) != pattern.nrows:
+            raise ValueError(f"need {pattern.nrows} row masks, got {len(rows)}")
+        if any(m < 0 or m >> pattern.ncols for m in rows):
+            raise ValueError(f"row masks must lie in [0, 2**{pattern.ncols})")
+        object.__setattr__(pattern, "rows", rows)
+        return pattern
 
 
 @dataclass(frozen=True)
@@ -118,8 +145,8 @@ class Condensation:
 
 def pattern_of(M: np.ndarray, zero_tol: float = 1e-12) -> Pattern:
     """Pattern of a numeric matrix: entries with magnitude above zero_tol."""
-    if zero_tol < 0:
-        raise ValueError("zero_tol must be >= 0")
+    if not (np.isfinite(zero_tol) and zero_tol >= 0):
+        raise ValueError("zero_tol must be finite and >= 0")
     M = np.atleast_2d(np.asarray(M, dtype=float))
     rows, cols = np.nonzero(np.abs(M) > zero_tol)
     return Pattern(M.shape[0], M.shape[1], zip(rows.tolist(), cols.tolist()))
@@ -217,11 +244,9 @@ def condense(pattern: Pattern) -> Condensation:
     if not pattern.is_square():
         raise ValueError("condensation needs a square pattern")
     n = pattern.nrows
-    out: list[list[int]] = [[] for _ in range(n)]
-    for i, j in sorted(pattern.entries):
-        out[j].append(i)
-    for adj in out:
-        adj.sort()
+    # Tarjan walks the reversed digraph (row i lists the predecessors of
+    # state i): it has the same SCCs, and they are renumbered below
+    preds = pattern.row_columns()
 
     index = [-1] * n
     low = [0] * n
@@ -242,8 +267,8 @@ def condense(pattern: Pattern) -> Condensation:
                 stack.append(v)
                 on_stack[v] = True
             pushed = False
-            for k in range(pos, len(out[v])):
-                w = out[v][k]
+            for k in range(pos, len(preds[v])):
+                w = preds[v][k]
                 if index[w] == -1:
                     work[-1] = (v, k + 1)
                     work.append((w, 0))
@@ -273,10 +298,11 @@ def condense(pattern: Pattern) -> Condensation:
         for v in comp:
             scc_of[v] = cid
     dag = set()
-    for i, j in pattern.entries:
-        a, b = scc_of[j], scc_of[i]
-        if a != b:
-            dag.add((a, b))
+    for i, cols in enumerate(preds):
+        b = scc_of[i]
+        for j in cols:
+            if scc_of[j] != b:
+                dag.add((scc_of[j], b))
     has_out = {a for a, _ in dag}
     sinks = frozenset(cid for cid in range(len(comps)) if cid not in has_out)
     return Condensation(
@@ -300,10 +326,7 @@ def non_accessible_states(pattern: Pattern, sensors: Collection[int]) -> frozens
     for s in sensor_set:
         if not (0 <= s < n):
             raise ValueError(f"sensor index {s} outside 0..{n - 1}")
-    # predecessors of state v are the entries of row v
-    preds: list[list[int]] = [[] for _ in range(n)]
-    for i, j in pattern.entries:
-        preds[i].append(j)
+    preds = pattern.row_columns()  # the predecessors of state v are row v
     seen = set(sensor_set)
     frontier = list(sensor_set)
     while frontier:

@@ -37,7 +37,6 @@ class SweepSpec:
     base_matrix: np.ndarray | None = None
     horizon: int | None = None
     seed: int = 0
-    strict_j3: bool = False
 
     def __post_init__(self):
         levels = tuple(float(s) for s in self.levels)
@@ -112,7 +111,7 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
                 pat = _thresholded_pattern(spec.base_matrix, level)
             else:
                 pat = _random_pattern(n, level, rng)
-            report = minimal_sensors(pat, horizon, strict_j3=spec.strict_j3)
+            report = minimal_sensors(pat, horizon)
             rows.append(
                 SweepRow(level, trial, len(report.sensors), report.beta, horizon)
             )

@@ -103,6 +103,13 @@ class TestPlace:
         proc = run_cli("place", "/nonexistent/x.fracsys")
         assert proc.returncode == 2
 
+    def test_non_finite_tolerance_exits_two(self, chain_file):
+        # a nan threshold would otherwise drop every entry of the pattern
+        for cmd in (["place", chain_file], ["verify", chain_file, "--sensors", "1"]):
+            proc = run_cli(*cmd, "--tol", "nan")
+            assert proc.returncode == 2
+            assert "zero_tol" in proc.stderr
+
 
 class TestVerify:
     def test_round_trip_from_place(self, chain_file):

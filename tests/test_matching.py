@@ -56,6 +56,12 @@ class TestWeightedBipartite:
         with pytest.raises(ValueError):
             WeightedBipartite(1, 2, [(0, 0, 0), (0, 0, 1)])
 
+    def test_accepts_repeated_identical_edge(self):
+        g = WeightedBipartite(1, 2, [(0, 1, 1), (0, 1, 1), (0, 0, 0)])
+        assert g.edges == frozenset({(0, 1, 1), (0, 0, 0)})
+        assert g.adjacency() == [[0, 1]]
+        assert g.weight_of() == {(0, 1): 1, (0, 0): 0}
+
     def test_rejects_out_of_bounds(self):
         with pytest.raises(ValueError):
             WeightedBipartite(1, 1, [(0, 1, 0)])

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+import fracplace.placement
 from fracplace import (
     FracSystem,
+    Matching,
     Pattern,
     RealizationConfig,
     SensorSet,
@@ -132,6 +134,28 @@ class TestMinimalSensors:
             a = minimal_sensors(pat, n)
             b = minimal_sensors(pat, n, strict_j3=True)
             assert a.sensors.all == b.sensors.all
+
+    def test_union_computed_once(self, monkeypatch):
+        calls = []
+
+        def counted(pattern, horizon):
+            calls.append(horizon)
+            return transition_union(pattern, horizon)
+
+        monkeypatch.setattr(fracplace.placement, "transition_union", counted)
+        minimal_sensors(Pattern(4, 4, [(1, 0), (2, 1), (0, 2), (3, 3)]), 4)
+        assert calls == [4]
+
+    def test_self_check_rejects_a_bad_matching(self, monkeypatch):
+        # states 1 and 2 both feed only state 0; sensing state 0 alone gives
+        # generic rank 2 < 3, which the certificate must catch
+        monkeypatch.setattr(
+            fracplace.placement,
+            "min_weight_max_matching",
+            lambda graph: Matching([(0, 3), (1, 0), (2, 1)], 1),
+        )
+        with pytest.raises(RuntimeError):
+            minimal_sensors(Pattern(3, 3, [(0, 1), (0, 2)]), 0)
 
     def test_sensor_count_monotone_in_horizon(self):
         rng = np.random.default_rng(5)

@@ -63,6 +63,22 @@ class TestPattern:
         assert p.nrows == 4 and p.ncols == 2
         assert p.entries == frozenset({(0, 0), (2, 1)})
 
+    def test_from_masks_rejects_bad_masks(self):
+        for masks in ([1], [1, 2, 0], [-1, 0], [0, 1 << 3]):
+            with pytest.raises(ValueError):
+                Pattern.from_masks(2, 3, masks)
+
+    def test_masks_and_entries_agree(self):
+        rng = np.random.default_rng(8)
+        for _ in range(20):
+            p = random_pattern(rng, int(rng.integers(1, 12)), rng.uniform(0.0, 0.6))
+            masks = [sum(1 << c for r, c in p.entries if r == row) for row in range(p.nrows)]
+            q = Pattern.from_masks(p.nrows, p.ncols, masks)
+            assert q == p and hash(q) == hash(p)
+            assert Pattern(p.nrows, p.ncols, q.entries) == p
+            assert q.count == len(p.entries)
+        assert Pattern(2, 3, [(0, 1)]) != Pattern(3, 2, [(0, 1)])
+
     def test_to_array_roundtrip(self):
         p = Pattern(3, 2, [(0, 1), (2, 0)])
         assert pattern_of(p.to_array()).entries == p.entries
@@ -80,8 +96,10 @@ class TestPatternOf:
         assert pattern_of(M, 1e-12).entries == frozenset({(1, 0)})
 
     def test_negative_tolerance(self):
-        with pytest.raises(ValueError):
-            pattern_of(np.eye(2), -1.0)
+        # nan < 0 is False, so a non-finite tolerance needs its own check
+        for tol in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                pattern_of(np.eye(2), tol)
 
 
 class TestTransitionUnion:
