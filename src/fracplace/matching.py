@@ -39,39 +39,56 @@ __all__ = [
 class WeightedBipartite:
     """Bipartite graph with edge weights in {0, 1}.
 
-    ``edges`` holds (row, col, weight) triples, at most one per
-    (row, col) pair; absent pairs cannot be matched at any cost.
+    ``free`` and ``unit`` hold the weight-0 and weight-1 edges, as patterns
+    of one shape sharing no pair; absent pairs cannot be matched at any cost.
     """
 
     n_rows: int
     n_cols: int
-    edges: frozenset
+    free: Pattern
+    unit: Pattern
 
     def __init__(self, n_rows: int, n_cols: int, edges: Iterable = ()):
         n_rows, n_cols = int(n_rows), int(n_cols)
-        if n_rows < 0 or n_cols < 0:
-            raise ValueError("vertex counts must be non-negative")
-        weight: dict = {}
+        masks = ([0] * n_rows, [0] * n_rows)  # indexed by weight
         for r, c, w in edges:
             r, c, w = int(r), int(c), int(w)
             if not (0 <= r < n_rows and 0 <= c < n_cols):
                 raise ValueError(f"edge ({r}, {c}) outside {n_rows} x {n_cols} graph")
             if w not in (0, 1):
                 raise ValueError(f"edge weight must be 0 or 1, got {w}")
-            if weight.setdefault((r, c), w) != w:
-                raise ValueError(f"duplicate edge for pair ({r}, {c})")
-        object.__setattr__(self, "n_rows", n_rows)
-        object.__setattr__(self, "n_cols", n_cols)
-        object.__setattr__(self, "edges", frozenset((r, c, w) for (r, c), w in weight.items()))
+            masks[w][r] |= 1 << c
+        self._fill(*(Pattern.from_masks(n_rows, n_cols, m) for m in masks))
+
+    @classmethod
+    def from_patterns(cls, free: Pattern, unit: Pattern) -> "WeightedBipartite":
+        """The graph with weight-0 edges ``free`` and weight-1 edges ``unit``."""
+        graph = cls.__new__(cls)
+        graph._fill(free, unit)
+        return graph
+
+    def _fill(self, free: Pattern, unit: Pattern) -> None:
+        if (free.nrows, free.ncols) != (unit.nrows, unit.ncols):
+            raise ValueError("the weight-0 and weight-1 edge patterns differ in shape")
+        for r, (a, b) in enumerate(zip(free.rows, unit.rows)):
+            if a & b:
+                raise ValueError(f"duplicate edge for pair ({r}, {(a & b).bit_length() - 1})")
+        object.__setattr__(self, "n_rows", free.nrows)
+        object.__setattr__(self, "n_cols", free.ncols)
+        object.__setattr__(self, "free", free)
+        object.__setattr__(self, "unit", unit)
+
+    @property
+    def edges(self) -> frozenset:
+        """The (row, col, weight) triples."""
+        return frozenset(
+            (r, c, w) for w, p in enumerate((self.free, self.unit)) for r, c in p.entries
+        )
 
     def adjacency(self) -> list[list[int]]:
         """Per-row sorted column lists (weights dropped)."""
-        adj: list[list[int]] = [[] for _ in range(self.n_rows)]
-        for r, c, _ in self.edges:
-            adj[r].append(c)
-        for lst in adj:
-            lst.sort()
-        return adj
+        rows = [a | b for a, b in zip(self.free.rows, self.unit.rows)]
+        return Pattern.from_masks(self.n_rows, self.n_cols, rows).row_columns()
 
     def weight_of(self) -> dict:
         return {(r, c): w for r, c, w in self.edges}
@@ -101,8 +118,8 @@ class Matching:
         return sorted(self.pairs)
 
 
-def _hopcroft_karp(adj: Sequence[Sequence[int]], n_cols: int) -> list[int]:
-    """Match rows to columns; returns match_row (col index or -1 per row).
+def _hopcroft_karp(adj: Sequence[Sequence[int]], n_cols: int) -> tuple[list, list]:
+    """Match rows to columns; returns match_row and match_col (-1: unmatched).
 
     Phased BFS/DFS, O(E sqrt(V)).  Deterministic: rows and adjacency are
     scanned in ascending order.
@@ -135,7 +152,7 @@ def _hopcroft_karp(adj: Sequence[Sequence[int]], n_cols: int) -> list[int]:
         for r in range(n_rows):
             if match_row[r] == -1:
                 _augment(r, adj, match_row, match_col, dist)
-    return match_row
+    return match_row, match_col
 
 
 def _augment(root, adj, match_row, match_col, dist) -> bool:
@@ -177,10 +194,9 @@ def max_matching(graph: WeightedBipartite) -> Matching:
     O(E sqrt(V)) Hopcroft-Karp.  The reported total weight sums the graph
     weights of the chosen pairs.
     """
-    match_row = _hopcroft_karp(graph.adjacency(), graph.n_cols)
-    weight = graph.weight_of()
+    match_row, _ = _hopcroft_karp(graph.adjacency(), graph.n_cols)
     pairs = [(r, c) for r, c in enumerate(match_row) if c != -1]
-    return Matching(pairs, sum(weight[p] for p in pairs))
+    return Matching(pairs, sum(graph.unit.rows[r] >> c & 1 for r, c in pairs))
 
 
 def _match_cheapest(s, cost, y, z, match_row, match_col) -> None:
@@ -309,21 +325,15 @@ def min_weight_max_matching(graph: WeightedBipartite) -> Matching:
     its residual graph is built once.
     """
     n_rows, n_cols = graph.n_rows, graph.n_cols
-    if not graph.edges:
-        return Matching((), 0)
     slack = min(n_rows, n_cols) + 1
-    cost: list[dict] = [{} for _ in range(n_rows)]
-    for r, c, w in graph.edges:
-        cost[r][c] = w
-    zero_adj = [sorted(c for c, w in row.items() if w == 0) for row in cost]
-    for r in range(n_rows):
+    zero_adj = graph.free.row_columns()
+    cost = [dict.fromkeys(cols, 0) for cols in zero_adj]
+    for r, cols in enumerate(graph.unit.row_columns()):
+        cost[r].update(dict.fromkeys(cols, 1))
         cost[r][n_cols + r] = slack  # row r left unmatched
 
-    match_row = _hopcroft_karp(zero_adj, n_cols)
-    match_col = [-1] * (n_cols + n_rows)
-    for r, c in enumerate(match_row):
-        if c != -1:
-            match_col[c] = r
+    match_row, match_col = _hopcroft_karp(zero_adj, n_cols)
+    match_col += [-1] * n_rows  # the slack columns
     y = [0] * n_rows
     z = [0] * (n_cols + n_rows)
     for r in range(n_rows):
@@ -380,4 +390,4 @@ def generic_rank(patterns: Sequence[Pattern], extra_cols: Pattern | None = None)
             rows[r] |= m << offset
         offset += p.ncols
     adj = Pattern.from_masks(n_rows, offset, rows).row_columns()
-    return sum(c != -1 for c in _hopcroft_karp(adj, offset))
+    return sum(c != -1 for c in _hopcroft_karp(adj, offset)[0])

@@ -122,19 +122,16 @@ def verify_observability(
     """
     if not pattern.is_square():
         raise ValueError("verification needs a square pattern")
-    n = pattern.nrows
-    sensor_set = frozenset(int(s) for s in sensors)
-    for s in sensor_set:
-        if not (0 <= s < n):
-            raise ValueError(f"sensor index {s} outside 0..{n - 1}")
-    return _certify(transition_union(pattern, horizon), sensor_set)
+    union = transition_union(pattern, horizon)
+    # non_accessible_states rejects a sensor index outside the states
+    return _certify(union, union.transpose(), frozenset(int(s) for s in sensors))
 
 
-def _certify(union: Pattern, sensors: frozenset) -> Certificate:
-    """Both conditions on an already computed union pattern."""
+def _certify(union: Pattern, union_t: Pattern, sensors: frozenset) -> Certificate:
+    """Both conditions on an already computed union pattern and its transpose."""
     n = union.nrows
     blocked = non_accessible_states(union, sensors)
-    rank = generic_rank([union.transpose()], Pattern.identity_columns(n, sensors))
+    rank = generic_rank([union_t], Pattern.identity_columns(n, sensors))
     return Certificate(
         condition_i=not blocked,
         condition_ii=rank == n,
@@ -143,12 +140,12 @@ def _certify(union: Pattern, sensors: frozenset) -> Certificate:
     )
 
 
-def _placement_graph(union: Pattern, sink_cols: Pattern) -> WeightedBipartite:
-    n = union.nrows
-    # row i of the graph is column i of the union: its columns j have (j, i)
-    edges = [(i, j, 0) for j, cols in enumerate(union.row_columns()) for i in cols]
-    edges.extend((i, n + p, 1) for i, cols in enumerate(sink_cols.row_columns()) for p in cols)
-    return WeightedBipartite(n, n + sink_cols.ncols, edges)
+def _placement_graph(union_t: Pattern, sink_cols: Pattern) -> WeightedBipartite:
+    # row i of the graph is column i of the union, then its sink indicators
+    n, width = union_t.nrows, union_t.ncols + sink_cols.ncols
+    free = Pattern.from_masks(n, width, union_t.rows)
+    unit = Pattern.from_masks(n, width, [m << n for m in sink_cols.rows])
+    return WeightedBipartite.from_patterns(free, unit)
 
 
 def minimal_sensors(
@@ -172,11 +169,12 @@ def minimal_sensors(
         raise ValueError("placement needs a square pattern")
     n = pattern.nrows
     union = transition_union(pattern, horizon)
+    union_t = union.transpose()
     cond = condense(union)
     sink_cols = sink_scc_columns(cond)
     sink_ids = sorted(cond.sink_sccs)
 
-    matching: Matching = min_weight_max_matching(_placement_graph(union, sink_cols))
+    matching: Matching = min_weight_max_matching(_placement_graph(union_t, sink_cols))
 
     matched_rows = {r for r, _ in matching.pairs}
     j_prime = set()
@@ -197,7 +195,7 @@ def minimal_sensors(
         j_triple.add(min(members))
 
     sensors = SensorSet(j_prime, j_double, j_triple - j_prime - j_double)
-    cert = _certify(union, sensors.all)
+    cert = _certify(union, union_t, sensors.all)
     if not cert.observable:
         raise RuntimeError("internal error: placement failed its own certificate")
     return PlacementReport(

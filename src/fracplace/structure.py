@@ -94,10 +94,6 @@ class Pattern:
             a[r, cols] = 1
         return a
 
-    def row_masks(self) -> tuple:
-        """Row bitmasks; bit c of mask r is set iff (r, c) is present."""
-        return self.rows
-
     @classmethod
     def identity(cls, n: int) -> "Pattern":
         return cls(n, n, ((i, i) for i in range(n)))
@@ -181,7 +177,7 @@ def transition_union(pattern: Pattern, horizon: int) -> Pattern:
     horizon = int(horizon)
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    base = pattern.row_masks()
+    base = pattern.rows
     acc = list(base)
     cur = list(base)
     for _ in range(horizon):
@@ -221,7 +217,7 @@ def transition_patterns(
             return True
         return j + 1 <= tail_lengths[state]
 
-    base = pattern.row_masks()
+    base = pattern.rows
     steps = [list(base)]
     for k in range(1, horizon + 1):
         rows = _bool_product(base, steps[k - 1])
@@ -326,13 +322,9 @@ def non_accessible_states(pattern: Pattern, sensors: Collection[int]) -> frozens
     for s in sensor_set:
         if not (0 <= s < n):
             raise ValueError(f"sensor index {s} outside 0..{n - 1}")
-    preds = pattern.row_columns()  # the predecessors of state v are row v
-    seen = set(sensor_set)
-    frontier = list(sensor_set)
+    seen = frontier = sum(1 << s for s in sensor_set)
     while frontier:
-        v = frontier.pop()
-        for u in preds[v]:
-            if u not in seen:
-                seen.add(u)
-                frontier.append(u)
-    return frozenset(range(n)) - seen
+        (frontier,) = _bool_product([frontier], pattern.rows)  # row v: v's predecessors
+        frontier &= ~seen
+        seen |= frontier
+    return frozenset(v for v in range(n) if not seen >> v & 1)

@@ -14,11 +14,13 @@ package's 0-based convention on load)::
 
 ``dense`` expects n rows of n whitespace-separated numbers, ``pattern``
 expects ``row col`` pairs and carries no numeric values.  Blank lines and
-``#`` comments are ignored.  Exactly one matrix block must be present.
+``#`` comments are ignored.  Exactly one matrix block must be present,
+closed by ``end``; matrix values must be finite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -119,6 +121,8 @@ def parse_system_file(text: str) -> SystemFile:
             while i < len(lines) and lines[i][1].lower() != "end":
                 matrix_rows.append(lines[i])
                 i += 1
+            if i == len(lines):
+                _fail(lineno, "matrix block has no closing 'end' line")
         else:
             _fail(lineno, f"unknown keyword '{key}'")
         i += 1
@@ -156,6 +160,8 @@ def parse_system_file(text: str) -> SystemFile:
                 _fail(lineno, "dense rows must hold numbers")
             if len(row) != n:
                 _fail(lineno, f"dense row needs {n} entries, got {len(row)}")
+            if not all(math.isfinite(v) for v in row):
+                _fail(lineno, "matrix values must be finite")
             rows.append(row)
         matrix = np.asarray(rows)
     elif kind == "sparse":
@@ -170,6 +176,8 @@ def parse_system_file(text: str) -> SystemFile:
                 _fail(lineno, "sparse entries are 'row col value'")
             if not (1 <= r <= n and 1 <= c <= n):
                 _fail(lineno, f"index ({r}, {c}) outside 1..{n}")
+            if not math.isfinite(v):
+                _fail(lineno, "matrix values must be finite")
             matrix[r - 1, c - 1] = v
     else:  # pattern
         entries = []

@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -175,6 +176,16 @@ class TestSimulate:
         assert proc.returncode == 2
         assert "numeric" in proc.stderr
 
+    def test_non_finite_matrix_value_exits_two(self, tmp_path):
+        sysf = tmp_path / "sys.fracsys"
+        sysf.write_text(WORKED.replace("0 1\n", "0 nan\n"))
+        x0 = tmp_path / "x0.txt"
+        x0.write_text("0 1\n")
+        proc = run_cli("simulate", str(sysf), "--x0", str(x0))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.strip() == "fracplace: error: line 6: matrix values must be finite"
+
     def test_oversized_numeric_system_redirected(self, tmp_path):
         sysf = tmp_path / "big.fracsys"
         sysf.write_text(BIG_SPARSE)
@@ -244,6 +255,41 @@ class TestSweep:
     def test_level_out_of_range(self):
         proc = run_cli("sweep", "--n", "6", "--levels", "1.0")
         assert proc.returncode == 2
+
+
+class TestSweepScript:
+    """``scripts/run_sweep.py`` goes through ``fracplace sweep``."""
+
+    script = str(Path(__file__).resolve().parents[1] / "scripts" / "run_sweep.py")
+    args = ("--n", "10", "--levels", "0.5,0.9", "--trials", "3", "--seed", "4")
+
+    def run_script(self, *args):
+        return subprocess.run([sys.executable, self.script, *args], capture_output=True)
+
+    def test_csv_is_byte_identical_to_the_cli(self, tmp_path):
+        cli = subprocess.run(
+            [sys.executable, "-m", "fracplace", "sweep", *self.args, "--format", "csv"],
+            capture_output=True,
+        )
+        assert cli.returncode == 0
+        out = tmp_path / "sweep.csv"
+        to_file = self.run_script(*self.args, "--out", str(out))
+        assert to_file.returncode == 0
+        assert out.read_bytes() == cli.stdout
+        assert b"per-level mean sensor count" in to_file.stderr
+        to_stdout = self.run_script(*self.args)
+        assert to_stdout.returncode == 0
+        assert to_stdout.stdout == cli.stdout
+
+    def test_bad_input_exits_two_with_one_line(self, tmp_path):
+        pattern_only = tmp_path / "pattern.fracsys"
+        pattern_only.write_text(PATTERN_ONLY)
+        for args in (("--n", "6", "--levels", "0.5,1.0"), ("--base", str(pattern_only))):
+            proc = self.run_script(*args)
+            assert proc.returncode == 2
+            assert proc.stdout == b""
+            lines = proc.stderr.decode().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("fracplace: error:")
 
 
 class TestImports:

@@ -66,6 +66,32 @@ class TestWeightedBipartite:
         with pytest.raises(ValueError):
             WeightedBipartite(1, 1, [(0, 1, 0)])
 
+    def test_from_patterns_agrees_with_triples(self):
+        rng = np.random.default_rng(8)
+        for _ in range(100):
+            g = random_graph(rng)
+            triples = sorted(g.edges)
+            free = Pattern(g.n_rows, g.n_cols, [(r, c) for r, c, w in triples if w == 0])
+            unit = Pattern(g.n_rows, g.n_cols, [(r, c) for r, c, w in triples if w == 1])
+            h = WeightedBipartite.from_patterns(free, unit)
+            assert h == g
+            assert h.edges == g.edges
+            assert h.adjacency() == g.adjacency() == [
+                sorted(c for r2, c, _ in triples if r2 == r) for r in range(g.n_rows)
+            ]
+            assert h.weight_of() == g.weight_of() == {(r, c): w for r, c, w in triples}
+
+    def test_from_patterns_rejects_a_pair_in_both(self):
+        with pytest.raises(ValueError, match=r"pair \(1, 2\)"):
+            WeightedBipartite.from_patterns(
+                Pattern(2, 3, [(0, 0), (1, 2)]), Pattern(2, 3, [(1, 2)])
+            )
+
+    def test_from_patterns_rejects_different_shapes(self):
+        for unit in (Pattern(2, 4), Pattern(3, 3)):
+            with pytest.raises(ValueError):
+                WeightedBipartite.from_patterns(Pattern(2, 3), unit)
+
 
 class TestMaxMatching:
     def test_complete_three_by_three(self):

@@ -81,7 +81,7 @@ def test_placement_graphs():
         pattern = random_pattern(rng, n, rng.uniform(0.01, 0.3))
         horizon = int(rng.integers(0, n + 1))
         union = transition_union(pattern, horizon)
-        assert_same_optimum(_placement_graph(union, sink_scc_columns(condense(union))))
+        assert_same_optimum(_placement_graph(union.transpose(), sink_scc_columns(condense(union))))
 
 
 def place_output(argv):

@@ -8,6 +8,7 @@ from fracplace import (
     Pattern,
     RealizationConfig,
     SensorSet,
+    WeightedBipartite,
     condense,
     draw_orders,
     exhaustive_min_placement,
@@ -143,6 +144,24 @@ class TestMinimalSensors:
             return transition_union(pattern, horizon)
 
         monkeypatch.setattr(fracplace.placement, "transition_union", counted)
+        minimal_sensors(Pattern(4, 4, [(1, 0), (2, 1), (0, 2), (3, 3)]), 4)
+        assert calls == [4]
+
+    def test_union_transposed_once(self, monkeypatch):
+        # the placement graph and the self-check share one transpose, and
+        # the graph is built from its masks, never from edge triples
+        calls = []
+        transpose = Pattern.transpose
+
+        def counted(pattern):
+            calls.append(pattern.nrows)
+            return transpose(pattern)
+
+        def no_triples(*args, **kwargs):
+            raise AssertionError("placement built a graph from edge triples")
+
+        monkeypatch.setattr(Pattern, "transpose", counted)
+        monkeypatch.setattr(WeightedBipartite, "__init__", no_triples)
         minimal_sensors(Pattern(4, 4, [(1, 0), (2, 1), (0, 2), (3, 3)]), 4)
         assert calls == [4]
 

@@ -164,7 +164,7 @@ class TestTransitionPatterns:
         rng = np.random.default_rng(21)
         pat = random_pattern(rng, 6, 0.3)
         steps = transition_patterns(pat, 5, tail_lengths=[0] * 6)
-        masks = pat.row_masks()
+        masks = pat.rows
         power = Pattern.from_masks(6, 6, masks)
         for k in range(6):
             assert steps[k].entries == power.entries
@@ -172,7 +172,7 @@ class TestTransitionPatterns:
             for i in range(6):
                 acc = 0
                 m = masks[i]
-                pm = power.row_masks()
+                pm = power.rows
                 while m:
                     low = m & -m
                     acc |= pm[low.bit_length() - 1]
@@ -293,3 +293,16 @@ class TestNonAccessible:
                 cond.sccs[cid] & sensors for cid in cond.sink_sccs
             )
             assert (not blocked) == sinks_covered
+
+    def test_matches_matrix_power_reachability(self):
+        rng = np.random.default_rng(15)
+        for _ in range(150):
+            n = int(rng.integers(1, 13))
+            pat = random_pattern(rng, n, rng.uniform(0.0, 0.4))
+            sensors = {int(s) for s in rng.choice(n, size=rng.integers(0, n), replace=False)}
+            adj = pat.to_array(int)  # adj[i, j] = 1: an edge from state j to state i
+            reach = np.eye(n, dtype=int)  # reach[i, j] = 1: a walk from j to i
+            for _ in range(n):
+                reach = np.minimum(reach + adj @ reach, 1)
+            blocked = {j for j in range(n) if not any(reach[s, j] for s in sensors)}
+            assert non_accessible_states(pat, sensors) == frozenset(blocked)

@@ -90,3 +90,22 @@ class TestParseErrors:
     def test_malformed_inputs_raise(self, text):
         with pytest.raises(ValueError):
             parse_system_file(text)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            (DENSE.replace("0 1.5", "0 nan"), 6),
+            (SPARSE.replace("3 2 2.0", "3 2 inf"), 7),
+            (SPARSE.replace("2 1 1.0", "2 1 -inf"), 6),
+        ],
+        ids=["dense-nan", "sparse-inf", "sparse-minus-inf"],
+    )
+    def test_non_finite_matrix_value_names_its_line(self, text, line):
+        with pytest.raises(ValueError, match=f"^line {line}: matrix values must be finite"):
+            parse_system_file(text)
+
+    def test_matrix_block_without_end_names_the_matrix_line(self):
+        # the keyword after the block used to be read as a bad matrix row
+        text = "fracsys 1\nn 2\nalpha 1\nmatrix pattern\n2 1\nk 5\n"
+        with pytest.raises(ValueError, match="^line 4: matrix block has no closing 'end'"):
+            parse_system_file(text)
