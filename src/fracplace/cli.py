@@ -148,14 +148,15 @@ def _cmd_simulate(args) -> int:
             {
                 "schema": "fracplace.trajectory/1",
                 "n": sysfile.n,
-                "states": [[float(v) for v in row] for row in traj.states],
+                "states": traj.states.tolist(),
             }
         )
     else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["k"] + [f"x{i + 1}" for i in range(sysfile.n)])
+        # the bytes csv.writer would give: no field here needs quoting
+        out = sys.stdout
+        out.write(",".join(["k"] + [f"x{i + 1}" for i in range(sysfile.n)]) + "\r\n")
         for k, row in enumerate(traj.states):
-            writer.writerow([k] + [_fmt(v) for v in row])
+            out.write(f"{k}," + ",".join(map(_fmt, row.tolist())) + "\r\n")
     return 0
 
 

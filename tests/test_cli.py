@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import subprocess
@@ -9,6 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fracplace.fraccore
+from fracplace import FracSystem, load_system_file, simulate
 from fracplace.cli import main
 
 CHAIN_SPARSE = """\
@@ -185,6 +188,65 @@ class TestSimulate:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.strip() == "fracplace: error: line 6: matrix values must be finite"
+
+    def test_non_finite_initial_state_exits_two(self, tmp_path):
+        sysf = tmp_path / "sys.fracsys"
+        sysf.write_text(WORKED)
+        x0 = tmp_path / "x0.txt"
+        x0.write_text("nan inf\n")
+        for fmt in ("csv", "json"):
+            proc = run_cli("simulate", str(sysf), "--x0", str(x0), "--format", fmt)
+            assert proc.returncode == 2
+            assert proc.stdout == ""
+            assert proc.stderr == "fracplace: error: initial state values must be finite\n"
+
+    def test_output_is_the_library_trajectory(self, tmp_path):
+        rng = np.random.default_rng(23)
+        n = 5
+        rows = [" ".join(repr(float(v)) for v in row) for row in rng.normal(0, 0.6, (n, n))]
+        orders = " ".join(repr(float(a)) for a in rng.uniform(0.2, 2.5, n))
+        sysf = tmp_path / "sys.fracsys"
+        sysf.write_text(
+            "\n".join(["fracsys 1", f"n {n}", f"alpha {orders}", "k 30", "matrix dense", *rows, "end"])
+            + "\n"
+        )
+        x0 = tmp_path / "x0.txt"
+        x0.write_text(" ".join(repr(float(v)) for v in rng.normal(size=n)))
+        sysfile = load_system_file(str(sysf))
+        states = simulate(
+            FracSystem(sysfile.matrix, sysfile.alpha, sysfile.horizon),
+            np.loadtxt(x0),
+            30,
+        ).states
+
+        want = io.StringIO()
+        writer = csv.writer(want)
+        writer.writerow(["k"] + [f"x{i + 1}" for i in range(n)])
+        for k, row in enumerate(states):
+            writer.writerow([k] + [f"{v:.17g}" for v in row])
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["simulate", str(sysf), "--x0", str(x0)]) == 0
+        assert out.getvalue() == want.getvalue()
+
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["simulate", str(sysf), "--x0", str(x0), "--format", "json"]) == 0
+        assert json.loads(out.getvalue())["states"] == states.tolist()
+
+    def test_never_builds_transition_factors(self, tmp_path, monkeypatch):
+        def refused(system):
+            raise AssertionError("simulate built transition factors")
+
+        monkeypatch.setattr(fracplace.fraccore, "transition_factors", refused)
+        sysf = tmp_path / "sys.fracsys"
+        sysf.write_text(CHAIN_SPARSE.replace("k 3", "k 2000"))
+        x0 = tmp_path / "x0.txt"
+        x0.write_text("1 0 0\n")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["simulate", str(sysf), "--x0", str(x0)]) == 0
+        assert len(out.getvalue().splitlines()) == 2002
 
     def test_oversized_numeric_system_redirected(self, tmp_path):
         sysf = tmp_path / "big.fracsys"

@@ -18,7 +18,8 @@ from fracplace import (
     simulate,
     transition_factors,
 )
-from fracplace.fraccore import MAX_FACTOR_STACK_BYTES
+from fracplace import fraccore
+from fracplace.fraccore import MAX_FACTOR_STACK_BYTES, MAX_SIMULATION_WORK
 
 
 def exact_gl(alpha: float, j: int) -> Fraction:
@@ -216,12 +217,83 @@ class TestSimulate:
         alpha = rng.uniform(0.5, 1.3, n)
         x0 = rng.normal(size=n)
         full = transition_factors(FracSystem(A, alpha, 120))
+        system = FracSystem(A, alpha, 120)
+        longest = simulate(system, x0, 60).states
         for steps in (0, 1, 7, 60):
             short = transition_factors(FracSystem(A, alpha, steps))
             assert np.array_equal(short.stack, full.stack[: steps + 1])
-            system = FracSystem(A, alpha, 120)
             own = simulate(system, x0, steps).states
-            assert np.array_equal(own, simulate(system, x0, steps, full).states)
+            assert np.array_equal(own, simulate(FracSystem(A, alpha, steps), x0, steps).states)
+            assert np.array_equal(own, longest[: steps + 1])
+
+    def test_matches_factor_oracle(self):
+        # the factor stack is the oracle: x_k = T_k x_0, up to rounding
+        rng = np.random.default_rng(31)
+        for case in range(60):
+            n = int(rng.integers(1, 41))
+            K = int(rng.integers(0, 61))
+            A = rng.normal(0.0, 1.0 / math.sqrt(n), (n, n))
+            if case % 3 == 0:
+                alpha = rng.integers(1, 3, n).astype(float)  # tails vanish
+            elif case % 3 == 1:
+                alpha = np.where(rng.random(n) < 0.5, 1.0, rng.uniform(0.2, 2.5, n))
+            else:
+                alpha = rng.uniform(0.2, 2.5, n)
+            x0 = rng.normal(size=n)
+            system = FracSystem(A, alpha, K)
+            stack = transition_factors(system).stack
+            want = np.vstack([x0, stack[1:] @ x0])
+            got = simulate(system, x0, K).states
+            assert np.array_equal(got[0], x0)
+            err = np.abs(got - want).max(axis=1)
+            assert np.all(err <= 1e-12 * np.abs(want).max(axis=1)), (case, n, K)
+
+    def test_never_builds_transition_factors(self, monkeypatch):
+        def refused(system):
+            raise AssertionError("simulate built transition factors")
+
+        monkeypatch.setattr(fraccore, "transition_factors", refused)
+        n, steps = 64, 2000  # the factor stack would take 64 MiB
+        rng = np.random.default_rng(5)
+        system = FracSystem(rng.normal(0.0, 0.1, (n, n)), np.full(n, 0.7), steps)
+        tracemalloc.start()
+        try:
+            traj = simulate(system, rng.normal(size=n), steps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traj.states.shape == (steps + 1, n)
+        assert peak < 16 * 2**20
+
+    def test_refuses_runaway_work_before_allocating(self):
+        n = 64
+        steps = math.isqrt(2 * MAX_SIMULATION_WORK // n)
+        while n * steps * (steps + 1) // 2 <= MAX_SIMULATION_WORK:
+            steps += 1
+        assert n * (steps - 1) * steps // 2 <= MAX_SIMULATION_WORK
+        system = FracSystem(np.eye(n), np.full(n, 0.5), steps)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="lower the number of steps"):
+                simulate(system, np.ones(n), steps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_work_limit_admits_a_run_at_the_limit(self, monkeypatch):
+        n, steps = 3, 40
+        monkeypatch.setattr(fraccore, "MAX_SIMULATION_WORK", n * steps * (steps + 1) // 2)
+        system = FracSystem(np.full((n, n), 0.2), [0.5, 1.0, 1.5], steps + 1)
+        assert simulate(system, [1.0, -1.0, 2.0], steps).steps == steps
+        with pytest.raises(ValueError, match="lower the number of steps"):
+            simulate(system, [1.0, -1.0, 2.0], steps + 1)
+
+    def test_non_finite_initial_state(self):
+        system = FracSystem(np.eye(2), [0.5, 0.5], 2)
+        for bad in ([float("nan"), 0.0], [1.0, float("inf")]):
+            with pytest.raises(ValueError, match="finite"):
+                simulate(system, bad, 2)
 
     def test_steps_beyond_horizon(self):
         sysm = FracSystem([[0.0]], [0.5], 2)
