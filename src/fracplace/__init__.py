@@ -13,94 +13,73 @@ State indices are 0-based throughout the Python API; the file format and
 the command line use 1-based indices.
 """
 
-from .fraccore import (
-    FracSystem,
-    GlCoefficients,
-    Trajectory,
-    TransitionSequence,
-    gl_coefficient,
-    gl_tails,
-    is_observable_numeric,
-    numeric_rank,
-    observability_matrix,
-    simulate,
-    transition_factors,
-)
-from .matching import (
-    Matching,
-    WeightedBipartite,
-    generic_rank,
-    max_matching,
-    min_weight_max_matching,
-)
-from .oracle import (
-    RealizationConfig,
-    draw_orders,
-    enumerate_matchings,
-    exhaustive_min_placement,
-    random_realization,
-)
-from .placement import (
-    Certificate,
-    PlacementReport,
-    SensorSet,
-    minimal_sensors,
-    sink_scc_columns,
-    verify_observability,
-)
-from .structure import (
-    Condensation,
-    Pattern,
-    condense,
-    non_accessible_states,
-    pattern_of,
-    transition_patterns,
-    transition_union,
-)
-from .sweep import SweepRow, SweepSpec, run_sweep
-from .sysfile import SystemFile, load_system_file, parse_system_file
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "FracSystem",
-    "GlCoefficients",
-    "TransitionSequence",
-    "Trajectory",
-    "gl_coefficient",
-    "gl_tails",
-    "transition_factors",
-    "simulate",
-    "observability_matrix",
-    "numeric_rank",
-    "is_observable_numeric",
-    "Pattern",
-    "Condensation",
-    "pattern_of",
-    "transition_union",
-    "transition_patterns",
-    "condense",
-    "non_accessible_states",
-    "WeightedBipartite",
-    "Matching",
-    "max_matching",
-    "min_weight_max_matching",
-    "generic_rank",
-    "SensorSet",
-    "Certificate",
-    "PlacementReport",
-    "sink_scc_columns",
-    "minimal_sensors",
-    "verify_observability",
-    "RealizationConfig",
-    "random_realization",
-    "draw_orders",
-    "exhaustive_min_placement",
-    "enumerate_matchings",
-    "SweepSpec",
-    "SweepRow",
-    "run_sweep",
-    "SystemFile",
-    "parse_system_file",
-    "load_system_file",
-]
+# Each public name and the submodule that defines it.  Names resolve on
+# first access (PEP 562), so ``import fracplace`` loads no submodule and
+# the structural commands never load numpy or the test oracles.
+_EXPORTS = {
+    "fraccore": (
+        "FracSystem",
+        "GlCoefficients",
+        "TransitionSequence",
+        "Trajectory",
+        "gl_coefficient",
+        "gl_tails",
+        "transition_factors",
+        "simulate",
+        "observability_matrix",
+        "numeric_rank",
+        "is_observable_numeric",
+    ),
+    "structure": (
+        "Pattern",
+        "Condensation",
+        "pattern_of",
+        "transition_union",
+        "condense",
+        "non_accessible_states",
+    ),
+    "matching": (
+        "WeightedBipartite",
+        "Matching",
+        "max_matching",
+        "min_weight_max_matching",
+        "generic_rank",
+    ),
+    "placement": (
+        "SensorSet",
+        "Certificate",
+        "PlacementReport",
+        "sink_scc_columns",
+        "minimal_sensors",
+        "verify_observability",
+    ),
+    "oracle": (
+        "RealizationConfig",
+        "random_realization",
+        "draw_orders",
+        "exhaustive_min_placement",
+        "enumerate_matchings",
+    ),
+    "sweep": ("SweepSpec", "SweepRow", "run_sweep"),
+    "sysfile": ("SystemFile", "parse_system_file", "load_system_file"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(__all__))

@@ -20,11 +20,7 @@ import csv
 import json
 import sys
 
-import numpy as np
-
-from .fraccore import MAX_DENSE_DIMENSION, FracSystem, simulate
 from .placement import minimal_sensors, verify_observability
-from .sweep import SweepSpec, run_sweep
 from .sysfile import load_system_file
 
 __all__ = ["main"]
@@ -122,6 +118,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    # numpy loads here and in _cmd_sweep only: place and verify print no floats
+    from .fraccore import MAX_DENSE_DIMENSION, FracSystem, simulate
+
     sysfile = load_system_file(args.file)
     if not sysfile.numeric:
         raise ValueError(
@@ -142,7 +141,7 @@ def _cmd_simulate(args) -> int:
     if steps > horizon:
         raise ValueError(f"steps={steps} exceeds horizon K={horizon}")
     system = FracSystem(sysfile.matrix, sysfile.alpha, horizon)
-    traj = simulate(system, np.asarray(x0), steps)
+    traj = simulate(system, x0, steps)
     if args.format == "json":
         _emit_json(
             {
@@ -168,6 +167,8 @@ def _parse_levels(text: str) -> tuple:
 
 
 def _cmd_sweep(args) -> int:
+    from .sweep import SweepSpec, run_sweep
+
     base = None
     n = args.n
     if args.base is not None:

@@ -249,7 +249,9 @@ def simulate(system: FracSystem, x0: np.ndarray, steps: int) -> Trajectory:
     with ``transition_factors(...).stack[k] @ x0`` up to rounding in the last
     digits.  ``steps`` must not exceed the system horizon, ``x0`` must be
     finite, and runs whose memory term exceeds ``MAX_SIMULATION_WORK``
-    multiply-adds are refused before anything is allocated.
+    multiply-adds are refused before anything is allocated.  A trajectory
+    that leaves the float64 range raises ValueError naming the first step
+    with a non-finite state.
     """
     steps = int(steps)
     if steps < 0:
@@ -277,14 +279,22 @@ def simulate(system: FracSystem, x0: np.ndarray, steps: int) -> Trajectory:
     # hist[:, steps - k] holds y_k: in reversed time the memory term of step k
     # is a row-wise dot product of tails[:, :k-1] with one contiguous slice
     hist = np.empty((n, steps + 1))
-    hist[:, steps] = A @ x0
-    for k in range(1, steps + 1):
-        y = A @ hist[:, steps - k + 1]
-        if k >= 2:
-            y += np.einsum("ij,ij->i", tails[:, : k - 1], hist[:, steps - k + 2 :])
-        hist[:, steps - k] = y
+    # an overflow is reported once, below, as an error rather than a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        hist[:, steps] = A @ x0
+        for k in range(1, steps + 1):
+            y = A @ hist[:, steps - k + 1]
+            if k >= 2:
+                y += np.einsum("ij,ij->i", tails[:, : k - 1], hist[:, steps - k + 2 :])
+            hist[:, steps - k] = y
     states = hist[:, ::-1].T  # row k is y_k
     states[0] = x0
+    finite = np.isfinite(states).all(axis=1)
+    if not finite.all():
+        raise ValueError(
+            f"the trajectory overflows float64 at step {int(np.argmin(finite))}; "
+            "lower the number of steps"
+        )
     return Trajectory(states)
 
 

@@ -12,17 +12,18 @@ All types are immutable and all operations are pure functions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Collection, Iterable, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "Pattern",
     "Condensation",
     "pattern_of",
     "transition_union",
-    "transition_patterns",
     "condense",
     "non_accessible_states",
 ]
@@ -89,6 +90,8 @@ class Pattern:
         return Pattern.from_masks(self.ncols, self.nrows, masks)
 
     def to_array(self, dtype=float) -> np.ndarray:
+        import numpy as np
+
         a = np.zeros((self.nrows, self.ncols), dtype=dtype)
         for r, cols in enumerate(self.row_columns()):
             a[r, cols] = 1
@@ -126,21 +129,35 @@ class Condensation:
 
     SCCs are numbered in ascending order of their smallest member state.
     ``sink_sccs`` holds the ids with no outgoing edge to another SCC;
-    every state of the graph can reach at least one of them.
+    every state of the graph can reach at least one of them.  ``pattern``
+    is the decomposed pattern; it takes no part in equality.
     """
 
     scc_of: tuple
     sccs: tuple
-    dag_edges: frozenset
     sink_sccs: frozenset
+    pattern: Pattern = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return len(self.scc_of)
 
+    @cached_property
+    def dag_edges(self) -> frozenset:
+        """Quotient DAG edges (a, b): a state of SCC a has an edge into SCC b."""
+        scc_of = self.scc_of
+        return frozenset(
+            (scc_of[j], scc_of[i])
+            for i, preds in enumerate(self.pattern.row_columns())
+            for j in preds
+            if scc_of[j] != scc_of[i]
+        )
+
 
 def pattern_of(M: np.ndarray, zero_tol: float = 1e-12) -> Pattern:
     """Pattern of a numeric matrix: entries with magnitude above zero_tol."""
+    import numpy as np
+
     if not (np.isfinite(zero_tol) and zero_tol >= 0):
         raise ValueError("zero_tol must be finite and >= 0")
     M = np.atleast_2d(np.asarray(M, dtype=float))
@@ -189,53 +206,13 @@ def transition_union(pattern: Pattern, horizon: int) -> Pattern:
     return Pattern.from_masks(pattern.nrows, pattern.ncols, acc)
 
 
-def transition_patterns(
-    pattern: Pattern,
-    horizon: int,
-    tail_lengths: Sequence[int | None] | None = None,
-) -> list[Pattern]:
-    """Predicted per-step patterns of the transition factors T_0..T_K.
-
-    Mirrors the factor recurrence in boolean arithmetic: the coupling term
-    applies the base pattern, and each live memory tail re-injects the
-    rows of an earlier factor.  ``tail_lengths[i]`` caps how many tail
-    coefficients are nonzero for state i (an integer order ``a`` keeps
-    only tails j with j + 1 <= a); ``None`` entries mean a generic,
-    unbounded tail.
-    """
-    if not pattern.is_square():
-        raise ValueError("transition patterns need a square pattern")
-    horizon = int(horizon)
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    n = pattern.nrows
-    if tail_lengths is not None and len(tail_lengths) != n:
-        raise ValueError("need one tail length (or None) per state")
-
-    def alive(state: int, j: int) -> bool:
-        if tail_lengths is None or tail_lengths[state] is None:
-            return True
-        return j + 1 <= tail_lengths[state]
-
-    base = pattern.rows
-    steps = [list(base)]
-    for k in range(1, horizon + 1):
-        rows = _bool_product(base, steps[k - 1])
-        for j in range(1, k):
-            prev = steps[k - 1 - j]
-            for i in range(n):
-                if alive(i, j):
-                    rows[i] |= prev[i]
-        steps.append(rows)
-    return [Pattern.from_masks(n, n, masks) for masks in steps]
-
-
 def condense(pattern: Pattern) -> Condensation:
     """SCC condensation of the pattern digraph (Tarjan, O(V + E)).
 
     Edge convention: entry (i, j) is an edge from state j to state i.
-    Returns the member partition, the quotient DAG edges, and the ids of
-    the sink SCCs (no outgoing quotient edge).
+    Returns the member partition and the ids of the sink SCCs (no
+    outgoing quotient edge); the quotient DAG edges are derived on first
+    read.
     """
     if not pattern.is_square():
         raise ValueError("condensation needs a square pattern")
@@ -290,22 +267,24 @@ def condense(pattern: Pattern) -> Condensation:
 
     comps.sort(key=min)
     scc_of = [0] * n
+    members = []
+    # the states with an edge into another SCC: an SCC is a sink iff it
+    # holds none of them
+    leaving = 0
     for cid, comp in enumerate(comps):
+        mask = into = 0
         for v in comp:
             scc_of[v] = cid
-    dag = set()
-    for i, cols in enumerate(preds):
-        b = scc_of[i]
-        for j in cols:
-            if scc_of[j] != b:
-                dag.add((scc_of[j], b))
-    has_out = {a for a, _ in dag}
-    sinks = frozenset(cid for cid in range(len(comps)) if cid not in has_out)
+            mask |= 1 << v
+            into |= pattern.rows[v]
+        members.append(mask)
+        leaving |= into & ~mask
+    sinks = frozenset(cid for cid, mask in enumerate(members) if not mask & leaving)
     return Condensation(
         scc_of=tuple(scc_of),
         sccs=tuple(frozenset(c) for c in comps),
-        dag_edges=frozenset(dag),
         sink_sccs=sinks,
+        pattern=pattern,
     )
 
 

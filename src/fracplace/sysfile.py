@@ -22,10 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .structure import Pattern
 
-from .structure import Pattern, pattern_of
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["SystemFile", "parse_system_file", "load_system_file"]
 
@@ -37,26 +40,55 @@ FORMAT_VERSION = 1
 class SystemFile:
     """Parsed system description.
 
-    ``matrix`` is None for pattern-only files; ``horizon`` is None when
+    The file's numbers are held as Python floats: ``orders`` has one
+    fractional order per state, and ``values`` the n rows of n matrix
+    values, or None for pattern-only files.  ``alpha`` and ``matrix``
+    give them as new numpy arrays on each read.  ``horizon`` is None when
     the file leaves it to the default (the state dimension).
     """
 
     n: int
-    alpha: np.ndarray
+    orders: tuple
     kind: str  # "dense" | "sparse" | "pattern"
-    matrix: np.ndarray | None
+    values: tuple | None
     pattern: Pattern | None
     horizon: int | None
 
     @property
     def numeric(self) -> bool:
-        return self.matrix is not None
+        return self.values is not None
+
+    @property
+    def alpha(self) -> np.ndarray:
+        import numpy as np
+
+        return np.array(self.orders)
+
+    @property
+    def matrix(self) -> np.ndarray | None:
+        if self.values is None:
+            return None
+        import numpy as np
+
+        return np.array(self.values)
 
     def pattern_at(self, zero_tol: float = 1e-12) -> Pattern:
-        """The structural pattern, thresholding numeric entries if needed."""
+        """The structural pattern, thresholding numeric entries if needed.
+
+        A numeric entry is present iff its magnitude exceeds ``zero_tol``.
+        """
         if self.pattern is not None:
             return self.pattern
-        return pattern_of(self.matrix, zero_tol)
+        if not (math.isfinite(zero_tol) and zero_tol >= 0):
+            raise ValueError("zero_tol must be finite and >= 0")
+        masks = []
+        for row in self.values:
+            mask = 0
+            for c in compress(range(self.n), row):  # skips the zeros
+                if abs(row[c]) > zero_tol:
+                    mask |= 1 << c
+            masks.append(mask)
+        return Pattern.from_masks(self.n, self.n, masks)
 
 
 def _fail(lineno: int, msg: str):
@@ -135,17 +167,15 @@ def parse_system_file(text: str) -> SystemFile:
         raise ValueError("missing matrix block")
 
     if len(alpha_values) == 1:
-        alpha = np.full(n, alpha_values[0])
-    elif len(alpha_values) == n:
-        alpha = np.asarray(alpha_values)
-    else:
+        alpha_values *= n
+    elif len(alpha_values) != n:
         raise ValueError(
             f"alpha has {len(alpha_values)} values, expected 1 or {n}"
         )
-    if np.any(alpha <= 0) or not np.all(np.isfinite(alpha)):
+    if not all(math.isfinite(a) and a > 0 for a in alpha_values):
         raise ValueError("every alpha must be finite and > 0")
 
-    matrix = None
+    values = None
     pattern = None
     if kind == "dense":
         if len(matrix_rows) != n:
@@ -162,10 +192,10 @@ def parse_system_file(text: str) -> SystemFile:
                 _fail(lineno, f"dense row needs {n} entries, got {len(row)}")
             if not all(math.isfinite(v) for v in row):
                 _fail(lineno, "matrix values must be finite")
-            rows.append(row)
-        matrix = np.asarray(rows)
+            rows.append(tuple(row))
+        values = tuple(rows)
     elif kind == "sparse":
-        matrix = np.zeros((n, n))
+        rows = [[0.0] * n for _ in range(n)]
         for lineno, body in matrix_rows:
             toks = body.split()
             if len(toks) != 3:
@@ -178,7 +208,8 @@ def parse_system_file(text: str) -> SystemFile:
                 _fail(lineno, f"index ({r}, {c}) outside 1..{n}")
             if not math.isfinite(v):
                 _fail(lineno, "matrix values must be finite")
-            matrix[r - 1, c - 1] = v
+            rows[r - 1][c - 1] = v
+        values = tuple(map(tuple, rows))
     else:  # pattern
         entries = []
         for lineno, body in matrix_rows:
@@ -195,7 +226,12 @@ def parse_system_file(text: str) -> SystemFile:
         pattern = Pattern(n, n, entries)
 
     return SystemFile(
-        n=n, alpha=alpha, kind=kind, matrix=matrix, pattern=pattern, horizon=horizon
+        n=n,
+        orders=tuple(alpha_values),
+        kind=kind,
+        values=values,
+        pattern=pattern,
+        horizon=horizon,
     )
 
 

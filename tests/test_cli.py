@@ -200,6 +200,21 @@ class TestSimulate:
             assert proc.stdout == ""
             assert proc.stderr == "fracplace: error: initial state values must be finite\n"
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_trajectory_exits_two(self, tmp_path, fmt):
+        # x_k = 2^(k+1) for a scalar system with order 1 leaves float64 at k = 1023
+        sysf = tmp_path / "sys.fracsys"
+        sysf.write_text("fracsys 1\nn 1\nalpha 1.0\nk 1100\nmatrix dense\n2.0\nend\n")
+        x0 = tmp_path / "x0.txt"
+        x0.write_text("1\n")
+        proc = run_cli("simulate", str(sysf), "--x0", str(x0), "--format", fmt)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "fracplace: error: the trajectory overflows float64 at step 1023; "
+            "lower the number of steps\n"
+        )
+
     def test_output_is_the_library_trajectory(self, tmp_path):
         rng = np.random.default_rng(23)
         n = 5
@@ -360,3 +375,38 @@ class TestImports:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_structural_commands_do_not_import_numpy(self, tmp_path):
+        # place and verify print no floats: numpy and the test oracles stay unloaded
+        pattern_file = tmp_path / "pattern.fracsys"
+        pattern_file.write_text(PATTERN_ONLY)
+        dense_file = tmp_path / "dense.fracsys"
+        dense_file.write_text(WORKED)
+        code = f"""
+import contextlib, io, sys
+import fracplace, fracplace.cli
+loaded = lambda: sorted({{"numpy", "fracplace.oracle"}} & set(sys.modules))
+print(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    for path in ({str(pattern_file)!r}, {str(dense_file)!r}):
+        assert fracplace.cli.main(["place", path]) == 0
+        assert fracplace.cli.main(["verify", path, "--sensors", "1,2"]) in (0, 1)
+print(loaded())
+"""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n") == ["[]", "[]", ""]
+
+    def test_every_public_name_resolves(self):
+        code = (
+            "import fracplace\n"
+            "for name in fracplace.__all__:\n"
+            "    assert getattr(fracplace, name) is not None, name\n"
+            "ns = {}\n"
+            "exec('from fracplace import *', ns)\n"
+            "assert set(fracplace.__all__) <= set(ns), set(fracplace.__all__) - set(ns)\n"
+            "assert set(fracplace.__all__) <= set(dir(fracplace))\n"
+            "assert not hasattr(fracplace, 'no_such_name')\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr

@@ -10,10 +10,10 @@ from fracplace import (
     condense,
     draw_orders,
     non_accessible_states,
+    parse_system_file,
     pattern_of,
     random_realization,
     transition_factors,
-    transition_patterns,
     transition_union,
 )
 
@@ -47,6 +47,37 @@ def walk_union_oracle(pattern: Pattern, max_len: int) -> set:
         for v in dist:
             result.add((v, src))
     return result
+
+
+def transition_patterns(pattern: Pattern, horizon: int, tail_lengths=None) -> list:
+    """Predicted per-step patterns of the transition factors T_0..T_K.
+
+    Mirrors the factor recurrence in boolean arithmetic: the coupling term
+    applies the base pattern, and each live memory tail re-injects the
+    rows of an earlier factor.  ``tail_lengths[i]`` caps how many tail
+    coefficients are nonzero for state i (an integer order ``a`` keeps
+    only tails j with j + 1 <= a); ``None`` entries mean a generic,
+    unbounded tail.
+    """
+    n = pattern.nrows
+
+    def alive(state: int, j: int) -> bool:
+        if tail_lengths is None or tail_lengths[state] is None:
+            return True
+        return j + 1 <= tail_lengths[state]
+
+    steps = [list(pattern.rows)]
+    for k in range(1, horizon + 1):
+        rows = [0] * n
+        for i, j in pattern.entries:  # P o T_{k-1}
+            rows[i] |= steps[k - 1][j]
+        for j in range(1, k):
+            prev = steps[k - 1 - j]
+            for i in range(n):
+                if alive(i, j):
+                    rows[i] |= prev[i]
+        steps.append(rows)
+    return [Pattern.from_masks(n, n, masks) for masks in steps]
 
 
 class TestPattern:
@@ -100,6 +131,26 @@ class TestPatternOf:
         for tol in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 pattern_of(np.eye(2), tol)
+
+    def test_system_file_threshold_matches_pattern_of(self):
+        # a parsed file thresholds its own floats; pattern_of is the reference
+        rng = np.random.default_rng(31)
+        values = [0.0, -0.0, 1e-13, -1e-12, 2e-12, 0.25, -0.5, 3.0]
+        for _ in range(40):
+            n = int(rng.integers(1, 7))
+            M = rng.choice(values, size=(n, n))
+            dense = [" ".join(repr(float(v)) for v in row) for row in M]
+            sparse = [
+                f"{r + 1} {c + 1} {float(M[r, c])!r}"
+                for r in range(n)
+                for c in range(n)
+                if rng.random() < 0.6
+            ]
+            for kind, body in (("dense", dense), ("sparse", sparse)):
+                text = "\n".join([f"fracsys 1\nn {n}\nalpha 0.5\nmatrix {kind}", *body, "end\n"])
+                f = parse_system_file(text)
+                for tol in (0.0, 1e-12, 0.3):
+                    assert f.pattern_at(tol) == pattern_of(f.matrix, tol)
 
 
 class TestTransitionUnion:
