@@ -12,8 +12,10 @@ All types are immutable and all operations are pure functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import compress
 from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 
 if TYPE_CHECKING:
@@ -154,15 +156,28 @@ class Condensation:
         )
 
 
-def pattern_of(M: np.ndarray, zero_tol: float = 1e-12) -> Pattern:
-    """Pattern of a numeric matrix: entries with magnitude above zero_tol."""
-    import numpy as np
+def pattern_of(M, zero_tol: float = 1e-12) -> Pattern:
+    """Pattern of a numeric matrix: entries with magnitude above zero_tol.
 
-    if not (np.isfinite(zero_tol) and zero_tol >= 0):
+    ``M`` is a 2-D array or a sequence of equally long rows of numbers.
+    """
+    if not (math.isfinite(zero_tol) and zero_tol >= 0):
         raise ValueError("zero_tol must be finite and >= 0")
-    M = np.atleast_2d(np.asarray(M, dtype=float))
-    rows, cols = np.nonzero(np.abs(M) > zero_tol)
-    return Pattern(M.shape[0], M.shape[1], zip(rows.tolist(), cols.tolist()))
+    if hasattr(M, "shape"):
+        nrows, ncols = M.shape
+        M = M.tolist()
+    else:
+        nrows, ncols = len(M), len(M[0]) if len(M) else 0
+    masks = []
+    for row in M:
+        if len(row) != ncols:
+            raise ValueError(f"row of {len(row)} entries in a {ncols}-column matrix")
+        mask = 0
+        for c in compress(range(ncols), row):  # skips the zeros
+            if abs(row[c]) > zero_tol:
+                mask |= 1 << c
+        masks.append(mask)
+    return Pattern.from_masks(nrows, ncols, masks)
 
 
 def _bool_product(a_masks: Sequence[int], b_masks: Sequence[int]) -> list[int]:

@@ -22,10 +22,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from typing import TYPE_CHECKING
 
-from .structure import Pattern
+from .structure import Pattern, pattern_of
 
 if TYPE_CHECKING:
     import numpy as np
@@ -79,16 +78,7 @@ class SystemFile:
         """
         if self.pattern is not None:
             return self.pattern
-        if not (math.isfinite(zero_tol) and zero_tol >= 0):
-            raise ValueError("zero_tol must be finite and >= 0")
-        masks = []
-        for row in self.values:
-            mask = 0
-            for c in compress(range(self.n), row):  # skips the zeros
-                if abs(row[c]) > zero_tol:
-                    mask |= 1 << c
-            masks.append(mask)
-        return Pattern.from_masks(self.n, self.n, masks)
+        return pattern_of(self.values, zero_tol)
 
 
 def _fail(lineno: int, msg: str):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -225,6 +226,15 @@ class TestSimulate:
             own = simulate(system, x0, steps).states
             assert np.array_equal(own, simulate(FracSystem(A, alpha, steps), x0, steps).states)
             assert np.array_equal(own, longest[: steps + 1])
+
+    def test_overflow_is_an_error_not_a_warning(self):
+        # 2**1024 is the first power of two past float64's range
+        sysm = FracSystem([[2.0]], [1.0], 1100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="step 1023"):
+                simulate(sysm, [1.0], 1100)
+            assert np.isfinite(simulate(sysm, [1.0], 1022).states).all()
 
     def test_matches_factor_oracle(self):
         # the factor stack is the oracle: x_k = T_k x_0, up to rounding

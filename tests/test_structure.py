@@ -10,7 +10,6 @@ from fracplace import (
     condense,
     draw_orders,
     non_accessible_states,
-    parse_system_file,
     pattern_of,
     random_realization,
     transition_factors,
@@ -132,25 +131,22 @@ class TestPatternOf:
             with pytest.raises(ValueError):
                 pattern_of(np.eye(2), tol)
 
-    def test_system_file_threshold_matches_pattern_of(self):
-        # a parsed file thresholds its own floats; pattern_of is the reference
+    def test_rows_and_arrays_match_numpy_threshold(self):
         rng = np.random.default_rng(31)
         values = [0.0, -0.0, 1e-13, -1e-12, 2e-12, 0.25, -0.5, 3.0]
         for _ in range(40):
-            n = int(rng.integers(1, 7))
-            M = rng.choice(values, size=(n, n))
-            dense = [" ".join(repr(float(v)) for v in row) for row in M]
-            sparse = [
-                f"{r + 1} {c + 1} {float(M[r, c])!r}"
-                for r in range(n)
-                for c in range(n)
-                if rng.random() < 0.6
-            ]
-            for kind, body in (("dense", dense), ("sparse", sparse)):
-                text = "\n".join([f"fracsys 1\nn {n}\nalpha 0.5\nmatrix {kind}", *body, "end\n"])
-                f = parse_system_file(text)
-                for tol in (0.0, 1e-12, 0.3):
-                    assert f.pattern_at(tol) == pattern_of(f.matrix, tol)
+            M = rng.choice(values, size=(int(rng.integers(1, 7)), int(rng.integers(1, 7))))
+            for tol in (0.0, 1e-12, 0.3):
+                rows, cols = np.nonzero(np.abs(M) > tol)
+                want = Pattern(*M.shape, zip(rows.tolist(), cols.tolist()))
+                assert pattern_of(M, tol) == want
+                assert pattern_of(M.tolist(), tol) == want
+
+    def test_ragged_rows(self):
+        with pytest.raises(ValueError):
+            pattern_of([[1.0, 0.0], [1.0]])
+        with pytest.raises(ValueError):
+            pattern_of([[1.0], [1.0, 1.0]])
 
 
 class TestTransitionUnion:
