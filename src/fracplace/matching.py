@@ -6,15 +6,22 @@ weights restricted to {0, 1}.  Missing (row, col) pairs mean an
 unusable edge; they are represented by absence, never by a big finite
 constant, so all arithmetic stays exact.
 
-The weighted solver works in pure Python integers, in three steps:
-Hopcroft-Karp on the weight-0 edges; one successive-shortest-path step
-per row left free, over reduced costs with row and column potentials;
-and a tie-break that walks the rows in ascending order and moves each
-onto its smallest column lying on a zero-reduced-cost alternating cycle
-of the current optimum.  It returns a canonical optimum: among all
-matchings with maximum cardinality and minimum total weight, the one
-whose sorted (row, col) pair sequence is lexicographically smallest.
-That makes placement output reproducible across platforms.
+A graph is two row-bitmask patterns, and the solvers work on the masks
+where they can.  Hopcroft-Karp runs its first phase on the masks and
+expands adjacency lists only if a row is left free.  The weighted solver
+works in pure Python integers, in three steps: Hopcroft-Karp on the
+weight-0 edges; one successive-shortest-path step per row left free,
+over reduced costs with row and column potentials, which builds the
+cost rows it visits and no others; and a tie-break that walks the rows
+in ascending order and moves each onto its smallest column lying on a
+zero-reduced-cost alternating cycle of the current optimum.  The tie-break
+keeps the tight edges as masks: a row with no tight column below its
+own outside the fixed ones costs one mask test, and any other row one
+reverse breadth-first search on masks over the residual graph.  It
+returns a canonical optimum: among all matchings with maximum
+cardinality and minimum total weight, the one whose sorted (row, col)
+pair sequence is lexicographically smallest.  That makes placement
+output reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Iterable, Sequence
 
-from .structure import Pattern
+from .structure import Pattern, set_bits
 
 __all__ = [
     "WeightedBipartite",
@@ -118,15 +125,18 @@ class Matching:
         return sorted(self.pairs)
 
 
-def _hopcroft_karp(adj: Sequence[Sequence[int]], n_cols: int) -> tuple[list, list]:
+def _hopcroft_karp(
+    adj: Sequence[Sequence[int]], n_cols: int, match_row=None, match_col=None
+) -> tuple[list, list]:
     """Match rows to columns; returns match_row and match_col (-1: unmatched).
 
-    Phased BFS/DFS, O(E sqrt(V)).  Deterministic: rows and adjacency are
-    scanned in ascending order.
+    Phased BFS/DFS, O(E sqrt(V)), from the given matching or an empty one
+    (the lists are updated in place).  Deterministic: rows and adjacency
+    are scanned in ascending order.
     """
     n_rows = len(adj)
-    match_row = [-1] * n_rows
-    match_col = [-1] * n_cols
+    if match_row is None:
+        match_row, match_col = [-1] * n_rows, [-1] * n_cols
     dist = [0] * n_rows
 
     while True:
@@ -152,6 +162,29 @@ def _hopcroft_karp(adj: Sequence[Sequence[int]], n_cols: int) -> tuple[list, lis
         for r in range(n_rows):
             if match_row[r] == -1:
                 _augment(r, adj, match_row, match_col, dist)
+    return match_row, match_col
+
+
+def _max_matching_rows(pattern: Pattern) -> tuple[list, list]:
+    """Hopcroft-Karp on a pattern's rows and columns; returns match_row and match_col.
+
+    The first phase, in which every row in turn takes its smallest free
+    column, runs on the row masks.  The adjacency lists are expanded only
+    if it leaves a row free, for the phases after it.
+    """
+    match_row = [-1] * pattern.nrows
+    match_col = [-1] * pattern.ncols
+    taken = 0
+    for r, m in enumerate(pattern.rows):
+        avail = m & ~taken
+        if avail:
+            low = avail & -avail
+            c = low.bit_length() - 1
+            match_row[r] = c
+            match_col[c] = r
+            taken |= low
+    if -1 in match_row:
+        _hopcroft_karp(pattern.row_columns(), pattern.ncols, match_row, match_col)
     return match_row, match_col
 
 
@@ -194,7 +227,8 @@ def max_matching(graph: WeightedBipartite) -> Matching:
     O(E sqrt(V)) Hopcroft-Karp.  The reported total weight sums the graph
     weights of the chosen pairs.
     """
-    match_row, _ = _hopcroft_karp(graph.adjacency(), graph.n_cols)
+    rows = [a | b for a, b in zip(graph.free.rows, graph.unit.rows)]
+    match_row, _ = _max_matching_rows(Pattern.from_masks(graph.n_rows, graph.n_cols, rows))
     pairs = [(r, c) for r, c in enumerate(match_row) if c != -1]
     return Matching(pairs, sum(graph.unit.rows[r] >> c & 1 for r, c in pairs))
 
@@ -248,57 +282,115 @@ def _match_cheapest(s, cost, y, z, match_row, match_col) -> None:
         j = j_next
 
 
-def _tight_cycle(r, c, tight, optional, match_row, match_col, fixed, seen):
-    """Arcs of a zero-reduced-cost alternating cycle through (r, c), or None.
+class _RowCosts(dict):
+    """Row -> {column: weight} of a graph with slack columns, built on first read.
 
-    The residual digraph of the current optimum has an arc row -> column
-    for every tight unmatched edge and column -> row for every matched
-    one.  A free column leads to a sink pseudo-row (index ``len(tight)``)
-    and the sink leads to every matched column of zero potential: an
-    alternative optimum may take a free column and leave one of those,
-    while a column of negative potential is matched in every optimum
-    (complementary slackness).
-    Rows (and the sink) found unable to reach ``r`` are marked
-    ``seen[node] == r`` and not searched again for ``r``.
+    Row r's weight-0 and weight-1 edges, plus its slack column
+    ``n_cols + r`` at cost ``slack``.
     """
-    sink = len(tight)
-    path = [(r, c)]  # path[k] is the arc into stack[k]
-    owner = match_col[c]
-    first = sink if owner == -1 else owner
-    if seen[first] == r:
-        return None
-    seen[first] = r
-    stack = [[first, 0]]
-    while stack:
-        frame = stack[-1]
-        node, pos = frame
-        if node == sink:
-            cols, own = optional, -1
-        else:
-            cols, own = tight[node], match_row[node]
-        while pos < len(cols):
-            j = cols[pos]
-            pos += 1
-            if j == own or fixed[j]:
-                continue
-            owner = match_col[j]
-            if owner == -1:
-                if node == sink:  # the sink only frees matched columns
-                    continue
-                owner = sink
-            elif owner == r:
-                path.append((node, j))
-                return path
-            if seen[owner] != r:
-                seen[owner] = r
-                frame[1] = pos
-                path.append((node, j))
-                stack.append([owner, 0])
+
+    def __init__(self, graph: WeightedBipartite, slack: int):
+        super().__init__()
+        self.graph, self.slack = graph, slack
+
+    def __missing__(self, r):
+        graph = self.graph
+        row = dict.fromkeys(set_bits(graph.free.rows[r], graph.n_cols), 0)
+        row.update(dict.fromkeys(set_bits(graph.unit.rows[r], graph.n_cols), 1))
+        row[graph.n_cols + r] = self.slack
+        self[r] = row
+        return row
+
+
+class _Residual:
+    """The residual graph of the current optimum, for the canonical tie-break.
+
+    Row x has an arc to each tight column other than its own, a matched
+    column to its row, and a free column to the sink pseudo-row, which
+    has an arc to every matched column of potential 0: an alternative
+    optimum may take a free column and leave one of those, while a column
+    of negative potential is matched in every optimum (complementary
+    slackness).  Arcs into a fixed column are dropped.  An edge (r, c)
+    lies in some optimum that keeps the fixed pairs iff it closes a cycle
+    of this graph (Regin 1994): iff the owner of c, or the sink when c is
+    free, can reach r.
+    """
+
+    def __init__(self, tight, z, match_row, match_col):
+        n_rows, width = len(tight), len(z)
+        col_rows = Pattern.from_masks(n_rows, width, tight).transpose().rows
+        # column -> the rows it is tight for, and the sink if its potential is 0
+        self.col_rows = [m | (zj == 0) << n_rows for m, zj in zip(col_rows, z)]
+        self.tight, self.match_row, self.match_col = tight, match_row, match_col
+        self.sink = n_rows
+        self.free_cols = sum(1 << j for j, i in enumerate(match_col) if i == -1)
+        self._sink_preds = None  # rows with a tight free column, when known
+
+    def sink_preds(self) -> int:
+        if self._sink_preds is None:
+            preds = 0
+            for j in set_bits(self.free_cols, len(self.col_rows)):
+                preds |= self.col_rows[j]
+            self._sink_preds = preds & ~(1 << self.sink)
+        return self._sink_preds
+
+    def rotate_smallest(self, r: int, cands: int, fixed: int) -> None:
+        """Rotate row r onto its smallest candidate column that closes a cycle.
+
+        The rows that can reach r come from one reverse breadth-first
+        search on masks; the predecessors of row x are the rows (and the
+        sink) for which x's column is tight.  Nothing moves if no
+        candidate closes a cycle.
+        """
+        match_row, match_col, col_rows, sink = self.match_row, self.match_col, self.col_rows, self.sink
+        cols = set_bits(cands, len(col_rows))
+        owners = [sink if match_col[c] == -1 else match_col[c] for c in cols]
+        reach = frontier = 1 << r
+        found = []  # (node, the new predecessors it gave), in search order
+        while frontier and not reach >> owners[0] & 1:
+            nodes, frontier = frontier, 0
+            while nodes:
+                low = nodes & -nodes
+                nodes ^= low
+                x = low.bit_length() - 1
+                if x == sink:
+                    preds = self.sink_preds()
+                else:
+                    j = match_row[x]
+                    if fixed >> j & 1:
+                        continue
+                    preds = col_rows[j]
+                preds &= ~reach
+                if preds:
+                    reach |= preds
+                    frontier |= preds
+                    found.append((x, preds))
+        for c, x in zip(cols, owners):
+            if reach >> x & 1:
                 break
         else:
-            stack.pop()
-            path.pop()
-    return None
+            return
+        cycle = [(r, c)]  # (node, the column it moves to)
+        while x != r:  # up the search tree: x's parent is the node that found it
+            parent = next(node for node, preds in reversed(found) if preds >> x & 1)
+            if parent == sink:
+                free = self.tight[x] & self.free_cols
+                cycle.append((x, (free & -free).bit_length() - 1))
+            else:
+                cycle.append((x, match_row[parent]))
+            x = parent
+        for node, j in cycle:
+            if node == sink:  # the sink leaves column j
+                match_col[j] = -1
+                self.free_cols |= 1 << j
+                self._sink_preds = None
+        for node, j in cycle:
+            if node != sink:
+                match_row[node] = j
+                match_col[j] = node
+                if self.free_cols >> j & 1:
+                    self.free_cols ^= 1 << j
+                    self._sink_preds = None
 
 
 def min_weight_max_matching(graph: WeightedBipartite) -> Matching:
@@ -318,21 +410,22 @@ def min_weight_max_matching(graph: WeightedBipartite) -> Matching:
        cycle runs in the residual graph of the current optimum (the
        edges of some optimum, as in Regin's 1994 all-different
        filtering); the cycle is rotated in, and the row and its column
-       are fixed.
+       are fixed.  A row whose tight columns below its own are all
+       fixed keeps its column after one mask test.  For any other row,
+       one reverse breadth-first search on bitmasks finds the residual
+       nodes that can reach it, and the smallest candidate column owned
+       by one of them (by the sink, if the column is free) wins.
 
     The result is the lexicographically smallest optimal sorted pair
     sequence.  The potentials stay an optimal dual throughout step 3, so
-    its residual graph is built once.
+    its tight sets are computed once.
     """
     n_rows, n_cols = graph.n_rows, graph.n_cols
     slack = min(n_rows, n_cols) + 1
-    zero_adj = graph.free.row_columns()
-    cost = [dict.fromkeys(cols, 0) for cols in zero_adj]
-    for r, cols in enumerate(graph.unit.row_columns()):
-        cost[r].update(dict.fromkeys(cols, 1))
-        cost[r][n_cols + r] = slack  # row r left unmatched
+    free, unit = graph.free.rows, graph.unit.rows
+    cost = _RowCosts(graph, slack)  # read by step 2 only
 
-    match_row, match_col = _hopcroft_karp(zero_adj, n_cols)
+    match_row, match_col = _max_matching_rows(graph.free)
     match_col += [-1] * n_rows  # the slack columns
     y = [0] * n_rows
     z = [0] * (n_cols + n_rows)
@@ -340,30 +433,28 @@ def min_weight_max_matching(graph: WeightedBipartite) -> Matching:
         if match_row[r] == -1:
             _match_cheapest(r, cost, y, z, match_row, match_col)
 
-    tight = [sorted(j for j, w in cost[r].items() if w == y[r] + z[j]) for r in range(n_rows)]
-    optional = [j for j, zj in enumerate(z) if zj == 0]
-    fixed = [False] * len(z)
-    seen = [-1] * (n_rows + 1)
+    at_potential: dict = {}  # potential -> mask of the real columns that have it
+    for j in range(n_cols):
+        at_potential[z[j]] = at_potential.get(z[j], 0) | 1 << j
+    tight = [
+        free[r] & at_potential.get(-y[r], 0)
+        | unit[r] & at_potential.get(1 - y[r], 0)
+        | (y[r] + z[n_cols + r] == slack) << (n_cols + r)  # row r's slack column
+        for r in range(n_rows)
+    ]
+
+    residual = None  # built for the first row that has a candidate
+    fixed = 0
     for r in range(n_rows):
-        for c in tight[r]:
-            if c == match_row[r]:
-                break
-            if fixed[c]:
-                continue
-            cycle = _tight_cycle(r, c, tight, optional, match_row, match_col, fixed, seen)
-            if cycle is not None:
-                for node, j in cycle:
-                    if node == n_rows:  # the sink leaves column j
-                        match_col[j] = -1
-                for node, j in cycle:
-                    if node != n_rows:
-                        match_row[node] = j
-                        match_col[j] = node
-                break
-        fixed[match_row[r]] = True
+        cands = tight[r] & ((1 << match_row[r]) - 1) & ~fixed
+        if cands:
+            if residual is None:
+                residual = _Residual(tight, z, match_row, match_col)
+            residual.rotate_smallest(r, cands, fixed)
+        fixed |= 1 << match_row[r]
 
     pairs = [(r, c) for r, c in enumerate(match_row) if c < n_cols]
-    return Matching(pairs, sum(cost[r][c] for r, c in pairs))
+    return Matching(pairs, sum(unit[r] >> c & 1 for r, c in pairs))
 
 
 def generic_rank(patterns: Sequence[Pattern], extra_cols: Pattern | None = None) -> int:
@@ -389,5 +480,5 @@ def generic_rank(patterns: Sequence[Pattern], extra_cols: Pattern | None = None)
         for r, m in enumerate(p.rows):
             rows[r] |= m << offset
         offset += p.ncols
-    adj = Pattern.from_masks(n_rows, offset, rows).row_columns()
-    return sum(c != -1 for c in _hopcroft_karp(adj, offset)[0])
+    match_row, _ = _max_matching_rows(Pattern.from_masks(n_rows, offset, rows))
+    return sum(c != -1 for c in match_row)

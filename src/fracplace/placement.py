@@ -20,7 +20,7 @@ their smallest member as ``j_triple`` (reachability completion).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Collection
 
 from .matching import Matching, WeightedBipartite, generic_rank, min_weight_max_matching
@@ -170,7 +170,10 @@ def minimal_sensors(
     n = pattern.nrows
     union = transition_union(pattern, horizon)
     union_t = union.transpose()
-    cond = condense(union)
+    # every union edge is a walk of base edges and every base edge is a
+    # union edge, so both digraphs have the same SCCs and sink SCCs; the
+    # sparser base is condensed and the union kept for the quotient edges
+    cond = replace(condense(pattern), pattern=union)
     sink_cols = sink_scc_columns(cond)
     sink_ids = sorted(cond.sink_sccs)
 

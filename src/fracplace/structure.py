@@ -31,6 +31,32 @@ __all__ = [
 ]
 
 
+# maps the digits of a binary numeral to the bytes 0 and 1
+_BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
+# a mask (or pattern) counts as dense when more than one in this many of
+# its bits is set: formatting it as a binary numeral then costs less than
+# walking its set bits
+_DENSE_WIDTH_PER_BIT = 8
+
+
+def set_bits(mask: int, width: int) -> list[int]:
+    """The indices of the set bits of ``mask``, which lies below ``2**width``, ascending.
+
+    A sparse mask is walked bit by bit.  A dense one is formatted as a
+    binary numeral and its digits are turned into flags for
+    ``itertools.compress``, so the scan runs in C.
+    """
+    if mask.bit_count() * _DENSE_WIDTH_PER_BIT > width:
+        flags = format(mask, f"0{width}b").encode().translate(_BIT_FLAGS)
+        return list(compress(range(width), flags[::-1]))
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 @dataclass(frozen=True)
 class Pattern:
     """Sparse boolean matrix stored as row bitmasks, 0-based.
@@ -73,22 +99,20 @@ class Pattern:
 
     def row_columns(self) -> list[list[int]]:
         """Each row's present columns, in ascending order."""
-        out = []
-        for m in self.rows:
-            cols = []
-            while m:
-                low = m & -m
-                cols.append(low.bit_length() - 1)
-                m ^= low
-            out.append(cols)
-        return out
+        return [set_bits(m, self.ncols) for m in self.rows]
 
     def transpose(self) -> "Pattern":
-        masks = [0] * self.ncols
-        for r, cols in enumerate(self.row_columns()):
-            bit = 1 << r
-            for c in cols:
-                masks[c] |= bit
+        if self.count * _DENSE_WIDTH_PER_BIT > self.nrows * self.ncols:
+            # dense: zip the rows' binary numerals into the columns' ones,
+            # in C; numeral k of the zip is column ncols - 1 - k
+            numerals = zip(*(format(m, f"0{self.ncols}b") for m in self.rows))
+            masks = [int("".join(digits)[::-1], 2) for digits in numerals][::-1]
+        else:
+            masks = [0] * self.ncols
+            for r, cols in enumerate(self.row_columns()):
+                bit = 1 << r
+                for c in cols:
+                    masks[c] |= bit
         return Pattern.from_masks(self.ncols, self.nrows, masks)
 
     def to_array(self, dtype=float) -> np.ndarray:

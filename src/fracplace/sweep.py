@@ -83,20 +83,33 @@ def _random_pattern(n: int, sparsity: float, rng: np.random.Generator) -> Patter
     return Pattern(n, n, ((int(p) // n, int(p) % n) for p in flat))
 
 
-def _thresholded_pattern(base: np.ndarray, sparsity: float) -> Pattern:
-    n = base.shape[0]
+def _magnitude_order(base: np.ndarray) -> np.ndarray:
+    """Flat indices of the nonzeros of ``base``, largest magnitude first.
+
+    Ties keep ascending position, (row, col) order: the argsort is stable
+    over the ascending flat indices.
+    """
+    flat = np.flatnonzero(base)
+    return flat[np.argsort(-np.abs(base.ravel()[flat]), kind="stable")]
+
+
+def _thresholded_pattern(n: int, order: np.ndarray, sparsity: float) -> Pattern:
+    """The pattern of the largest-magnitude entries that meet the target density.
+
+    ``order`` is the base matrix's :func:`_magnitude_order`.
+    """
     want = _entry_budget(sparsity, n * n)
-    nonzero = [(abs(base[r, c]), r, c) for r in range(n) for c in range(n) if base[r, c] != 0.0]
-    if want > len(nonzero):
+    if want > len(order):
         warnings.warn(
             f"target density needs {want} entries but the base matrix has only "
-            f"{len(nonzero)} nonzeros; clamping",
+            f"{len(order)} nonzeros; clamping",
             stacklevel=3,
         )
-        want = len(nonzero)
-    # largest magnitudes first; ties resolved by position for determinism
-    nonzero.sort(key=lambda t: (-t[0], t[1], t[2]))
-    return Pattern(n, n, ((r, c) for _, r, c in nonzero[:want]))
+        want = len(order)
+    keep = np.zeros(n * n, dtype=bool)
+    keep[order[:want]] = True
+    rows = np.packbits(keep.reshape(n, n), axis=1, bitorder="little")
+    return Pattern.from_masks(n, n, [int.from_bytes(row.tobytes(), "little") for row in rows])
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:
@@ -104,11 +117,13 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
     n = spec.dimension
     horizon = spec.horizon if spec.horizon is not None else n
     rng = np.random.default_rng(spec.seed)
+    if spec.base_matrix is not None:
+        order = _magnitude_order(spec.base_matrix)  # sorted once per sweep
     rows = []
     for level in spec.levels:
         for trial in range(spec.trials):
             if spec.base_matrix is not None:
-                pat = _thresholded_pattern(spec.base_matrix, level)
+                pat = _thresholded_pattern(n, order, level)
             else:
                 pat = _random_pattern(n, level, rng)
             report = minimal_sensors(pat, horizon)

@@ -14,8 +14,9 @@ package's 0-based convention on load)::
 
 ``dense`` expects n rows of n whitespace-separated numbers, ``pattern``
 expects ``row col`` pairs and carries no numeric values.  Blank lines and
-``#`` comments are ignored.  Exactly one matrix block must be present,
-closed by ``end``; matrix values must be finite.
+``#`` comments are ignored.  The ``n``, ``alpha`` and ``k`` lines may each
+appear once; ``n`` and ``k`` take exactly one value.  Exactly one matrix
+block must be present, closed by ``end``; matrix values must be finite.
 """
 
 from __future__ import annotations
@@ -107,33 +108,38 @@ def parse_system_file(text: str) -> SystemFile:
     kind = None
     matrix_rows: list[tuple[int, str]] = []
 
+    seen_keys = set()
     i = 1
     while i < len(lines):
         lineno, body = lines[i]
-        key = body.split()[0].lower()
+        toks = body.split()
+        key = toks[0].lower()
+        if key in ("n", "alpha", "k"):
+            if key in seen_keys:
+                _fail(lineno, f"repeated '{key}' line")
+            seen_keys.add(key)
         if key == "n":
             try:
-                n = int(body.split()[1])
-            except (IndexError, ValueError):
+                (n,) = map(int, toks[1:])
+            except ValueError:
                 _fail(lineno, "expected 'n <positive integer>'")
             if n <= 0:
                 _fail(lineno, "state dimension must be positive")
         elif key == "alpha":
             try:
-                alpha_values = [float(tok) for tok in body.split()[1:]]
+                alpha_values = [float(tok) for tok in toks[1:]]
             except ValueError:
                 _fail(lineno, "alpha values must be numbers")
             if not alpha_values:
                 _fail(lineno, "alpha needs at least one value")
         elif key == "k":
             try:
-                horizon = int(body.split()[1])
-            except (IndexError, ValueError):
+                (horizon,) = map(int, toks[1:])
+            except ValueError:
                 _fail(lineno, "expected 'k <non-negative integer>'")
             if horizon < 0:
                 _fail(lineno, "horizon must be >= 0")
         elif key == "matrix":
-            toks = body.split()
             if len(toks) != 2 or toks[1] not in ("dense", "sparse", "pattern"):
                 _fail(lineno, "expected 'matrix dense|sparse|pattern'")
             if kind is not None:

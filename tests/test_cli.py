@@ -103,6 +103,14 @@ class TestPlace:
         assert proc.returncode == 2
         assert "error" in proc.stderr
 
+    def test_repeated_dimension_line_exits_two(self, tmp_path):
+        p = tmp_path / "twice.fracsys"
+        p.write_text("fracsys 1\nn 3\nalpha 0.5\nn 2\nmatrix pattern\n2 1\nend\n")
+        proc = run_cli("place", str(p))
+        assert proc.returncode == 2
+        assert "line 4: repeated 'n' line" in proc.stderr
+        assert proc.stdout == ""
+
     def test_missing_file(self):
         proc = run_cli("place", "/nonexistent/x.fracsys")
         assert proc.returncode == 2

@@ -15,6 +15,8 @@ from fracplace import (
     random_realization,
 )
 
+from fracplace.matching import _hopcroft_karp, _max_matching_rows
+
 from conftest import random_pattern
 
 
@@ -115,6 +117,17 @@ class TestMaxMatching:
             m = max_matching(g)
             pairs = {(r, c) for r, c, _ in g.edges}
             assert m.pairs <= pairs
+
+    def test_mask_first_phase_gives_the_hopcroft_karp_matching(self):
+        # the first phase on masks, then the remaining phases on lists,
+        # matches the same pairs as every phase on lists
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            rows, cols = int(rng.integers(0, 30)), int(rng.integers(0, 40))
+            masks = [int(rng.integers(0, 2**62)) & ((1 << cols) - 1) for _ in range(rows)]
+            masks = [m & int(rng.integers(0, 2**62)) if rng.random() < 0.5 else m for m in masks]
+            p = Pattern.from_masks(rows, cols, masks)
+            assert _max_matching_rows(p) == _hopcroft_karp(p.row_columns(), cols)
 
 
 class TestMinWeightMaxMatching:

@@ -86,6 +86,18 @@ class TestMinimalSensors:
         assert report.matching_cardinality == 3
         assert report.certificate.observable
 
+    def test_condensation_is_that_of_the_union(self):
+        rng = np.random.default_rng(14)
+        for _ in range(40):
+            n = int(rng.integers(1, 30))
+            pat = random_pattern(rng, n, rng.uniform(0.0, 3.0 / n))
+            horizon = int(rng.integers(0, n + 1))
+            report = minimal_sensors(pat, horizon)
+            cond = condense(transition_union(pat, horizon))
+            assert report.condensation == cond
+            assert report.condensation.pattern == report.g_union
+            assert report.condensation.dag_edges == cond.dag_edges
+
     def test_empty_pattern_needs_all_sensors(self):
         report = minimal_sensors(Pattern(4, 4), 2)
         assert report.sensors.all == frozenset({0, 1, 2, 3})

@@ -23,6 +23,11 @@ entry_sets = st.sets(
 )
 
 
+def per_bit_columns(mask: int) -> list:
+    """Set-bit indices of ``mask``, ascending, one bit at a time."""
+    return [c for c in range(mask.bit_length()) if mask >> c & 1]
+
+
 def walk_union_oracle(pattern: Pattern, max_len: int) -> set:
     """(i, j) iff j has a walk of length 1..max_len to i; BFS per source."""
     n = pattern.nrows
@@ -88,6 +93,17 @@ class TestPattern:
         p = Pattern(2, 3, [(0, 2), (1, 0)])
         assert p.transpose().entries == frozenset({(2, 0), (0, 1)})
 
+    @pytest.mark.parametrize("density", [0.0, 0.05, 0.2, 0.6, 1.0])
+    def test_transpose_matches_the_entries(self, density):
+        # dense patterns go through the binary numerals, sparse ones by entry
+        rng = np.random.default_rng(int(density * 100))
+        for nrows, ncols in ((1, 1), (1, 9), (9, 1), (7, 65), (70, 13)):
+            bits = rng.random((nrows, ncols)) < density
+            p = Pattern(nrows, ncols, zip(*np.nonzero(bits)))
+            t = p.transpose()
+            assert (t.nrows, t.ncols) == (ncols, nrows)
+            assert t.entries == frozenset((c, r) for r, c in p.entries)
+
     def test_identity_columns(self):
         p = Pattern.identity_columns(4, [2, 0])
         assert p.nrows == 4 and p.ncols == 2
@@ -108,6 +124,22 @@ class TestPattern:
             assert Pattern(p.nrows, p.ncols, q.entries) == p
             assert q.count == len(p.entries)
         assert Pattern(2, 3, [(0, 1)]) != Pattern(3, 2, [(0, 1)])
+
+    @pytest.mark.parametrize("width", [0, 1, 7, 8, 9, 64, 65, 300])
+    def test_row_columns_match_a_per_bit_oracle(self, width):
+        # densities on both sides of the dense/sparse switch, and full rows
+        rng = np.random.default_rng(width)
+        masks = [0, (1 << width) - 1]
+        if width:
+            masks.append(1 << (width - 1))  # the top bit alone
+        for density in (0.01, 0.05, 0.1, 0.125, 0.2, 0.5, 0.9):
+            for top in (False, True):
+                bits = rng.random(width) < density
+                if width and top:
+                    bits[-1] = True
+                masks.append(sum(1 << c for c in np.flatnonzero(bits).tolist()))
+        p = Pattern.from_masks(len(masks), width, masks)
+        assert p.row_columns() == [per_bit_columns(m) for m in masks]
 
     def test_to_array_roundtrip(self):
         p = Pattern(3, 2, [(0, 1), (2, 0)])
@@ -308,6 +340,20 @@ class TestCondense:
                     j in scc and i not in scc for i, j in pat.entries
                 )
                 assert (cid in cond.sink_sccs) == (not leaving)
+
+
+    @pytest.mark.parametrize("horizon", [0, 1, 2, "n"])
+    def test_union_has_the_base_condensation(self, horizon):
+        # every union edge is a base walk and every base edge a union edge
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            n = int(rng.integers(1, 40))
+            pat = random_pattern(rng, n, rng.uniform(0.0, 3.0 / n))
+            base = condense(pat)
+            union = condense(transition_union(pat, n if horizon == "n" else horizon))
+            assert union.scc_of == base.scc_of
+            assert union.sccs == base.sccs
+            assert union.sink_sccs == base.sink_sccs
 
 
 class TestNonAccessible:

@@ -1,8 +1,26 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from fracplace import SweepSpec, run_sweep
+from fracplace import Pattern, SweepSpec, minimal_sensors, run_sweep
+from fracplace.sweep import _magnitude_order, _thresholded_pattern
+
+
+def per_level_thresholded_pattern(base, sparsity):
+    """Reference: the largest-magnitude nonzeros, ranked afresh for this level."""
+    n = base.shape[0]
+    want = int(round((1.0 - sparsity) * n * n))
+    nonzero = [(abs(base[r, c]), r, c) for r in range(n) for c in range(n) if base[r, c] != 0.0]
+    want = min(want, len(nonzero))
+    nonzero.sort(key=lambda t: (-t[0], t[1], t[2]))
+    return Pattern(n, n, ((r, c) for _, r, c in nonzero[:want]))
+
+
+def tied_base(rng, n):
+    # few distinct magnitudes of both signs, and zeros: many ties to break
+    return rng.integers(-3, 4, size=(n, n)).astype(float)
 
 
 class TestSweepSpec:
@@ -83,3 +101,29 @@ class TestRunSweep:
         rho, _ = spearmanr(levels, means)
         assert rho >= 0.9
         assert all(a <= b + 1e-9 for a, b in zip(means, means[1:]))
+
+
+class TestBaseMatrixRanking:
+    LEVELS = (0.0, 0.3, 0.6, 0.8, 0.9, 0.95, 0.99)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 9, 20])
+    def test_one_ranking_gives_the_per_level_patterns(self, n):
+        rng = np.random.default_rng(n)
+        for base in (tied_base(rng, n), rng.standard_normal((n, n))):
+            order = _magnitude_order(base)
+            for level in self.LEVELS:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")  # the clamping levels
+                    got = _thresholded_pattern(n, order, level)
+                assert got == per_level_thresholded_pattern(base, level)
+
+    def test_sweep_rows_match_the_per_level_routine(self):
+        base = tied_base(np.random.default_rng(3), 24)
+        spec = SweepSpec(levels=self.LEVELS, trials=2, base_matrix=base)
+        want = []
+        for level in self.LEVELS:
+            report = minimal_sensors(per_level_thresholded_pattern(base, level), 24)
+            want += [(level, t, len(report.sensors), report.beta, 24) for t in range(2)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert [tuple(row) for row in run_sweep(spec)] == want

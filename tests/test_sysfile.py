@@ -85,6 +85,11 @@ class TestParseErrors:
             "fracsys 1\nn 2\nalpha 1\nmatrix pattern\nend\nmatrix pattern\nend\n",
             "fracsys 1\nn -2\nalpha 1\nmatrix pattern\nend\n",
             "fracsys 1\nn 2\nalpha 1\nk -1\nmatrix pattern\nend\n",
+            "fracsys 1\nn 3\nalpha 1\nn 2\nmatrix pattern\nend\n",
+            "fracsys 1\nn 2\nalpha 1\nalpha 2\nmatrix pattern\nend\n",
+            "fracsys 1\nn 2\nalpha 1\nk 1\nk 2\nmatrix pattern\nend\n",
+            "fracsys 1\nn 3 7\nalpha 1\nmatrix pattern\nend\n",
+            "fracsys 1\nn 2\nalpha 1\nk 2 junk\nmatrix pattern\nend\n",
         ],
     )
     def test_malformed_inputs_raise(self, text):
@@ -108,4 +113,18 @@ class TestParseErrors:
         # the keyword after the block used to be read as a bad matrix row
         text = "fracsys 1\nn 2\nalpha 1\nmatrix pattern\n2 1\nk 5\n"
         with pytest.raises(ValueError, match="^line 4: matrix block has no closing 'end'"):
+            parse_system_file(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("fracsys 1\nn 3\nalpha 1\nn 2\nmatrix pattern\nend\n", "line 4: repeated 'n' line"),
+            ("fracsys 1\nn 2\nalpha 1\n\nk 1\nk 1\nmatrix pattern\nend\n", "line 6: repeated 'k' line"),
+            ("fracsys 1\nn 3 7\nalpha 1\nmatrix pattern\nend\n", "line 2: expected 'n <positive integer>'"),
+            ("fracsys 1\nn 2\nalpha 1\nk 2 junk\nmatrix pattern\nend\n", "line 4: expected 'k <non-negative integer>'"),
+        ],
+        ids=["repeated-n", "repeated-k", "n-extra-token", "k-extra-token"],
+    )
+    def test_repeated_keyword_or_extra_token_names_its_line(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             parse_system_file(text)
