@@ -16,7 +16,7 @@ plus the reference case n = 2048 at sparsity .999 and K = n.  (The giant
 case at n = 1024 is sparsity .995.)  A case records the min and the
 spread (max - min) of its repeats, its peak RSS, the union and SCC sizes, the
 sensor count and a digest of the sorted sensor set, so two result files
-can be checked for equal output.  A case that runs past ``--timeout``
+can be checked for equal output.  A case that runs past ``TIMEOUT_S``
 is recorded as a timeout with the repeats it finished.  Needs the
 standard library and numpy only.
 """
@@ -38,23 +38,24 @@ ROOT = Path(__file__).resolve().parent.parent
 SIZES = (256, 512, 1024, 2048)
 GIANT_DEGREE = 5.12
 REFERENCE = ((2048, 0.999),)
+REPEATS = 3
+TIMEOUT_S = 400.0  # per case
 
 
-def cases(sizes) -> list[dict]:
+def cases() -> list[dict]:
     out = []
-    for n in sizes:
+    for n in SIZES:
         for regime, sparsity in (("giant", 1.0 - GIANT_DEGREE / n), ("fragmented", 1.0 - 1.0 / n)):
             for horizon in (n, 2):
                 out.append({"regime": regime, "n": n, "sparsity": sparsity, "horizon": horizon})
     for n, sparsity in REFERENCE:
-        if n in sizes:
-            out.append({"regime": "reference", "n": n, "sparsity": sparsity, "horizon": n})
+        out.append({"regime": "reference", "n": n, "sparsity": sparsity, "horizon": n})
     for case in out:
         case["name"] = f"{case['regime']}-n{case['n']}-k{case['horizon']}"
     return out
 
 
-def run_case(case: dict, repeats: int) -> None:
+def run_case(case: dict) -> None:
     """Child side: one JSON line per repeat, then one with the sizes."""
     import numpy as np
 
@@ -62,7 +63,7 @@ def run_case(case: dict, repeats: int) -> None:
     from fracplace.sweep import _random_pattern
 
     pattern = _random_pattern(case["n"], case["sparsity"], np.random.default_rng(0))
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         t = time.perf_counter()
         report = minimal_sensors(pattern, case["horizon"])
         print(json.dumps({"seconds": time.perf_counter() - t}), flush=True)
@@ -77,12 +78,12 @@ def run_case(case: dict, repeats: int) -> None:
     }), flush=True)
 
 
-def measure(case: dict, src: Path, repeats: int, timeout: float) -> dict:
+def measure(case: dict, src: Path) -> dict:
     env = dict(os.environ, PYTHONPATH=str(src), OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1")
-    argv = [sys.executable, __file__, "--child", json.dumps(case), "--repeats", str(repeats)]
+    argv = [sys.executable, __file__, "--child", json.dumps(case)]
     result = dict(case, timeout=False)
     try:
-        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=timeout)
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
         stdout, code = proc.stdout, proc.returncode
     except subprocess.TimeoutExpired as exc:
         stdout, code = exc.stdout or "", None
@@ -104,21 +105,17 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--label", help="writes BENCH_<label>.json at the repo root")
     parser.add_argument("--src", default=str(ROOT / "src"), help="the fracplace source tree to time")
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per case")
-    parser.add_argument("--sizes", default=",".join(map(str, SIZES)))
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
-        run_case(json.loads(args.child), args.repeats)
+        run_case(json.loads(args.child))
         return 0
     if not args.label:
         parser.error("--label is required")
 
-    sizes = [int(s) for s in args.sizes.split(",")]
     results = []
-    for case in cases(sizes):
-        result = measure(case, Path(args.src).resolve(), args.repeats, args.timeout)
+    for case in cases():
+        result = measure(case, Path(args.src).resolve())
         results.append(result)
         shown = "timeout" if result["timeout"] else f"{result.get('min_s', float('nan')):.3f} s"
         print(f"{case['name']:28s} {shown}", file=sys.stderr, flush=True)
@@ -126,8 +123,8 @@ def main() -> int:
     out.write_text(json.dumps({
         "label": args.label,
         "host": {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()},
-        "repeats": args.repeats,
-        "timeout_s": args.timeout,
+        "repeats": REPEATS,
+        "timeout_s": TIMEOUT_S,
         "cases": results,
     }, indent=1) + "\n")
     print(out)

@@ -92,10 +92,14 @@ class WeightedBipartite:
             (r, c, w) for w, p in enumerate((self.free, self.unit)) for r, c in p.entries
         )
 
+    def _support(self) -> Pattern:
+        """The edges as a pattern, weights dropped."""
+        rows = [a | b for a, b in zip(self.free.rows, self.unit.rows)]
+        return Pattern.from_masks(self.n_rows, self.n_cols, rows)
+
     def adjacency(self) -> list[list[int]]:
         """Per-row sorted column lists (weights dropped)."""
-        rows = [a | b for a, b in zip(self.free.rows, self.unit.rows)]
-        return Pattern.from_masks(self.n_rows, self.n_cols, rows).row_columns()
+        return self._support().row_columns()
 
     def weight_of(self) -> dict:
         return {(r, c): w for r, c, w in self.edges}
@@ -227,8 +231,7 @@ def max_matching(graph: WeightedBipartite) -> Matching:
     O(E sqrt(V)) Hopcroft-Karp.  The reported total weight sums the graph
     weights of the chosen pairs.
     """
-    rows = [a | b for a, b in zip(graph.free.rows, graph.unit.rows)]
-    match_row, _ = _max_matching_rows(Pattern.from_masks(graph.n_rows, graph.n_cols, rows))
+    match_row, _ = _max_matching_rows(graph._support())
     pairs = [(r, c) for r, c in enumerate(match_row) if c != -1]
     return Matching(pairs, sum(graph.unit.rows[r] >> c & 1 for r, c in pairs))
 

@@ -102,6 +102,10 @@ class Pattern:
         return [set_bits(m, self.ncols) for m in self.rows]
 
     def transpose(self) -> "Pattern":
+        # set_bits' threshold; timed on square random patterns, the paths
+        # cross near 1 in 8 at n = 32, 1 in 10 at n = 112 and 1 in 16 to
+        # 1 in 32 at n = 2048, so the sparse path is kept up to 3x too long
+        # there
         if self.count * _DENSE_WIDTH_PER_BIT > self.nrows * self.ncols:
             # dense: zip the rows' binary numerals into the columns' ones,
             # in C; numeral k of the zip is column ncols - 1 - k
