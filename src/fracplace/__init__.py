@@ -47,7 +47,6 @@ _EXPORTS = {
         "Matching",
         "max_matching",
         "min_weight_max_matching",
-        "generic_rank",
     ),
     "placement": (
         "SensorSet",

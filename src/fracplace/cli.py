@@ -106,7 +106,7 @@ def _cmd_verify(args) -> int:
         "schema": "fracplace.certificate/1",
         "n": sysfile.n,
         "k": horizon,
-        "sensors": sorted(sensors_1b),
+        "sensors": sorted(set(sensors_1b)),
         "condition_i": cert.condition_i,
         "condition_ii": cert.condition_ii,
         "observable": cert.observable,
@@ -265,7 +265,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_simulate, default_format="csv")
 
     p = sub.add_parser("sweep", help="sparsity sweep to CSV")
-    common(p)
+    common(p, with_tol=False)
     p.add_argument("--n", type=int, default=None, help="random ensemble dimension")
     p.add_argument("--base", default=None, help="numeric system file to sparsify")
     p.add_argument(

@@ -59,6 +59,14 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _adopt(cls, field: str, a: np.ndarray):
+    # a cls holding an array this module has just built, frozen but not copied
+    a.setflags(write=False)
+    obj = object.__new__(cls)
+    object.__setattr__(obj, field, a)
+    return obj
+
+
 @dataclass(frozen=True)
 class FracSystem:
     """A fractional-order difference system: coupling matrix, orders, horizon.
@@ -203,7 +211,7 @@ def gl_tails(system: FracSystem) -> GlCoefficients:
     for m in range(2, horizon + 2):
         b = b * (system.alpha - m + 1) / m  # C(alpha, m), m = j + 1
         table[:, m - 2] = (-b if (m - 1) % 2 else b) + 0.0
-    return GlCoefficients(table)
+    return _adopt(GlCoefficients, "table", table)
 
 
 def transition_factors(system: FracSystem) -> TransitionSequence:
@@ -236,7 +244,7 @@ def transition_factors(system: FracSystem) -> TransitionSequence:
             rev = stack[k - 2 :: -1]  # T_{k-2}, ..., T_0
             g += np.einsum("im,mil->il", tails[:, : k - 1], rev[: k - 1])
         stack[k] = g
-    return TransitionSequence(stack)
+    return _adopt(TransitionSequence, "stack", stack)
 
 
 def simulate(system: FracSystem, x0: np.ndarray, steps: int) -> Trajectory:
@@ -295,7 +303,7 @@ def simulate(system: FracSystem, x0: np.ndarray, steps: int) -> Trajectory:
             f"the trajectory overflows float64 at step {int(np.argmin(finite))}; "
             "lower the number of steps"
         )
-    return Trajectory(states)
+    return Trajectory(states)  # copied: row k of the reversed view is strided
 
 
 def observability_matrix(C, factors: TransitionSequence) -> np.ndarray:

@@ -7,8 +7,9 @@ unusable edge; they are represented by absence, never by a big finite
 constant, so all arithmetic stays exact.
 
 A graph is two row-bitmask patterns, and the solvers work on the masks
-where they can.  Hopcroft-Karp runs its first phase on the masks and
-expands adjacency lists only if a row is left free.  The weighted solver
+where they can.  Hopcroft-Karp can start from a given matching, runs its
+first phase on the masks and expands adjacency lists only if a free row
+still has an edge.  The weighted solver
 works in pure Python integers, in three steps: Hopcroft-Karp on the
 weight-0 edges; one successive-shortest-path step per row left free,
 over reduced costs with row and column potentials, which builds the
@@ -38,7 +39,6 @@ __all__ = [
     "Matching",
     "max_matching",
     "min_weight_max_matching",
-    "generic_rank",
 ]
 
 
@@ -169,25 +169,32 @@ def _hopcroft_karp(
     return match_row, match_col
 
 
-def _max_matching_rows(pattern: Pattern) -> tuple[list, list]:
+def _max_matching_rows(pattern: Pattern, start: Iterable = ()) -> tuple[list, list]:
     """Hopcroft-Karp on a pattern's rows and columns; returns match_row and match_col.
 
-    The first phase, in which every row in turn takes its smallest free
-    column, runs on the row masks.  The adjacency lists are expanded only
-    if it leaves a row free, for the phases after it.
+    A pair of ``start`` is kept if it is an edge sharing no row or column
+    with a pair kept before it.  Then every row still free in turn takes
+    its smallest free column, on the masks; the adjacency lists are
+    expanded, for the later phases, only if a free row still has an edge.
     """
     match_row = [-1] * pattern.nrows
     match_col = [-1] * pattern.ncols
     taken = 0
+    for r, c in start:
+        is_edge = 0 <= r < pattern.nrows and c >= 0 and pattern.rows[r] >> c & 1
+        if is_edge and match_row[r] == -1 and match_col[c] == -1:
+            match_row[r] = c
+            match_col[c] = r
+            taken |= 1 << c
     for r, m in enumerate(pattern.rows):
         avail = m & ~taken
-        if avail:
+        if avail and match_row[r] == -1:
             low = avail & -avail
             c = low.bit_length() - 1
             match_row[r] = c
             match_col[c] = r
             taken |= low
-    if -1 in match_row:
+    if any(c == -1 and m for c, m in zip(match_row, pattern.rows)):
         _hopcroft_karp(pattern.row_columns(), pattern.ncols, match_row, match_col)
     return match_row, match_col
 
@@ -458,30 +465,3 @@ def min_weight_max_matching(graph: WeightedBipartite) -> Matching:
 
     pairs = [(r, c) for r, c in enumerate(match_row) if c < n_cols]
     return Matching(pairs, sum(unit[r] >> c & 1 for r, c in pairs))
-
-
-def generic_rank(patterns: Sequence[Pattern], extra_cols: Pattern | None = None) -> int:
-    """Generic rank of the horizontal concatenation of structured matrices.
-
-    Equals the maximum-cardinality matching of the concatenation's
-    bipartite graph (rows vs. all columns); appending columns can only
-    increase it.
-    """
-    pats = list(patterns)
-    if extra_cols is not None:
-        pats.append(extra_cols)
-    if not pats:
-        return 0
-    n_rows = pats[0].nrows
-    rows = [0] * n_rows
-    offset = 0
-    for p in pats:
-        if p.nrows != n_rows:
-            raise ValueError(
-                f"row-count mismatch: {p.nrows} vs {n_rows} in concatenation"
-            )
-        for r, m in enumerate(p.rows):
-            rows[r] |= m << offset
-        offset += p.ncols
-    match_row, _ = _max_matching_rows(Pattern.from_masks(n_rows, offset, rows))
-    return sum(c != -1 for c in match_row)

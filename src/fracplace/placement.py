@@ -15,7 +15,8 @@ whose unit-weight columns indicate membership of the sink SCCs, then reads
 the three sensor groups off the matching.  Matched indicator columns give
 ``j_prime`` (rank and reachability at once), unmatched row vertices give
 ``j_double`` (rank completion), and sink SCCs left uncovered contribute
-their smallest member as ``j_triple`` (reachability completion).
+their smallest member as ``j_triple`` (reachability completion).  The
+self-check of condition (ii) starts from the same matching's pairs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Collection
 
-from .matching import Matching, WeightedBipartite, generic_rank, min_weight_max_matching
+from .matching import Matching, WeightedBipartite, _max_matching_rows, min_weight_max_matching
 from .structure import Condensation, Pattern, condense, non_accessible_states, transition_union
 
 __all__ = [
@@ -127,16 +128,23 @@ def verify_observability(
     return _certify(union, union.transpose(), frozenset(int(s) for s in sensors))
 
 
-def _certify(union: Pattern, union_t: Pattern, sensors: frozenset) -> Certificate:
-    """Both conditions on an already computed union pattern and its transpose."""
+def _certify(union: Pattern, union_t: Pattern, sensors: frozenset, start=()) -> Certificate:
+    """Both conditions on an already computed union pattern and its transpose.
+
+    A sensor's identity column meets only the sensor's row, so condition
+    (ii) fails by the non-sensor rows of ``union_t`` left unmatched; that
+    matching starts from the pairs of ``start`` that are its edges.
+    """
     n = union.nrows
     blocked = non_accessible_states(union, sensors)
-    rank = generic_rank([union_t], Pattern.identity_columns(n, sensors))
+    rows = [0 if r in sensors else m for r, m in enumerate(union_t.rows)]
+    match_row, _ = _max_matching_rows(Pattern.from_masks(n, n, rows), start)
+    deficiency = match_row.count(-1) - len(sensors)
     return Certificate(
         condition_i=not blocked,
-        condition_ii=rank == n,
+        condition_ii=deficiency == 0,
         non_accessible=blocked,
-        matching_deficiency=n - rank,
+        matching_deficiency=deficiency,
     )
 
 
@@ -179,14 +187,9 @@ def minimal_sensors(
 
     matching: Matching = min_weight_max_matching(_placement_graph(union_t, sink_cols))
 
-    matched_rows = {r for r, _ in matching.pairs}
-    j_prime = set()
-    covered = set()
-    for r, c in matching.pairs:
-        if c >= n:
-            j_prime.add(r)
-            covered.add(sink_ids[c - n])
-    j_double = set(range(n)) - matched_rows
+    j_prime = {r for r, c in matching.pairs if c >= n}
+    covered = {sink_ids[c - n] for _, c in matching.pairs if c >= n}
+    j_double = set(range(n)) - {r for r, _ in matching.pairs}
 
     j_triple = set()
     for cid in sink_ids:
@@ -198,7 +201,7 @@ def minimal_sensors(
         j_triple.add(min(members))
 
     sensors = SensorSet(j_prime, j_double, j_triple - j_prime - j_double)
-    cert = _certify(union, union_t, sensors.all)
+    cert = _certify(union, union_t, sensors.all, matching.pairs)
     if not cert.observable:
         raise RuntimeError("internal error: placement failed its own certificate")
     return PlacementReport(

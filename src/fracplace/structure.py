@@ -184,13 +184,17 @@ class Condensation:
         )
 
 
+def _check_zero_tol(zero_tol: float) -> None:
+    if not (math.isfinite(zero_tol) and zero_tol >= 0):
+        raise ValueError("zero_tol must be finite and >= 0")
+
+
 def pattern_of(M, zero_tol: float = 1e-12) -> Pattern:
     """Pattern of a numeric matrix: entries with magnitude above zero_tol.
 
     ``M`` is a 2-D array or a sequence of equally long rows of numbers.
     """
-    if not (math.isfinite(zero_tol) and zero_tol >= 0):
-        raise ValueError("zero_tol must be finite and >= 0")
+    _check_zero_tol(zero_tol)
     if hasattr(M, "shape"):
         nrows, ncols = M.shape
         M = M.tolist()

@@ -26,7 +26,7 @@ __all__ = ["SweepSpec", "SweepRow", "run_sweep"]
 class SweepSpec:
     """Sweep configuration.
 
-    Exactly one of ``n`` (random ensemble of that dimension) or
+    Exactly one of ``n`` (random ensemble of that dimension, >= 1) or
     ``base_matrix`` (numeric matrix to sparsify) must be given.  Levels
     are sparsity fractions in [0, 1), sorted ascending.
     """
@@ -50,6 +50,8 @@ class SweepSpec:
             raise ValueError("need at least one trial per level")
         if (self.n is None) == (self.base_matrix is None):
             raise ValueError("give exactly one of n or base_matrix")
+        if self.n is not None and self.n < 1:
+            raise ValueError("state dimension must be positive")
         if self.base_matrix is not None:
             base = np.atleast_2d(np.asarray(self.base_matrix, dtype=float))
             if base.shape[0] != base.shape[1]:

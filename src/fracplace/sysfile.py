@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .structure import Pattern, pattern_of
+from .structure import Pattern, _check_zero_tol, pattern_of
 
 if TYPE_CHECKING:
     import numpy as np
@@ -75,8 +75,9 @@ class SystemFile:
     def pattern_at(self, zero_tol: float = 1e-12) -> Pattern:
         """The structural pattern, thresholding numeric entries if needed.
 
-        A numeric entry is present iff its magnitude exceeds ``zero_tol``.
+        A numeric entry is present iff its magnitude exceeds ``zero_tol`` (checked on every file).
         """
+        _check_zero_tol(zero_tol)
         if self.pattern is not None:
             return self.pattern
         return pattern_of(self.values, zero_tol)

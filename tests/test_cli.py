@@ -115,12 +115,17 @@ class TestPlace:
         proc = run_cli("place", "/nonexistent/x.fracsys")
         assert proc.returncode == 2
 
-    def test_non_finite_tolerance_exits_two(self, chain_file):
-        # a nan threshold would otherwise drop every entry of the pattern
-        for cmd in (["place", chain_file], ["verify", chain_file, "--sensors", "1"]):
-            proc = run_cli(*cmd, "--tol", "nan")
-            assert proc.returncode == 2
-            assert "zero_tol" in proc.stderr
+    def test_non_finite_tolerance_exits_two(self, chain_file, tmp_path):
+        # a nan threshold would otherwise drop every entry of the pattern;
+        # a pattern file, which needs no threshold, still rejects a bad one
+        pattern_file = tmp_path / "pattern.fracsys"
+        pattern_file.write_text(PATTERN_ONLY)
+        for path in (chain_file, str(pattern_file)):
+            for cmd in (["place", path], ["verify", path, "--sensors", "1"]):
+                for tol in ("nan", "-1"):
+                    proc = run_cli(*cmd, "--tol", tol)
+                    assert proc.returncode == 2
+                    assert "zero_tol" in proc.stderr
 
 
 class TestVerify:
@@ -146,6 +151,13 @@ class TestVerify:
     def test_unparseable_sensor_list(self, chain_file):
         proc = run_cli("verify", chain_file, "--sensors", "a,b")
         assert proc.returncode == 2
+
+    def test_repeated_sensor_reported_once(self, chain_file):
+        proc = run_cli("verify", chain_file, "--sensors", "3,3,1", check=True)
+        assert json.loads(proc.stdout)["sensors"] == [1, 3]
+        proc = run_cli("verify", chain_file, "--sensors", "3,3", "--format", "csv", check=True)
+        row = next(csv.DictReader(io.StringIO(proc.stdout)))
+        assert row["sensors"] == "3"
 
 
 class TestSimulate:
@@ -340,6 +352,19 @@ class TestSweep:
     def test_level_out_of_range(self):
         proc = run_cli("sweep", "--n", "6", "--levels", "1.0")
         assert proc.returncode == 2
+
+    def test_nonpositive_dimension_exits_two(self):
+        for n in ("0", "-3"):
+            proc = run_cli("sweep", "--n", n, "--levels", "0.5")
+            assert proc.returncode == 2
+            assert proc.stderr == "fracplace: error: state dimension must be positive\n"
+            assert proc.stdout == ""
+
+    def test_no_tolerance_option(self, chain_file):
+        # the sweep thresholds by entry count, so a zero threshold has no use
+        proc = run_cli("sweep", "--base", chain_file, "--levels", "0.0", "--tol", "5")
+        assert proc.returncode == 2
+        assert "--tol" in proc.stderr
 
 
 class TestSweepScript:

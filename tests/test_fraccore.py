@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from fracplace import (
     FracSystem,
     Pattern,
+    TransitionSequence,
     gl_coefficient,
     gl_tails,
     is_observable_numeric,
@@ -185,6 +186,29 @@ class TestTransitionFactors:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_stack_is_held_once(self):
+        # the stack built here is kept as it is, read-only, not copied
+        n = K = 128
+        rng = np.random.default_rng(8)
+        system = FracSystem(rng.normal(0.0, 0.1, (n, n)), np.full(n, 0.7), K)
+        tracemalloc.start()
+        try:
+            seq = transition_factors(system)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * seq.stack.nbytes
+        assert not seq.stack.flags.writeable
+
+    def test_caller_arrays_are_copied(self):
+        A = np.eye(3)
+        system = FracSystem(A, np.full(3, 0.5), 2)
+        stack = np.zeros((2, 3, 3))
+        seq = TransitionSequence(stack)
+        A[0, 0] = stack[0, 0, 0] = 7.0
+        assert system.A[0, 0] == 1.0 and seq.stack[0, 0, 0] == 0.0
+        assert not system.A.flags.writeable and not seq.stack.flags.writeable
 
 
 class TestSimulate:

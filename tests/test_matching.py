@@ -8,7 +8,6 @@ from fracplace import (
     RealizationConfig,
     WeightedBipartite,
     enumerate_matchings,
-    generic_rank,
     max_matching,
     min_weight_max_matching,
     numeric_rank,
@@ -18,6 +17,7 @@ from fracplace import (
 from fracplace.matching import _hopcroft_karp, _max_matching_rows
 
 from conftest import random_pattern
+from reference_rank import generic_rank
 
 
 def random_graph(rng, max_rows=6, max_cols=8, one_weight_frac=0.4):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fracplace.matching
 import fracplace.placement
 from fracplace import (
     FracSystem,
@@ -20,7 +21,10 @@ from fracplace import (
     verify_observability,
 )
 
+from fracplace.sweep import _random_pattern
+
 from conftest import random_pattern
+from reference_rank import generic_rank
 
 
 class TestSensorSet:
@@ -176,6 +180,27 @@ class TestMinimalSensors:
         monkeypatch.setattr(WeightedBipartite, "__init__", no_triples)
         minimal_sensors(Pattern(4, 4, [(1, 0), (2, 1), (0, 2), (3, 3)]), 4)
         assert calls == [4]
+
+    def test_one_hopcroft_karp_run_on_a_fragmented_pattern(self, monkeypatch):
+        # the self-check starts from the placement's pairs, which match every
+        # row that is not a sensor, so only the placement matching itself
+        # needs the list-based phases; a from-scratch rank check needs them too
+        n = 256
+        pattern = _random_pattern(n, 1 - 1 / n, np.random.default_rng(0))
+        calls = []
+        hopcroft_karp = fracplace.matching._hopcroft_karp
+
+        def counted(*args):
+            calls.append(len(args[0]))
+            return hopcroft_karp(*args)
+
+        monkeypatch.setattr(fracplace.matching, "_hopcroft_karp", counted)
+        report = minimal_sensors(pattern, n)
+        assert len(calls) <= 1
+        calls.clear()
+        sensors = Pattern.identity_columns(n, report.sensors.all)
+        assert generic_rank([report.g_union.transpose()], sensors) == n
+        assert calls == [n]
 
     def test_self_check_rejects_a_bad_matching(self, monkeypatch):
         # states 1 and 2 both feed only state 0; sensing state 0 alone gives
