@@ -4,17 +4,19 @@
     python3 scripts/ladder.py --label mine
     python3 scripts/ladder.py --label old --src ../other-checkout/src
 
-Every case draws one pattern with ``sweep._random_pattern`` (seed 0) and
-times ``minimal_sensors`` on it, in a subprocess of its own that imports
-fracplace from ``--src``.  Cases cover n in {256, 512, 1024, 2048} in two
-regimes, each at horizon K = n and K = 2:
+Every case times ``minimal_sensors`` on one pattern, in a subprocess of
+its own that imports fracplace from ``--src``.  Cases cover n in
+{256, 512, 1024, 2048} in two regimes, each at horizon K = n and K = 2,
+drawn with ``sweep._random_pattern`` (seed 0):
 
   giant       mean degree 5.12 (sparsity .99 at n = 512): one giant SCC
   fragmented  mean degree 1 (sparsity 1 - 1/n): many small SCCs
 
-plus the reference case n = 2048 at sparsity .999 and K = n.  (The giant
-case at n = 1024 is sparsity .995.)  A case records the min and the
-spread (max - min) of its repeats, its peak RSS, the union and SCC sizes, the
+plus the reference case n = 2048 at sparsity .999 and K = n, drawn the
+same way, and the chain x0 -> x1 -> ... at n = 2048 and K = n, whose
+union holds walks of every length up to n - 1.  (The giant case at
+n = 1024 is sparsity .995.)  A case records the min and the spread
+(max - min) of its repeats, its peak RSS, the union and SCC sizes, the
 sensor count and a digest of the sorted sensor set, so two result files
 can be checked for equal output.  A case that runs past ``TIMEOUT_S``
 is recorded as a timeout with the repeats it finished.  Needs the
@@ -38,6 +40,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIZES = (256, 512, 1024, 2048)
 GIANT_DEGREE = 5.12
 REFERENCE = ((2048, 0.999),)
+CHAINS = (2048,)
 REPEATS = 3
 TIMEOUT_S = 400.0  # per case
 
@@ -50,6 +53,8 @@ def cases() -> list[dict]:
                 out.append({"regime": regime, "n": n, "sparsity": sparsity, "horizon": horizon})
     for n, sparsity in REFERENCE:
         out.append({"regime": "reference", "n": n, "sparsity": sparsity, "horizon": n})
+    for n in CHAINS:
+        out.append({"regime": "chain", "n": n, "sparsity": 1.0 - (n - 1) / n**2, "horizon": n})
     for case in out:
         case["name"] = f"{case['regime']}-n{case['n']}-k{case['horizon']}"
     return out
@@ -60,9 +65,14 @@ def run_case(case: dict) -> None:
     import numpy as np
 
     from fracplace.placement import minimal_sensors
+    from fracplace.structure import Pattern
     from fracplace.sweep import _random_pattern
 
-    pattern = _random_pattern(case["n"], case["sparsity"], np.random.default_rng(0))
+    n = case["n"]
+    if case["regime"] == "chain":
+        pattern = Pattern(n, n, ((i + 1, i) for i in range(n - 1)))
+    else:
+        pattern = _random_pattern(n, case["sparsity"], np.random.default_rng(0))
     for _ in range(REPEATS):
         t = time.perf_counter()
         report = minimal_sensors(pattern, case["horizon"])

@@ -154,8 +154,10 @@ def _cmd_simulate(args) -> int:
         # the bytes csv.writer would give: no field here needs quoting
         out = sys.stdout
         out.write(",".join(["k"] + [f"x{i + 1}" for i in range(sysfile.n)]) + "\r\n")
+        # one format call per row, with the digits _fmt gives each value
+        values = ",".join(["%.17g"] * sysfile.n)
         for k, row in enumerate(traj.states):
-            out.write(f"{k}," + ",".join(map(_fmt, row.tolist())) + "\r\n")
+            out.write(f"{k}," + values % tuple(row) + "\r\n")
     return 0
 
 

@@ -17,6 +17,11 @@ the three sensor groups off the matching.  Matched indicator columns give
 ``j_double`` (rank completion), and sink SCCs left uncovered contribute
 their smallest member as ``j_triple`` (reachability completion).  The
 self-check of condition (ii) starts from the same matching's pairs.
+
+For K >= n - 1 the union is the reachability closure of the base
+pattern; it and its transpose are read off the base pattern's
+condensation, which the placement needs anyway, and condition (i) is a
+test of each state's transposed row.
 """
 
 from __future__ import annotations
@@ -25,7 +30,16 @@ from dataclasses import dataclass, replace
 from typing import Collection
 
 from .matching import Matching, WeightedBipartite, _max_matching_rows, min_weight_max_matching
-from .structure import Condensation, Pattern, condense, non_accessible_states, transition_union
+from .structure import (
+    Condensation,
+    Pattern,
+    _closure_union,
+    _saturates,
+    _state_mask,
+    condense,
+    non_accessible_states,
+    transition_union,
+)
 
 __all__ = [
     "SensorSet",
@@ -123,20 +137,32 @@ def verify_observability(
     """
     if not pattern.is_square():
         raise ValueError("verification needs a square pattern")
+    sensors = frozenset(int(s) for s in sensors)
+    if _saturates(pattern, horizon):
+        return _certify(*_closure_union(condense(pattern)), sensors, closed=True)
     union = transition_union(pattern, horizon)
-    # non_accessible_states rejects a sensor index outside the states
-    return _certify(union, union.transpose(), frozenset(int(s) for s in sensors))
+    return _certify(union, union.transpose(), sensors)
 
 
-def _certify(union: Pattern, union_t: Pattern, sensors: frozenset, start=()) -> Certificate:
+def _certify(
+    union: Pattern, union_t: Pattern, sensors: frozenset, start=(), closed=False
+) -> Certificate:
     """Both conditions on an already computed union pattern and its transpose.
 
+    With ``closed`` the union is the reachability closure, so a state
+    reaches a sensor iff it is one or its row of ``union_t`` holds one.
     A sensor's identity column meets only the sensor's row, so condition
     (ii) fails by the non-sensor rows of ``union_t`` left unmatched; that
     matching starts from the pairs of ``start`` that are its edges.
     """
     n = union.nrows
-    blocked = non_accessible_states(union, sensors)
+    if closed:
+        sensed = _state_mask(n, sensors)
+        blocked = frozenset(
+            v for v, below in enumerate(union_t.rows) if not (below | 1 << v) & sensed
+        )
+    else:
+        blocked = non_accessible_states(union, sensors)
     rows = [0 if r in sensors else m for r, m in enumerate(union_t.rows)]
     match_row, _ = _max_matching_rows(Pattern.from_masks(n, n, rows), start)
     deficiency = match_row.count(-1) - len(sensors)
@@ -176,12 +202,17 @@ def minimal_sensors(
     if not pattern.is_square():
         raise ValueError("placement needs a square pattern")
     n = pattern.nrows
-    union = transition_union(pattern, horizon)
-    union_t = union.transpose()
     # every union edge is a walk of base edges and every base edge is a
     # union edge, so both digraphs have the same SCCs and sink SCCs; the
     # sparser base is condensed and the union kept for the quotient edges
-    cond = replace(condense(pattern), pattern=union)
+    cond = condense(pattern)
+    closed = _saturates(pattern, horizon)
+    if closed:
+        union, union_t = _closure_union(cond)
+    else:
+        union = transition_union(pattern, horizon)
+        union_t = union.transpose()
+    cond = replace(cond, pattern=union)
     sink_cols = sink_scc_columns(cond)
     sink_ids = sorted(cond.sink_sccs)
 
@@ -201,7 +232,7 @@ def minimal_sensors(
         j_triple.add(min(members))
 
     sensors = SensorSet(j_prime, j_double, j_triple - j_prime - j_double)
-    cert = _certify(union, union_t, sensors.all, matching.pairs)
+    cert = _certify(union, union_t, sensors.all, matching.pairs, closed)
     if not cert.observable:
         raise RuntimeError("internal error: placement failed its own certificate")
     return PlacementReport(

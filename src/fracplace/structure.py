@@ -159,13 +159,16 @@ class Condensation:
 
     SCCs are numbered in ascending order of their smallest member state.
     ``sink_sccs`` holds the ids with no outgoing edge to another SCC;
-    every state of the graph can reach at least one of them.  ``pattern``
-    is the decomposed pattern; it takes no part in equality.
+    every state of the graph can reach at least one of them.  ``order``
+    lists the ids in a topological order of the quotient DAG: an SCC comes
+    after every SCC with an edge into it.  ``pattern`` is the decomposed
+    pattern.  Neither takes part in equality.
     """
 
     scc_of: tuple
     sccs: tuple
     sink_sccs: frozenset
+    order: tuple = field(repr=False, compare=False)
     pattern: Pattern = field(repr=False, compare=False)
 
     @property
@@ -225,6 +228,11 @@ def _bool_product(a_masks: Sequence[int], b_masks: Sequence[int]) -> list[int]:
     return out
 
 
+def _saturates(pattern: Pattern, horizon: int) -> bool:
+    """Whether the union at this horizon is the reachability closure (K >= n - 1)."""
+    return int(horizon) >= max(pattern.nrows - 1, 0)
+
+
 def transition_union(pattern: Pattern, horizon: int) -> Pattern:
     """Union pattern of all transition factors up to the given horizon.
 
@@ -235,12 +243,25 @@ def transition_union(pattern: Pattern, horizon: int) -> Pattern:
     change the union even when integer orders kill some tails, since every
     factor T_k structurally contains the pure power P^(k+1) and every
     other term's pattern is contained in a shorter power).
+
+    For horizon >= n - 1 the union is read off the SCC condensation
+    (``_closure_union``): a shortest walk from j to i, or from i back
+    to itself, has at most n steps, so walks of length 1..n already reach
+    every pair that any walk reaches.  Shorter horizons take one boolean
+    product per step until the union stops growing.
     """
     if not pattern.is_square():
         raise ValueError("transition union needs a square pattern")
     horizon = int(horizon)
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
+    if _saturates(pattern, horizon):
+        return _closure_union(condense(pattern))[0]
+    return _stepwise_union(pattern, horizon)
+
+
+def _stepwise_union(pattern: Pattern, horizon: int) -> Pattern:
+    # one boolean product per step; exact for every horizon
     base = pattern.rows
     acc = list(base)
     cur = list(base)
@@ -253,13 +274,50 @@ def transition_union(pattern: Pattern, horizon: int) -> Pattern:
     return Pattern.from_masks(pattern.nrows, pattern.ncols, acc)
 
 
+def _closure_union(cond: Condensation) -> tuple[Pattern, Pattern]:
+    """The transition union of ``cond.pattern`` for any horizon >= n - 1, and its transpose.
+
+    Entry (i, j) of the union is present iff state j has a walk of length
+    >= 1 to state i.  All states of an SCC share one union row: every
+    state of the SCCs above it (its ancestors in the quotient DAG), plus
+    its own members if it is cyclic (more than one state, or a self-loop).
+    Their transposed row is the same with the SCCs below it.  Both are
+    built in one pass over the SCCs in topological order and one in
+    reverse, ORing the masks of each SCC's predecessor SCCs.
+    """
+    pattern, scc_of = cond.pattern, cond.scc_of
+    n, m = pattern.nrows, len(cond.sccs)
+    members = [0] * m
+    into = [0] * m  # the states with an edge into the SCC
+    for v, cid in enumerate(scc_of):
+        members[cid] |= 1 << v
+        into[cid] |= pattern.rows[v]
+    preds = [{scc_of[v] for v in set_bits(i & ~s, n)} for i, s in zip(into, members)]
+
+    above = [0] * m
+    for cid in cond.order:
+        mask = into[cid]
+        for p in preds[cid]:
+            mask |= above[p]  # holds all of p's members: cyclic, or its one state is in into
+        above[cid] = mask
+    # into & members is every member of a cyclic SCC and empty otherwise;
+    # an SCC has received all its successors' masks by the time it is read
+    below = [i & s for i, s in zip(into, members)]
+    for cid in reversed(cond.order):
+        reach = below[cid] | members[cid]
+        for p in preds[cid]:
+            below[p] |= reach
+    union = Pattern.from_masks(n, n, [above[cid] for cid in scc_of])
+    return union, Pattern.from_masks(n, n, [below[cid] for cid in scc_of])
+
+
 def condense(pattern: Pattern) -> Condensation:
     """SCC condensation of the pattern digraph (Tarjan, O(V + E)).
 
     Edge convention: entry (i, j) is an edge from state j to state i.
-    Returns the member partition and the ids of the sink SCCs (no
-    outgoing quotient edge); the quotient DAG edges are derived on first
-    read.
+    Returns the member partition, the ids of the sink SCCs (no outgoing
+    quotient edge) and a topological order of the ids; the quotient DAG
+    edges are derived on first read.
     """
     if not pattern.is_square():
         raise ValueError("condensation needs a square pattern")
@@ -312,7 +370,13 @@ def condense(pattern: Pattern) -> Condensation:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[v])
 
-    comps.sort(key=min)
+    # Tarjan on the predecessor lists emits every SCC after the SCCs with
+    # an edge into it; the ids ascend with the smallest member instead
+    by_min = sorted(range(len(comps)), key=lambda k: min(comps[k]))
+    order = [0] * len(comps)
+    for cid, k in enumerate(by_min):
+        order[k] = cid
+    comps = [comps[k] for k in by_min]
     scc_of = [0] * n
     members = []
     # the states with an edge into another SCC: an SCC is a sink iff it
@@ -331,8 +395,18 @@ def condense(pattern: Pattern) -> Condensation:
         scc_of=tuple(scc_of),
         sccs=tuple(frozenset(c) for c in comps),
         sink_sccs=sinks,
+        order=tuple(order),
         pattern=pattern,
     )
+
+
+def _state_mask(n: int, sensors: Collection[int]) -> int:
+    """The mask of the sensor states, each checked to lie in 0..n - 1."""
+    sensor_set = set(int(s) for s in sensors)
+    for s in sensor_set:
+        if not (0 <= s < n):
+            raise ValueError(f"sensor index {s} outside 0..{n - 1}")
+    return sum(1 << s for s in sensor_set)
 
 
 def non_accessible_states(pattern: Pattern, sensors: Collection[int]) -> frozenset:
@@ -344,11 +418,7 @@ def non_accessible_states(pattern: Pattern, sensors: Collection[int]) -> frozens
     if not pattern.is_square():
         raise ValueError("accessibility needs a square pattern")
     n = pattern.nrows
-    sensor_set = set(int(s) for s in sensors)
-    for s in sensor_set:
-        if not (0 <= s < n):
-            raise ValueError(f"sensor index {s} outside 0..{n - 1}")
-    seen = frontier = sum(1 << s for s in sensor_set)
+    seen = frontier = _state_mask(n, sensors)
     while frontier:
         (frontier,) = _bool_product([frontier], pattern.rows)  # row v: v's predecessors
         frontier &= ~seen

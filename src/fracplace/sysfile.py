@@ -187,7 +187,7 @@ def parse_system_file(text: str) -> SystemFile:
                 _fail(lineno, "dense rows must hold numbers")
             if len(row) != n:
                 _fail(lineno, f"dense row needs {n} entries, got {len(row)}")
-            if not all(math.isfinite(v) for v in row):
+            if not all(map(math.isfinite, row)):
                 _fail(lineno, "matrix values must be finite")
             rows.append(tuple(row))
         values = tuple(rows)
@@ -208,7 +208,7 @@ def parse_system_file(text: str) -> SystemFile:
             rows[r - 1][c - 1] = v
         values = tuple(map(tuple, rows))
     else:  # pattern
-        entries = []
+        masks = [0] * n
         for lineno, body in matrix_rows:
             toks = body.split()
             if len(toks) != 2:
@@ -219,8 +219,8 @@ def parse_system_file(text: str) -> SystemFile:
                 _fail(lineno, "pattern entries are 'row col'")
             if not (1 <= r <= n and 1 <= c <= n):
                 _fail(lineno, f"index ({r}, {c}) outside 1..{n}")
-            entries.append((r - 1, c - 1))
-        pattern = Pattern(n, n, entries)
+            masks[r - 1] |= 1 << (c - 1)
+        pattern = Pattern.from_masks(n, n, masks)
 
     return SystemFile(
         n=n,

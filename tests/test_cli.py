@@ -269,6 +269,40 @@ class TestSimulate:
             assert main(["simulate", str(sysf), "--x0", str(x0), "--format", "json"]) == 0
         assert json.loads(out.getvalue())["states"] == states.tolist()
 
+    def test_csv_digits_match_per_value_formatting(self, tmp_path, monkeypatch):
+        # each row goes through one %-format call; every value must get the
+        # digits that _fmt gives it alone
+        from fracplace.cli import _fmt
+
+        n = 6
+        special = [-0.0, 0.0, 5e-324, -2.2250738585072009e-308, 1e300, -1e-300,
+                   3.0, -2.0, 1e16, 2.0**53, 1e-5, 123456789.0]
+        rng = np.random.default_rng(41)
+        states = np.array(special + rng.normal(size=5 * n).tolist() + (rng.normal(size=n) * 1e200).tolist())
+        states = states.reshape(-1, n)
+
+        class Trajectory:
+            pass
+
+        def fake_simulate(system, x0, steps):
+            trajectory = Trajectory()
+            trajectory.states = states
+            return trajectory
+
+        monkeypatch.setattr(fracplace.fraccore, "simulate", fake_simulate)
+        sysf = tmp_path / "sys.fracsys"
+        sysf.write_text(f"fracsys 1\nn {n}\nalpha 0.5\nmatrix sparse\nend\n")
+        x0 = tmp_path / "x0.txt"
+        x0.write_text("1 " * n)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["simulate", str(sysf), "--x0", str(x0)]) == 0
+        want = ",".join(["k"] + [f"x{i + 1}" for i in range(n)]) + "\r\n"
+        for k, row in enumerate(states.tolist()):
+            want += f"{k}," + ",".join(map(_fmt, row)) + "\r\n"
+        assert out.getvalue() == want
+        assert "0,-0,0,4.9406564584124654e-324," in want and "1.0000000000000001e+300" in want
+
     def test_never_builds_transition_factors(self, tmp_path, monkeypatch):
         def refused(system):
             raise AssertionError("simulate built transition factors")

@@ -3,6 +3,7 @@ import pytest
 
 import fracplace.matching
 import fracplace.placement
+import fracplace.structure
 from fracplace import (
     FracSystem,
     Matching,
@@ -153,6 +154,7 @@ class TestMinimalSensors:
             assert a.sensors.all == b.sensors.all
 
     def test_union_computed_once(self, monkeypatch):
+        # at a bounded horizon (K = 2 < n - 1) the union is built step by step
         calls = []
 
         def counted(pattern, horizon):
@@ -160,12 +162,13 @@ class TestMinimalSensors:
             return transition_union(pattern, horizon)
 
         monkeypatch.setattr(fracplace.placement, "transition_union", counted)
-        minimal_sensors(Pattern(4, 4, [(1, 0), (2, 1), (0, 2), (3, 3)]), 4)
-        assert calls == [4]
+        minimal_sensors(Pattern(4, 4, [(1, 0), (2, 1), (0, 2), (3, 3)]), 2)
+        assert calls == [2]
 
     def test_union_transposed_once(self, monkeypatch):
-        # the placement graph and the self-check share one transpose, and
-        # the graph is built from its masks, never from edge triples
+        # at a bounded horizon the placement graph and the self-check share
+        # one transpose, and the graph is built from its masks, never from
+        # edge triples (at K = 1 the tie-break transposes its tight edges too)
         calls = []
         transpose = Pattern.transpose
 
@@ -178,8 +181,36 @@ class TestMinimalSensors:
 
         monkeypatch.setattr(Pattern, "transpose", counted)
         monkeypatch.setattr(WeightedBipartite, "__init__", no_triples)
-        minimal_sensors(Pattern(4, 4, [(1, 0), (2, 1), (0, 2), (3, 3)]), 4)
+        minimal_sensors(Pattern(4, 4, [(1, 0), (2, 1), (0, 2), (3, 3)]), 2)
         assert calls == [4]
+
+    @pytest.mark.parametrize("horizon", [3, 4, 8])
+    @pytest.mark.parametrize("run", ["place", "verify"])
+    def test_long_horizon_reads_the_union_off_one_condensation(self, monkeypatch, run, horizon):
+        # at K >= n - 1 both the union and its transpose come from the
+        # condensation: one Tarjan pass, no boolean product, no transpose
+        calls = []
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(fracplace.structure, "_bool_product",
+                            counting("product", fracplace.structure._bool_product))
+        monkeypatch.setattr(Pattern, "transpose", counting("transpose", Pattern.transpose))
+        monkeypatch.setattr(fracplace.placement, "condense",
+                            counting("condense", fracplace.placement.condense))
+        monkeypatch.setattr(fracplace.placement, "transition_union",
+                            counting("union", fracplace.placement.transition_union))
+        pattern = Pattern(4, 4, [(1, 0), (2, 1), (0, 2), (3, 3)])
+        if run == "place":
+            assert minimal_sensors(pattern, horizon).certificate.observable
+        else:
+            assert verify_observability(pattern, horizon, {0, 3}).observable
+        assert calls == ["condense"]
 
     def test_one_hopcroft_karp_run_on_a_fragmented_pattern(self, monkeypatch):
         # the self-check starts from the placement's pairs, which match every

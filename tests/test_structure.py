@@ -318,6 +318,10 @@ class TestCondense:
             assert sinks, "quotient graph has a cycle"
             remaining -= sinks
             edges = {(a, b) for a, b in edges if a not in sinks and b not in sinks}
+        # every quotient edge runs forward in the topological order
+        assert sorted(cond.order) == list(range(len(cond.sccs)))
+        rank = {cid: k for k, cid in enumerate(cond.order)}
+        assert all(rank[a] < rank[b] for a, b in cond.dag_edges)
 
     def test_flags_against_reachability_oracle(self):
         rng = np.random.default_rng(4)
