@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Structural size ladder: time ``minimal_sensors`` and write BENCH_<label>.json.
+"""Size ladder: time placements and numeric runs, write BENCH_<label>.json.
 
     python3 scripts/ladder.py --label mine
     python3 scripts/ladder.py --label old --src ../other-checkout/src
 
-Every case times ``minimal_sensors`` on one pattern, in a subprocess of
-its own that imports fracplace from ``--src``.  Cases cover n in
+Every case runs in a subprocess of its own that imports fracplace from
+``--src``.  The structural cases time ``minimal_sensors`` on one pattern
+and cover n in
 {256, 512, 1024, 2048} in two regimes, each at horizon K = n and K = 2,
 drawn with ``sweep._random_pattern`` (seed 0):
 
@@ -18,9 +19,18 @@ union holds walks of every length up to n - 1.  (The giant case at
 n = 1024 is sparsity .995.)  A case records the min and the spread
 (max - min) of its repeats, its peak RSS, the union and SCC sizes, the
 sensor count and a digest of the sorted sensor set, so two result files
-can be checked for equal output.  A case that runs past ``TIMEOUT_S``
-is recorded as a timeout with the repeats it finished.  Needs the
-standard library and numpy only.
+can be checked for equal output.
+
+The numeric cases draw one dense system per n in {64, 128, 256} with
+K = n, A ~ N(0, 0.49/n), orders uniform in [0.5, 0.9) and x0 ~ N(0, 1)
+(seed 0), and time ``simulate`` over K steps (regime ``simulate``) and
+``is_observable_numeric`` with state 0 sensed (``observe-one``) and with
+every state sensed (``observe-all``).  A numeric case records the min and
+spread of its repeats, the tracemalloc peak of one more run, its peak RSS,
+and a digest of the trajectory bytes or the observability answer.
+
+A case that runs past ``TIMEOUT_S`` is recorded as a timeout with the
+repeats it finished.  Needs the standard library and numpy only.
 """
 
 from __future__ import annotations
@@ -41,6 +51,8 @@ SIZES = (256, 512, 1024, 2048)
 GIANT_DEGREE = 5.12
 REFERENCE = ((2048, 0.999),)
 CHAINS = (2048,)
+NUMERIC_SIZES = (64, 128, 256)
+NUMERIC_REGIMES = ("simulate", "observe-one", "observe-all")
 REPEATS = 3
 TIMEOUT_S = 400.0  # per case
 
@@ -55,13 +67,54 @@ def cases() -> list[dict]:
         out.append({"regime": "reference", "n": n, "sparsity": sparsity, "horizon": n})
     for n in CHAINS:
         out.append({"regime": "chain", "n": n, "sparsity": 1.0 - (n - 1) / n**2, "horizon": n})
+    for regime in NUMERIC_REGIMES:
+        for n in NUMERIC_SIZES:
+            out.append({"regime": regime, "n": n, "horizon": n})
     for case in out:
         case["name"] = f"{case['regime']}-n{case['n']}-k{case['horizon']}"
     return out
 
 
+def run_numeric_case(case: dict) -> None:
+    """Child side of a numeric case: one JSON line per repeat, then one more."""
+    import tracemalloc
+
+    import numpy as np
+
+    from fracplace.fraccore import FracSystem, is_observable_numeric, simulate
+
+    n, K = case["n"], case["horizon"]
+    rng = np.random.default_rng(0)
+    system = FracSystem(rng.normal(0.0, 0.7 / np.sqrt(n), (n, n)), rng.uniform(0.5, 0.9, n), K)
+    x0 = rng.normal(0.0, 1.0, n)
+    if case["regime"] == "simulate":
+        def run():
+            return simulate(system, x0, K).states.tobytes()
+    else:
+        sensors = [0] if case["regime"] == "observe-one" else range(n)
+
+        def run():
+            return is_observable_numeric(system, sensors)
+    for _ in range(REPEATS):
+        t = time.perf_counter()
+        out = run()
+        print(json.dumps({"seconds": time.perf_counter() - t}), flush=True)
+    tracemalloc.start()
+    run()
+    traced = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    print(json.dumps({
+        "result": hashlib.sha256(out).hexdigest()[:16] if isinstance(out, bytes) else out,
+        "traced_peak_mib": traced / 2**20,
+        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+    }), flush=True)
+
+
 def run_case(case: dict) -> None:
     """Child side: one JSON line per repeat, then one with the sizes."""
+    if case["regime"] in NUMERIC_REGIMES:
+        run_numeric_case(case)
+        return
     import numpy as np
 
     from fracplace.placement import minimal_sensors

@@ -30,7 +30,6 @@ _EXPORTS = {
         "gl_tails",
         "transition_factors",
         "simulate",
-        "observability_matrix",
         "numeric_rank",
         "is_observable_numeric",
     ),

@@ -135,11 +135,7 @@ def _cmd_simulate(args) -> int:
     horizon = _resolve_horizon(args, sysfile)
     with open(args.x0, "r", encoding="utf-8") as fh:
         x0 = [float(tok) for tok in fh.read().split()]
-    if len(x0) != sysfile.n:
-        raise ValueError(f"x0 has {len(x0)} entries, expected {sysfile.n}")
     steps = args.steps if args.steps is not None else horizon
-    if steps > horizon:
-        raise ValueError(f"steps={steps} exceeds horizon K={horizon}")
     system = FracSystem(sysfile.matrix, sysfile.alpha, horizon)
     traj = simulate(system, x0, steps)
     if args.format == "json":

@@ -9,9 +9,10 @@ matrices T_0..T_K with
 
 where D_j = diag(c_j(alpha_1), ..., c_j(alpha_n)) holds the
 Grunwald-Letnikov memory tail coefficients, and the trajectory is
-x_k = T_k x_0 for k >= 1.  :func:`simulate` runs the same recursion on the
-vector y_k = T_k x_0 and never builds a factor; the observability test
-needs the factors themselves and takes them from :func:`transition_factors`.
+x_k = T_k x_0 for k >= 1.  One block recursion runs this sequence: on the
+factors themselves (:func:`transition_factors`), on the vector T_k x_0
+(:func:`simulate`), and, transposed, on the sensor rows of the observability
+test (:func:`is_observable_numeric`), which so never builds an n x n factor.
 
 Everything in this module is a pure function of its inputs; all returned
 containers hold read-only arrays and are safe to share across threads.
@@ -34,7 +35,6 @@ __all__ = [
     "gl_tails",
     "transition_factors",
     "simulate",
-    "observability_matrix",
     "numeric_rank",
     "is_observable_numeric",
 ]
@@ -42,11 +42,12 @@ __all__ = [
 # Dense transition factors are refused above this state dimension; use the
 # structural path instead, which never materializes numeric matrices.
 MAX_DENSE_DIMENSION = 512
-# A factor stack larger than this many bytes is refused before the tails or
-# the stack are allocated; n = K = 512 takes 1 GiB.
+# A factor stack or observability matrix larger than this many bytes is
+# refused before anything is allocated; n = K = 512 takes 1 GiB.
 MAX_FACTOR_STACK_BYTES = 2 * 2**30
-# simulate's memory term costs n * steps * (steps + 1) / 2 multiply-adds; a
-# run above this many is refused before the tails or states are allocated.
+# simulate's memory term costs n * steps * (steps + 1) / 2 multiply-adds, the
+# observability test's n * |S| * K * (K + 1) / 2; a run above this many is
+# refused before anything is allocated.
 # At the 0.5-0.9 ns per multiply-add measured on one Xeon core that caps
 # the term near 15 s, and still admits n = 64 at 23,000 steps or n = 512 at
 # 8,000.
@@ -214,12 +215,41 @@ def gl_tails(system: FracSystem) -> GlCoefficients:
     return _adopt(GlCoefficients, "table", table)
 
 
+def _check_limits(what: str, remedy: str, work: int = 0, nbytes: int = 0) -> None:
+    if work > MAX_SIMULATION_WORK:
+        raise ValueError(
+            f"{what} {work:.2e} memory-term operations, above the limit of "
+            f"{MAX_SIMULATION_WORK:.2e}; {remedy}"
+        )
+    if nbytes > MAX_FACTOR_STACK_BYTES:
+        raise ValueError(
+            f"{what} {nbytes / 2**30:.1f} GiB, above the "
+            f"{MAX_FACTOR_STACK_BYTES / 2**30:.0f} GiB limit; {remedy}"
+        )
+
+
+def _recursion(A: np.ndarray, tails: np.ndarray, Y0: np.ndarray, steps: int) -> np.ndarray:
+    """Y_0..Y_steps of Y_k = A Y_{k-1} + sum_{j=1}^{k-1} D_j Y_{k-1-j}, Y_0 an n x m block.
+
+    Reversed in time, shape (n, steps + 1, m): Y_k is ``hist[:, steps - k]``,
+    so the memory term of every step reads one contiguous slice.
+    """
+    hist = np.empty((Y0.shape[0], steps + 1, Y0.shape[1]))
+    hist[:, steps] = Y0
+    for k in range(1, steps + 1):
+        y = A @ hist[:, steps - k + 1]
+        if k >= 2:
+            y += np.einsum("ij,ijm->im", tails[:, : k - 1], hist[:, steps - k + 2 :])
+        hist[:, steps - k] = y
+    return hist
+
+
 def transition_factors(system: FracSystem) -> TransitionSequence:
     """Transition factors T_0..T_K of the closed-form solution.
 
-    T_0 = A and T_k = A T_{k-1} + sum_{j=1}^{k-1} D_j T_{k-1-j}, where the
-    D_j are the diagonal tail matrices from :func:`gl_tails`.  Naive
-    summation: O(K n^3 + K^2 n^2) time and O(K n^2) memory for dense A.
+    T_0 = A and T_k = A T_{k-1} + sum_{j=1}^{k-1} D_j T_{k-1-j}, with the D_j
+    from :func:`gl_tails`: the block recursion on Y_0 = A, whose history the
+    returned stack views.  O(K n^3 + K^2 n^2) time and O(K n^2) memory.
     """
     n, K = system.n, system.horizon
     if n > MAX_DENSE_DIMENSION:
@@ -227,39 +257,24 @@ def transition_factors(system: FracSystem) -> TransitionSequence:
             f"dense transition factors refused for n={n} > {MAX_DENSE_DIMENSION}; "
             "use the structural path, which never builds numeric factors"
         )
-    stack_bytes = (K + 1) * n * n * np.dtype(float).itemsize
-    if stack_bytes > MAX_FACTOR_STACK_BYTES:
-        raise ValueError(
-            f"transition factors for n={n}, K={K} need {stack_bytes / 2**30:.1f} GiB, "
-            f"above the {MAX_FACTOR_STACK_BYTES / 2**30:.0f} GiB limit; "
-            "lower the horizon or the number of steps"
-        )
-    tails = gl_tails(system).table
-    stack = np.empty((K + 1, n, n))
-    stack[0] = system.A
-    for k in range(1, K + 1):
-        g = system.A @ stack[k - 1]
-        if k >= 2:
-            # memory terms j = 1..k-1 scale rows of earlier factors
-            rev = stack[k - 2 :: -1]  # T_{k-2}, ..., T_0
-            g += np.einsum("im,mil->il", tails[:, : k - 1], rev[: k - 1])
-        stack[k] = g
-    return _adopt(TransitionSequence, "stack", stack)
+    what = f"transition factors for n={n}, K={K} need"
+    _check_limits(what, "lower the horizon or the number of steps", nbytes=(K + 1) * n * n * 8)
+    hist = _recursion(system.A, gl_tails(system).table, system.A, K)
+    return _adopt(TransitionSequence, "stack", hist[:, ::-1].transpose(1, 0, 2))
 
 
 def simulate(system: FracSystem, x0: np.ndarray, steps: int) -> Trajectory:
     """Trajectory x_0..x_steps via x_k = T_k x_0 (k >= 1).
 
-    The factor recursion is applied to x_0 rather than built:
-    y_0 = A x_0 and y_k = A y_{k-1} + sum_{j=1}^{k-1} D_j y_{k-1-j}, so
-    y_k = T_k x_0 with no factor ever formed.  That costs
-    O(steps n^2 + steps^2 n) time and O(steps n) memory; the result agrees
-    with ``transition_factors(...).stack[k] @ x0`` up to rounding in the last
-    digits.  ``steps`` must not exceed the system horizon, ``x0`` must be
-    finite, and runs whose memory term exceeds ``MAX_SIMULATION_WORK``
-    multiply-adds are refused before anything is allocated.  A trajectory
-    that leaves the float64 range raises ValueError naming the first step
-    with a non-finite state.
+    The factor recursion is applied to x_0 rather than built: the block
+    recursion on Y_0 = A x_0 gives y_k = T_k x_0 with no factor ever formed.
+    That costs O(steps n^2 + steps^2 n) time and O(steps n) memory; the
+    result agrees with ``transition_factors(...).stack[k] @ x0`` up to
+    rounding in the last digits.  ``steps`` must not exceed the system
+    horizon, ``x0`` must be finite, and runs whose memory term exceeds
+    ``MAX_SIMULATION_WORK`` multiply-adds are refused before anything is
+    allocated.  A trajectory that leaves the float64 range raises ValueError
+    naming the first step with a non-finite state.
     """
     steps = int(steps)
     if steps < 0:
@@ -276,26 +291,13 @@ def simulate(system: FracSystem, x0: np.ndarray, steps: int) -> Trajectory:
     if not np.all(np.isfinite(x0)):
         raise ValueError("initial state values must be finite")
     work = n * steps * (steps + 1) // 2
-    if work > MAX_SIMULATION_WORK:
-        raise ValueError(
-            f"simulating n={n} for {steps} steps needs {work:.2e} memory-term "
-            f"operations, above the limit of {MAX_SIMULATION_WORK:.2e}; "
-            "lower the number of steps"
-        )
+    _check_limits(f"simulating n={n} for {steps} steps needs", "lower the number of steps", work)
     A = system.A
     tails = gl_tails(FracSystem(A, system.alpha, steps)).table
-    # hist[:, steps - k] holds y_k: in reversed time the memory term of step k
-    # is a row-wise dot product of tails[:, :k-1] with one contiguous slice
-    hist = np.empty((n, steps + 1))
     # an overflow is reported once, below, as an error rather than a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        hist[:, steps] = A @ x0
-        for k in range(1, steps + 1):
-            y = A @ hist[:, steps - k + 1]
-            if k >= 2:
-                y += np.einsum("ij,ij->i", tails[:, : k - 1], hist[:, steps - k + 2 :])
-            hist[:, steps - k] = y
-    states = hist[:, ::-1].T  # row k is y_k
+        hist = _recursion(A, tails, (A @ x0)[:, None], steps)
+    states = hist[:, ::-1, 0].T  # row k is y_k
     states[0] = x0
     finite = np.isfinite(states).all(axis=1)
     if not finite.all():
@@ -304,25 +306,6 @@ def simulate(system: FracSystem, x0: np.ndarray, steps: int) -> Trajectory:
             "lower the number of steps"
         )
     return Trajectory(states)  # copied: row k of the reversed view is strided
-
-
-def observability_matrix(C, factors: TransitionSequence) -> np.ndarray:
-    """Vertical stack of C T_0, C T_1, ..., C T_K.
-
-    ``C`` may be a numeric (p, n) array or a boolean pattern object with a
-    ``to_array`` method.  A sequence with horizon K yields K+1 stacked
-    blocks; the classical finite-time observability test at time K+1 uses
-    exactly these blocks.
-    """
-    if hasattr(C, "to_array"):
-        C = C.to_array()
-    C = np.atleast_2d(np.asarray(C, dtype=float))
-    if C.shape[1] != factors.n:
-        raise ValueError(
-            f"output matrix has {C.shape[1]} columns, state dimension is {factors.n}"
-        )
-    blocks = np.einsum("pi,kij->kpj", C, factors.stack)
-    return blocks.reshape(-1, factors.n)
 
 
 def numeric_rank(M: np.ndarray, tol: float) -> int:
@@ -347,28 +330,49 @@ def is_observable_numeric(
 ) -> bool:
     """Realization-level observability test for a dedicated sensor set.
 
-    Stacks the selector rows of the sensor states at time zero together
-    with their rows of every transition factor (the measurements
-    y_0..y_{K+1}) and checks that the stack has full column rank n.  The
-    time-zero block is included: without it a sensor on a state with no
-    outgoing coupling could never certify its own initial value, and the
-    structural criteria this oracle validates do count that reading.
+    Stacks the selector rows C of the sensor states at time zero together
+    with their rows C T_0..C T_K of every transition factor (the
+    measurements y_0..y_{K+1}) and checks that the stack has full column
+    rank n.  The time-zero block is included: without it a sensor on a
+    state with no outgoing coupling could never certify its own initial
+    value, and the structural criteria this oracle validates do count that
+    reading.
+
+    No factor is formed.  The rows R_0 = C and R_k = R_{k-1} A +
+    sum_{j=1}^{k-1} R_{k-1-j} D_j give C T_k = R_k A; their transposes are
+    the block recursion on (A^T, C^T), in O(K |S| n^2 + K^2 |S| n) time and
+    O(K |S| n) memory.  A memory term n |S| K (K + 1) / 2 above
+    ``MAX_SIMULATION_WORK``, or a stack above ``MAX_FACTOR_STACK_BYTES``, is
+    refused before anything is allocated.
 
     Rows are scaled to unit max-magnitude before the rank test so that the
     geometric growth of the factors cannot mask small but genuine rank
     contributions at the given tolerance.  Scaling rows by positive
     constants leaves the exact rank unchanged.
+
+    The float rank can still miss an observable realization: a dense
+    N(0, 1/n) coupling with orders in [0.9, 1.3), one sensor on state 0
+    and ``default_rng(0)`` gives False at n = 64, where the rank of the
+    stack computed exactly mod 2**31 - 1 is 64.  False is therefore no
+    proof of unobservability (ROADMAP item 5).
     """
-    n = system.n
+    n, K = system.n, system.horizon
     idx = sorted(set(int(s) for s in sensors))
     if any(s < 0 or s >= n for s in idx):
         raise ValueError(f"sensor indices must lie in 0..{n - 1}")
     if not idx:
         return False
-    C = np.eye(n)[idx]
-    factors = transition_factors(system)
-    stacked = np.vstack([C, observability_matrix(C, factors)])
+    m = len(idx)
+    what = f"testing n={n} with {m} sensors over K={K} needs"
+    _check_limits(what, "lower the horizon", n * m * K * (K + 1) // 2, (K + 2) * m * n * 8)
+    stacked = np.zeros((K + 2, m, n))
+    stacked[0, range(m), idx] = 1.0  # C
+    # R_k^T is hist[:, K - k]; R_k A goes straight into block k + 1
+    hist = _recursion(system.A.T, gl_tails(system).table, stacked[0].T, K)
+    np.matmul(hist.transpose(1, 2, 0)[::-1], system.A, out=stacked[1:])
+    del hist  # freed before the SVD
+    stacked = stacked.reshape(-1, n)
     scale = np.abs(stacked).max(axis=1)
-    keep = scale > 0.0
-    stacked = stacked[keep] / scale[keep, None]
+    scale[scale == 0.0] = 1.0  # an all-zero row adds no rank
+    stacked /= scale[:, None]
     return numeric_rank(stacked, tol) == n

@@ -189,6 +189,19 @@ class TestSimulate:
         x0.write_text("0 1\n")
         proc = run_cli("simulate", str(sysf), "--x0", str(x0), "--steps", "5")
         assert proc.returncode == 2
+        assert proc.stderr == (
+            "fracplace: error: steps=5 exceeds horizon K=2; extend the horizon to simulate further\n"
+        )
+
+    def test_initial_state_length_mismatch_exits_two(self, tmp_path):
+        sysf = tmp_path / "sys.fracsys"
+        sysf.write_text(WORKED)
+        x0 = tmp_path / "x0.txt"
+        x0.write_text("0 1 2\n")
+        proc = run_cli("simulate", str(sysf), "--x0", str(x0))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "fracplace: error: x0 has 3 entries, expected 2\n"
 
     def test_pattern_only_file_rejected(self, tmp_path):
         sysf = tmp_path / "sys.fracsys"

@@ -16,12 +16,12 @@ from fracplace import (
     gl_tails,
     is_observable_numeric,
     numeric_rank,
-    observability_matrix,
     simulate,
     transition_factors,
 )
 from fracplace import fraccore
 from fracplace.fraccore import MAX_FACTOR_STACK_BYTES, MAX_SIMULATION_WORK
+from reference_factors import factor_stack, observability_matrix
 
 
 def exact_gl(alpha: float, j: int) -> Fraction:
@@ -171,6 +171,19 @@ class TestTransitionFactors:
                 assert err <= 1e-12 * max(1.0, np.abs(power).max())
                 power = A @ power
 
+    def test_matches_factor_oracle(self):
+        rng = np.random.default_rng(17)
+        for case in range(40):
+            n = int(rng.integers(1, 25))
+            K = int(rng.integers(0, 31))
+            A = rng.normal(0.0, 1.0 / math.sqrt(n), (n, n))
+            alpha = rng.integers(1, 3, n).astype(float) if case % 4 == 0 else rng.uniform(0.2, 2.5, n)
+            system = FracSystem(A, alpha, K)
+            got, want = transition_factors(system).stack, factor_stack(system)
+            assert got.shape == want.shape
+            for k in range(K + 1):
+                assert np.abs(got[k] - want[k]).max() <= 1e-12 * np.abs(want[k]).max(), (case, k)
+
     def test_refuses_oversized_dense_systems(self):
         with pytest.raises(ValueError):
             transition_factors(FracSystem(np.zeros((513, 513)), np.ones(513) * 0.5, 1))
@@ -275,8 +288,7 @@ class TestSimulate:
                 alpha = rng.uniform(0.2, 2.5, n)
             x0 = rng.normal(size=n)
             system = FracSystem(A, alpha, K)
-            stack = transition_factors(system).stack
-            want = np.vstack([x0, stack[1:] @ x0])
+            want = np.vstack([x0, factor_stack(system)[1:] @ x0])
             got = simulate(system, x0, K).states
             assert np.array_equal(got[0], x0)
             err = np.abs(got - want).max(axis=1)
@@ -336,33 +348,34 @@ class TestSimulate:
 
 
 class TestObservabilityMatrix:
+    # the stack-route oracle of tests/reference_factors.py
     def test_identity_output_zero_horizon_returns_coupling(self):
         A = np.arange(16.0).reshape(4, 4)
-        seq = transition_factors(FracSystem(A, np.full(4, 0.7), 0))
-        assert np.array_equal(observability_matrix(np.eye(4), seq), A)
+        stack = factor_stack(FracSystem(A, np.full(4, 0.7), 0))
+        assert np.array_equal(observability_matrix(np.eye(4), stack), A)
 
     def test_chain_single_row_stack(self):
         A = np.array([[0, 0, 0], [2.0, 0, 0], [0, 3.0, 0]])
-        seq = transition_factors(FracSystem(A, np.full(3, 0.5), 2))
+        stack = factor_stack(FracSystem(A, np.full(3, 0.5), 2))
         C = np.array([[0.0, 0.0, 1.0]])
-        M = observability_matrix(C, seq)
+        M = observability_matrix(C, stack)
         assert M.shape == (3, 3)
         assert np.array_equal(M[0], A[2])
         assert np.array_equal(M[1], (A @ A)[2])
 
     def test_zero_output_matrix(self):
-        seq = transition_factors(FracSystem(np.eye(2), [0.5, 0.5], 1))
-        assert np.all(observability_matrix(np.zeros((2, 2)), seq) == 0.0)
+        stack = factor_stack(FracSystem(np.eye(2), [0.5, 0.5], 1))
+        assert np.all(observability_matrix(np.zeros((2, 2)), stack) == 0.0)
 
     def test_accepts_pattern_output(self):
-        seq = transition_factors(FracSystem(np.eye(2), [0.5, 0.5], 0))
-        M = observability_matrix(Pattern.identity_columns(2, [1]).transpose(), seq)
+        stack = factor_stack(FracSystem(np.eye(2), [0.5, 0.5], 0))
+        M = observability_matrix(Pattern.identity_columns(2, [1]).transpose(), stack)
         assert M.shape == (1, 2)
 
     def test_dimension_mismatch(self):
-        seq = transition_factors(FracSystem(np.eye(2), [0.5, 0.5], 0))
+        stack = factor_stack(FracSystem(np.eye(2), [0.5, 0.5], 0))
         with pytest.raises(ValueError):
-            observability_matrix(np.eye(3), seq)
+            observability_matrix(np.eye(3), stack)
 
 
 class TestNumericRank:
@@ -418,6 +431,118 @@ class TestIsObservableNumeric:
         sysm = FracSystem(np.eye(2), [0.5, 0.5], 2)
         with pytest.raises(ValueError):
             is_observable_numeric(sysm, {5})
+
+    def test_rows_and_decisions_match_stack_oracle(self, monkeypatch):
+        # the rows the rank test sees, against the factor-stack route's rows
+        seen = []
+
+        def capture(M, tol):
+            seen.append(M.copy())
+            return numeric_rank(M, tol)
+
+        monkeypatch.setattr(fraccore, "numeric_rank", capture)
+        rng = np.random.default_rng(59)
+        shapes = [(1, 0), (1, 6), (7, 0)] + [
+            (int(rng.integers(2, 25)), int(rng.integers(0, 31))) for _ in range(90)
+        ]
+        decisions = set()
+        for case, (n, K) in enumerate(shapes):
+            A = rng.normal(0.0, 1.0 / math.sqrt(n), (n, n))
+            alpha = rng.integers(1, 3, n).astype(float) if case % 4 == 0 else rng.uniform(0.2, 2.5, n)
+            size = (1, int(rng.integers(1, n + 1)), n)[case % 3]
+            sensors = sorted(rng.choice(n, size, replace=False).tolist())
+            system = FracSystem(A, alpha, K)
+            C = np.eye(n)[sensors]
+            want = np.vstack([C, observability_matrix(C, factor_stack(system))])
+            scale = np.abs(want).max(axis=1)
+            keep = scale > 0.0
+            want_decision = numeric_rank(want[keep] / scale[keep, None], 1e-9) == n
+            got_decision = is_observable_numeric(system, sensors)
+            assert got_decision == want_decision, (case, n, K, size)
+            decisions.add(got_decision)
+            got = seen.pop()
+            assert got.shape == want.shape and keep.all()
+            # each row is scaled to unit max-magnitude, so 1e-12 is relative to it
+            err = np.abs(got - want / scale[:, None]).max(axis=1)
+            assert np.all(err <= 1e-12), (case, n, K, size, err.max())
+        assert decisions == {False, True}
+
+    def test_never_builds_transition_factors(self, monkeypatch):
+        def refused(system):
+            raise AssertionError("is_observable_numeric built transition factors")
+
+        monkeypatch.setattr(fraccore, "transition_factors", refused)
+        n = 48
+        rng = np.random.default_rng(6)
+        system = FracSystem(rng.normal(0.0, 1.0 / math.sqrt(n), (n, n)), rng.uniform(0.5, 1.3, n), n)
+        assert is_observable_numeric(system, range(n))
+        assert not is_observable_numeric(FracSystem(system.A, system.alpha, 2), {0})
+
+    @pytest.mark.parametrize("sensed, limit", [(1, 2**20), (128, 40 * 2**20)])
+    def test_traced_peak_without_factor_stack(self, sensed, limit):
+        # the factor stack alone would take 16.1 MiB at n = K = 128
+        n = K = 128
+        rng = np.random.default_rng(8)
+        system = FracSystem(rng.normal(0.0, 0.1, (n, n)), np.full(n, 0.7), K)
+        tracemalloc.start()
+        try:
+            is_observable_numeric(system, range(sensed))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit
+
+    def test_refuses_runaway_work_before_allocating(self):
+        n = 64
+        K = math.isqrt(2 * MAX_SIMULATION_WORK // (n * n))
+        while n * n * K * (K + 1) // 2 <= MAX_SIMULATION_WORK:
+            K += 1
+        assert (K + 2) * n * n * 8 <= MAX_FACTOR_STACK_BYTES  # the work limit refuses
+        system = FracSystem(np.eye(n), np.full(n, 0.5), K)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="memory-term operations.*lower the horizon"):
+                is_observable_numeric(system, range(n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_refuses_an_oversized_matrix_before_allocating(self, monkeypatch):
+        # 64 MiB stands in for the limit: a 2 GiB matrix needs n near 10^4
+        monkeypatch.setattr(fraccore, "MAX_FACTOR_STACK_BYTES", 64 * 2**20)
+        n, K = 64, 2047  # (K + 2) * n * n * 8 bytes is just over 64 MiB
+        assert n * n * K * (K + 1) // 2 <= MAX_SIMULATION_WORK  # the byte limit refuses
+        system = FracSystem(np.eye(n), np.full(n, 0.5), K)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="GiB limit; lower the horizon"):
+                is_observable_numeric(system, range(n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_limits_admit_a_test_at_the_limit(self, monkeypatch):
+        n, m, K = 3, 2, 40
+        system = FracSystem(np.full((n, n), 0.2), [0.5, 1.0, 1.5], K)
+        longer = FracSystem(system.A, system.alpha, K + 1)
+        monkeypatch.setattr(fraccore, "MAX_SIMULATION_WORK", n * m * K * (K + 1) // 2)
+        is_observable_numeric(system, {0, 2})
+        with pytest.raises(ValueError, match="memory-term operations"):
+            is_observable_numeric(longer, {0, 2})
+        monkeypatch.undo()
+        monkeypatch.setattr(fraccore, "MAX_FACTOR_STACK_BYTES", (K + 2) * m * n * 8)
+        is_observable_numeric(system, {0, 2})
+        with pytest.raises(ValueError, match="GiB limit"):
+            is_observable_numeric(longer, {0, 2})
+
+    def test_no_dimension_cap(self):
+        n = 600  # above MAX_DENSE_DIMENSION, which transition_factors keeps
+        rng = np.random.default_rng(10)
+        system = FracSystem(rng.normal(0.0, 1.0 / math.sqrt(n), (n, n)), np.full(n, 0.8), 8)
+        assert is_observable_numeric(system, {0}) is False  # 10 rows cannot reach rank 600
+        assert is_observable_numeric(system, range(n)) is True
 
 
 class TestFracSystemValidation:
