@@ -7,14 +7,15 @@
 Every case runs in a subprocess of its own that imports fracplace from
 ``--src``.  The structural cases time ``minimal_sensors`` on one pattern
 and cover n in
-{256, 512, 1024, 2048} in two regimes, each at horizon K = n and K = 2,
-drawn with ``sweep._random_pattern`` (seed 0):
+{256, 512, 1024, 2048, 4096} in two regimes, each at horizon K = n and
+K = 2, drawn with ``sweep._random_pattern`` (seed 0):
 
   giant       mean degree 5.12 (sparsity .99 at n = 512): one giant SCC
   fragmented  mean degree 1 (sparsity 1 - 1/n): many small SCCs
 
-plus the reference case n = 2048 at sparsity .999 and K = n, drawn the
-same way, and the chain x0 -> x1 -> ... at n = 2048 and K = n, whose
+plus the reference cases n = 2048 at sparsity .999 and n = 4096 at
+sparsity .9995 (mean degree 2), both at K = n and drawn the same way,
+and the chain x0 -> x1 -> ... at n = 2048 and n = 4096 with K = n, whose
 union holds walks of every length up to n - 1.  (The giant case at
 n = 1024 is sparsity .995.)  A case records the min and the spread
 (max - min) of its repeats, its peak RSS, the union and SCC sizes, the
@@ -47,10 +48,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SIZES = (256, 512, 1024, 2048)
+SIZES = (256, 512, 1024, 2048, 4096)
 GIANT_DEGREE = 5.12
-REFERENCE = ((2048, 0.999),)
-CHAINS = (2048,)
+REFERENCE = ((2048, 0.999), (4096, 0.9995))
+CHAINS = (2048, 4096)
 NUMERIC_SIZES = (64, 128, 256)
 NUMERIC_REGIMES = ("simulate", "observe-one", "observe-all")
 REPEATS = 3

@@ -242,8 +242,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--strict-j3",
         action="store_true",
-        help="place a reachability sensor in every uncovered sink SCC even "
-        "when one of its states already carries a sensor",
+        help="kept for compatibility: every uncovered sink SCC already gets "
+        "a reachability sensor, so the set is the same",
     )
     p.set_defaults(run=_cmd_place, default_format="json")
 

@@ -84,6 +84,8 @@ class FracSystem:
         A = _readonly(self.A)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"coupling matrix must be square, got shape {A.shape}")
+        if not np.all(np.isfinite(A)):
+            raise ValueError("every coupling matrix entry must be finite")
         alpha = _readonly(self.alpha).reshape(-1)
         if alpha.shape[0] != A.shape[0]:
             raise ValueError(
@@ -314,8 +316,8 @@ def numeric_rank(M: np.ndarray, tol: float) -> int:
     The threshold is relative to the largest singular value; an empty or
     all-zero matrix has rank 0.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be > 0")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tolerance must be finite and > 0")
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.size == 0:
         return 0
@@ -356,6 +358,8 @@ def is_observable_numeric(
     stack computed exactly mod 2**31 - 1 is 64.  False is therefore no
     proof of unobservability (ROADMAP item 5).
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tolerance must be finite and > 0")
     n, K = system.n, system.horizon
     idx = sorted(set(int(s) for s in sensors))
     if any(s < 0 or s >= n for s in idx):

@@ -7,9 +7,10 @@ unusable edge; they are represented by absence, never by a big finite
 constant, so all arithmetic stays exact.
 
 A graph is two row-bitmask patterns, and the solvers work on the masks
-where they can.  Hopcroft-Karp can start from a given matching, runs its
-first phase on the masks and expands adjacency lists only if a free row
-still has an edge.  The weighted solver
+where they can.  Hopcroft-Karp can start from a given matching and runs
+every phase on the masks: its breadth-first layers are column masks and
+its depth-first searches take the lowest column of a row mask and
+layer.  The weighted solver
 works in pure Python integers, in three steps: Hopcroft-Karp on the
 weight-0 edges; one successive-shortest-path step per row left free,
 over reduced costs with row and column potentials, which builds the
@@ -27,10 +28,9 @@ output reproducible across platforms.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .structure import Pattern, set_bits
 
@@ -129,107 +129,78 @@ class Matching:
         return sorted(self.pairs)
 
 
-def _hopcroft_karp(
-    adj: Sequence[Sequence[int]], n_cols: int, match_row=None, match_col=None
-) -> tuple[list, list]:
-    """Match rows to columns; returns match_row and match_col (-1: unmatched).
-
-    Phased BFS/DFS, O(E sqrt(V)), from the given matching or an empty one
-    (the lists are updated in place).  Deterministic: rows and adjacency
-    are scanned in ascending order.
-    """
-    n_rows = len(adj)
-    if match_row is None:
-        match_row, match_col = [-1] * n_rows, [-1] * n_cols
-    dist = [0] * n_rows
-
-    while True:
-        q = deque()
-        for r in range(n_rows):
-            if match_row[r] == -1:
-                dist[r] = 0
-                q.append(r)
-            else:
-                dist[r] = -1
-        reachable_free = False
-        while q:
-            r = q.popleft()
-            for c in adj[r]:
-                r2 = match_col[c]
-                if r2 == -1:
-                    reachable_free = True
-                elif dist[r2] == -1:
-                    dist[r2] = dist[r] + 1
-                    q.append(r2)
-        if not reachable_free:
-            break
-        for r in range(n_rows):
-            if match_row[r] == -1:
-                _augment(r, adj, match_row, match_col, dist)
-    return match_row, match_col
-
-
 def _max_matching_rows(pattern: Pattern, start: Iterable = ()) -> tuple[list, list]:
-    """Hopcroft-Karp on a pattern's rows and columns; returns match_row and match_col.
+    """Hopcroft-Karp on a pattern's row masks; returns match_row and match_col.
 
     A pair of ``start`` is kept if it is an edge sharing no row or column
-    with a pair kept before it.  Then every row still free in turn takes
-    its smallest free column, on the masks; the adjacency lists are
-    expanded, for the later phases, only if a free row still has an edge.
+    with a pair kept before it.  Each phase then searches from the free
+    rows that have edges (``_layers``) and augments along vertex-disjoint
+    shortest paths: one depth-first search per free row, in ascending
+    order, which at depth d takes the lowest column of its row left in
+    layer d, and leaves that column out of the layer for the rest of the
+    phase.  The last layer holds free columns only, so from an empty
+    start the first phase gives each row in turn its smallest free
+    column.  No adjacency list is built.
     """
+    rows = pattern.rows
     match_row = [-1] * pattern.nrows
     match_col = [-1] * pattern.ncols
-    taken = 0
+    free = (1 << pattern.ncols) - 1  # the columns no pair holds
     for r, c in start:
-        is_edge = 0 <= r < pattern.nrows and c >= 0 and pattern.rows[r] >> c & 1
+        is_edge = 0 <= r < pattern.nrows and c >= 0 and rows[r] >> c & 1
         if is_edge and match_row[r] == -1 and match_col[c] == -1:
             match_row[r] = c
             match_col[c] = r
-            taken |= 1 << c
-    for r, m in enumerate(pattern.rows):
-        avail = m & ~taken
-        if avail and match_row[r] == -1:
-            low = avail & -avail
-            c = low.bit_length() - 1
-            match_row[r] = c
-            match_col[c] = r
-            taken |= low
-    if any(c == -1 and m for c, m in zip(match_row, pattern.rows)):
-        _hopcroft_karp(pattern.row_columns(), pattern.ncols, match_row, match_col)
-    return match_row, match_col
+            free ^= 1 << c
+    while True:
+        roots = [r for r, c in enumerate(match_row) if c == -1 and rows[r]]
+        layers = _layers(rows, roots, match_col, free, pattern.ncols)
+        if not layers:
+            return match_row, match_col
+        for root in roots:
+            path, cols = [root], []  # the rows of the path, and the columns they take
+            while path:
+                avail = rows[path[-1]] & layers[len(cols)]
+                if not avail:  # a dead end for the rest of the phase
+                    path.pop()
+                    if cols:
+                        cols.pop()
+                    continue
+                low = avail & -avail
+                layers[len(cols)] ^= low
+                cols.append(low.bit_length() - 1)
+                if len(cols) == len(layers):  # a free column: flip the path
+                    for r, c in zip(path, cols):
+                        match_row[r] = c
+                        match_col[c] = r
+                    free ^= low
+                    break
+                path.append(match_col[cols[-1]])
 
 
-def _augment(root, adj, match_row, match_col, dist) -> bool:
-    # iterative layered DFS; flips the augmenting path on success
-    stack = [(root, 0)]
-    cols_path: list[int] = []
-    while stack:
-        r, pos = stack[-1]
-        advanced = False
-        row_adj = adj[r]
-        while pos < len(row_adj):
-            c = row_adj[pos]
-            pos += 1
-            r2 = match_col[c]
-            if r2 == -1:
-                cols_path.append(c)
-                for (rr, _), cc in zip(stack, cols_path):
-                    match_row[rr] = cc
-                    match_col[cc] = rr
-                return True
-            if dist[r2] == dist[r] + 1:
-                stack[-1] = (r, pos)
-                stack.append((r2, 0))
-                cols_path.append(c)
-                advanced = True
-                break
-        if advanced:
-            continue
-        dist[r] = -1  # dead end for this phase
-        stack.pop()
-        if cols_path:
-            cols_path.pop()
-    return False
+def _layers(rows, roots, match_col, free: int, width: int) -> list:
+    """The column layers of one phase's breadth-first search from ``roots``.
+
+    Layer d holds the columns first reached at depth d: the OR of the row
+    masks reached at depth d, minus the columns of the earlier layers;
+    the rows of depth d + 1 own the columns of layer d.  The search stops
+    at the first layer that holds a free column and keeps only its free
+    columns.  Empty if no free column can be reached.
+    """
+    layers = []
+    seen = 0
+    while roots:
+        reached = 0
+        for r in roots:
+            reached |= rows[r]
+        reached &= ~seen
+        if reached & free:
+            layers.append(reached & free)
+            return layers
+        layers.append(reached)
+        seen |= reached
+        roots = [match_col[c] for c in set_bits(reached, width)]
+    return []
 
 
 def max_matching(graph: WeightedBipartite) -> Matching:

@@ -189,12 +189,10 @@ def minimal_sensors(
 
     One minimum-weight maximum matching on the placement graph decides
     everything; see the module docstring for how the three groups are read
-    off.  With ``strict_j3`` every uncovered sink SCC contributes a
-    ``j_triple`` sensor even if one of its states already carries a
-    ``j_prime``/``j_double`` sensor granting reachability; the default
-    skips those (for an exact maximum matching the two rules coincide,
-    since an unmatched row inside an uncovered sink SCC would admit an
-    augmenting indicator edge).
+    off.  ``strict_j3`` cannot change the set and is kept for callers
+    that pass it: every uncovered sink SCC contributes its smallest member
+    as a ``j_triple`` sensor, since none of its states is in ``j_prime``
+    or ``j_double`` for a maximum matching.
 
     The returned certificate always passes; every instance has a solution
     (the full state set in the worst case).
@@ -222,16 +220,12 @@ def minimal_sensors(
     covered = {sink_ids[c - n] for _, c in matching.pairs if c >= n}
     j_double = set(range(n)) - {r for r, _ in matching.pairs}
 
-    j_triple = set()
-    for cid in sink_ids:
-        if cid in covered:
-            continue
-        members = cond.sccs[cid]
-        if not strict_j3 and (members & (j_prime | j_double)):
-            continue
-        j_triple.add(min(members))
+    # no state of an uncovered sink SCC is in j_prime (its indicator column
+    # would cover the SCC) or in j_double (that free indicator edge would
+    # augment a maximum matching); SensorSet checks the groups are disjoint
+    j_triple = {min(cond.sccs[cid]) for cid in sink_ids if cid not in covered}
 
-    sensors = SensorSet(j_prime, j_double, j_triple - j_prime - j_double)
+    sensors = SensorSet(j_prime, j_double, j_triple)
     cert = _certify(union, union_t, sensors.all, matching.pairs, closed)
     if not cert.observable:
         raise RuntimeError("internal error: placement failed its own certificate")

@@ -8,7 +8,9 @@ searches that fail make it O(n E).  The code below is the earlier
 ``min_weight_max_matching`` and its ``_tight_cycle``, unchanged.
 """
 
-from fracplace.matching import Matching, WeightedBipartite, _hopcroft_karp, _match_cheapest
+from fracplace.matching import Matching, WeightedBipartite, _match_cheapest
+
+from reference_hopcroft_karp import _hopcroft_karp
 
 
 def _tight_cycle(r, c, tight, optional, match_row, match_col, fixed, seen):

@@ -401,11 +401,24 @@ class TestNumericRank:
         with pytest.raises(ValueError):
             numeric_rank(np.eye(2), 0.0)
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be finite and > 0"):
+            numeric_rank(np.eye(3), tol)
+
 
 class TestIsObservableNumeric:
     def test_full_sensor_set_on_identity(self):
         sysm = FracSystem(np.eye(3), np.full(3, 0.5), 3)
         assert is_observable_numeric(sysm, {0, 1, 2})
+
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, 0.0])
+    def test_bad_tolerance_refused_before_any_work(self, tol):
+        # a horizon this long would be refused by the work limit, so the
+        # message shows the tolerance was checked first
+        sysm = FracSystem(np.eye(3), np.full(3, 0.5), 10**6)
+        with pytest.raises(ValueError, match="tolerance must be finite and > 0"):
+            is_observable_numeric(sysm, {0, 1, 2}, tol=tol)
 
     def test_chain_sensor_at_sink_end(self):
         rng = np.random.default_rng(2)
@@ -549,6 +562,11 @@ class TestFracSystemValidation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             FracSystem(np.eye(2), [0.5], 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coupling_matrix(self, bad):
+        with pytest.raises(ValueError, match="coupling matrix entry must be finite"):
+            FracSystem([[bad, 0.0], [0.0, 1.0]], [0.5, 0.5], 3)
 
     def test_nonpositive_order(self):
         with pytest.raises(ValueError):

@@ -14,9 +14,10 @@ from fracplace import (
     random_realization,
 )
 
-from fracplace.matching import _hopcroft_karp, _max_matching_rows
+from fracplace.matching import _max_matching_rows
 
 from conftest import random_pattern
+from reference_hopcroft_karp import _hopcroft_karp
 from reference_rank import generic_rank
 
 
@@ -119,15 +120,85 @@ class TestMaxMatching:
             assert m.pairs <= pairs
 
     def test_mask_first_phase_gives_the_hopcroft_karp_matching(self):
-        # the first phase on masks, then the remaining phases on lists,
-        # matches the same pairs as every phase on lists
+        # every phase runs on masks, so the pairs may differ from the list
+        # engine's; the cardinality may not, and a kept start pair's row and
+        # column stay matched (augmenting never frees a vertex)
         rng = np.random.default_rng(3)
         for _ in range(200):
             rows, cols = int(rng.integers(0, 30)), int(rng.integers(0, 40))
             masks = [int(rng.integers(0, 2**62)) & ((1 << cols) - 1) for _ in range(rows)]
             masks = [m & int(rng.integers(0, 2**62)) if rng.random() < 0.5 else m for m in masks]
             p = Pattern.from_masks(rows, cols, masks)
-            assert _max_matching_rows(p) == _hopcroft_karp(p.row_columns(), cols)
+            start = [(int(rng.integers(-1, rows + 1)), int(rng.integers(-1, cols + 1)))
+                     for _ in range(int(rng.integers(0, 12)))]
+            match_row, match_col = _max_matching_rows(p, start)
+            want, _ = _hopcroft_karp(p.row_columns(), cols)
+            assert_valid_matching(p, match_row, match_col)
+            assert sum(c != -1 for c in match_row) == sum(c != -1 for c in want)
+            for r, c in kept_start_pairs(p, start):
+                assert match_row[r] != -1 and match_col[c] != -1
+
+    def test_a_maximum_start_matching_is_kept_whole(self):
+        rng = np.random.default_rng(13)
+        for _ in range(100):
+            n = int(rng.integers(1, 40))
+            p = random_pattern(rng, n, rng.uniform(0.01, 0.3))
+            match_row, _ = _max_matching_rows(p)
+            start = [(r, c) for r, c in enumerate(match_row) if c != -1]
+            assert _max_matching_rows(p, start[::-1])[0] == match_row
+
+    def test_cardinality_equals_scipy(self):
+        # an engine-independent oracle, beyond the sizes enumeration reaches
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import maximum_bipartite_matching
+
+        rng = np.random.default_rng(14)
+        shapes = [(0, 0), (0, 5), (5, 0), (1, 1), (3, 300), (300, 3), (40, 200), (200, 40)]
+        shapes += [tuple(int(x) for x in rng.integers(1, 301, 2)) for _ in range(40)]
+        for rows, cols in shapes:
+            for density in (0.002, 0.01, 0.05, 0.3):
+                a = rng.random((rows, cols)) < density
+                a[rng.random(rows) < 0.1] = False  # some empty rows
+                a[:, rng.random(cols) < 0.1] = False  # and empty columns
+                p = Pattern.from_masks(rows, cols, [
+                    sum(1 << int(c) for c in np.flatnonzero(row)) for row in a
+                ])
+                want = 0
+                if a.any():
+                    found = maximum_bipartite_matching(csr_matrix(a), perm_type="column")
+                    want = int((found != -1).sum())
+                start = [(int(rng.integers(-2, rows + 2)), int(rng.integers(-2, cols + 2)))
+                         for _ in range(int(rng.integers(0, 20)))]
+                start += start[: len(start) // 2]  # repeats
+                start += [(int(r), int(c)) for r, c in zip(*np.nonzero(a)) if rng.random() < 0.05]
+                for begin in ((), start):
+                    match_row, match_col = _max_matching_rows(p, begin)
+                    assert_valid_matching(p, match_row, match_col)
+                    assert sum(c != -1 for c in match_row) == want
+
+
+def kept_start_pairs(pattern, start):
+    """The start pairs that are edges and share no row or column with one kept before."""
+    rows, cols, kept = set(), set(), []
+    for r, c in start:
+        if 0 <= r < pattern.nrows and 0 <= c < pattern.ncols and pattern.rows[r] >> c & 1:
+            if r not in rows and c not in cols:
+                rows.add(r)
+                cols.add(c)
+                kept.append((r, c))
+    return kept
+
+
+def assert_valid_matching(pattern, match_row, match_col):
+    """Every pair is an edge, and match_row and match_col are inverse."""
+    assert len(match_row) == pattern.nrows and len(match_col) == pattern.ncols
+    for r, c in enumerate(match_row):
+        if c != -1:
+            assert pattern.rows[r] >> c & 1
+            assert match_col[c] == r
+    for c, r in enumerate(match_col):
+        if r != -1:
+            assert match_row[r] == c
 
 
 class TestMinWeightMaxMatching:

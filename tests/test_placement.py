@@ -115,6 +115,24 @@ class TestMinimalSensors:
         assert report.sensors.all & {0, 1}
         assert report.sensors.all & {2, 3}
 
+    def test_no_state_of_an_uncovered_sink_scc_is_otherwise_sensed(self):
+        # j_triple needs no filter: a j_prime row covers its own sink SCC,
+        # and a j_double row in an uncovered one would leave a free indicator
+        # edge, so the matching would not be maximum
+        rng = np.random.default_rng(15)
+        for _ in range(150):
+            n = int(rng.integers(1, 41))
+            pat = random_pattern(rng, n, rng.uniform(0.0, 4.0 / n))
+            for horizon in (1, n // 2, n):
+                report = minimal_sensors(pat, horizon)
+                cond, sensors = report.condensation, report.sensors
+                uncovered = [cond.sccs[cid] for cid in cond.sink_sccs
+                             if cid not in report.covered_sccs]
+                for members in uncovered:
+                    assert not members & (sensors.j_prime | sensors.j_double)
+                assert sensors.j_triple == {min(members) for members in uncovered}
+                assert minimal_sensors(pat, horizon, strict_j3=True).sensors == sensors
+
     def test_sensor_set_never_empty(self):
         rng = np.random.default_rng(1)
         for _ in range(40):
@@ -214,24 +232,36 @@ class TestMinimalSensors:
 
     def test_one_hopcroft_karp_run_on_a_fragmented_pattern(self, monkeypatch):
         # the self-check starts from the placement's pairs, which match every
-        # row that is not a sensor, so only the placement matching itself
-        # needs the list-based phases; a from-scratch rank check needs them too
+        # row that is not a sensor, so it runs no augmenting phase; only the
+        # placement matching itself does, and a from-scratch rank check needs
+        # phases beyond the first, whose rows each take their lowest column
         n = 256
         pattern = _random_pattern(n, 1 - 1 / n, np.random.default_rng(0))
-        calls = []
-        hopcroft_karp = fracplace.matching._hopcroft_karp
+        phases = []
+        stage = ["placement"]
+        layers = fracplace.matching._layers
+        max_matching_rows = fracplace.placement._max_matching_rows
 
         def counted(*args):
-            calls.append(len(args[0]))
-            return hopcroft_karp(*args)
+            found = layers(*args)
+            if found:
+                phases.append(stage[0])
+            return found
 
-        monkeypatch.setattr(fracplace.matching, "_hopcroft_karp", counted)
+        def self_check(*args):
+            stage[0] = "self-check"
+            return max_matching_rows(*args)
+
+        monkeypatch.setattr(fracplace.matching, "_layers", counted)
+        monkeypatch.setattr(fracplace.placement, "_max_matching_rows", self_check)
         report = minimal_sensors(pattern, n)
-        assert len(calls) <= 1
-        calls.clear()
+        assert stage == ["self-check"]
+        assert "placement" in phases and "self-check" not in phases
+        phases.clear()
+        stage[0] = "from scratch"
         sensors = Pattern.identity_columns(n, report.sensors.all)
         assert generic_rank([report.g_union.transpose()], sensors) == n
-        assert calls == [n]
+        assert len(phases) >= 2
 
     def test_self_check_rejects_a_bad_matching(self, monkeypatch):
         # states 1 and 2 both feed only state 0; sensing state 0 alone gives
