@@ -30,6 +30,15 @@ every state sensed (``observe-all``).  A numeric case records the min and
 spread of its repeats, the tracemalloc peak of one more run, its peak RSS,
 and a digest of the trajectory bytes or the observability answer.
 
+The CLI cases time whole ``python -m fracplace`` subprocesses, start to
+exit, on small seeded files: ``place`` and ``verify`` on the giant
+pattern at n = K = 256 (``verify`` checks the set ``place`` prints),
+``sweep --n 32`` over three sparsity levels with three trials each, and
+``simulate`` of the numeric draw above at n = K = 64.  A CLI case records
+the min and spread of its repeats, the exit code and a digest of the
+output of the last repeat.  ``cli-import`` records the cumulative time
+``python -X importtime`` reports for ``import fracplace.cli``.
+
 A case that runs past ``TIMEOUT_S`` is recorded as a timeout with the
 repeats it finished.  Needs the standard library and numpy only.
 """
@@ -54,7 +63,9 @@ REFERENCE = ((2048, 0.999), (4096, 0.9995))
 CHAINS = (2048, 4096)
 NUMERIC_SIZES = (64, 128, 256)
 NUMERIC_REGIMES = ("simulate", "observe-one", "observe-all")
+CLI_CASES = (("place", 256), ("verify", 256), ("sweep", 32), ("simulate", 64), ("import", 0))
 REPEATS = 3
+CLI_REPEATS = 7
 TIMEOUT_S = 400.0  # per case
 
 
@@ -71,23 +82,79 @@ def cases() -> list[dict]:
     for regime in NUMERIC_REGIMES:
         for n in NUMERIC_SIZES:
             out.append({"regime": regime, "n": n, "horizon": n})
+    for command, n in CLI_CASES:
+        out.append({"regime": f"cli-{command}", "n": n, "horizon": n})
     for case in out:
-        case["name"] = f"{case['regime']}-n{case['n']}-k{case['horizon']}"
+        case["name"] = f"{case['regime']}-n{case['n']}-k{case['horizon']}" if case["n"] else case["regime"]
     return out
+
+
+def numeric_draw(n: int):
+    """The dense system and initial state of the numeric cases."""
+    import numpy as np
+
+    rng = np.random.default_rng(0)
+    A, alpha = rng.normal(0.0, 0.7 / np.sqrt(n), (n, n)), rng.uniform(0.5, 0.9, n)
+    return A, alpha, rng.normal(0.0, 1.0, n)
+
+
+def run_cli_case(case: dict) -> None:
+    """Child side of a CLI case: one JSON line per repeat, then one with the output."""
+    import tempfile
+
+    import numpy as np
+
+    from fracplace.sweep import _random_pattern
+
+    command, n, K = case["regime"][len("cli-"):], case["n"], case["horizon"]
+    cli = [sys.executable, "-m", "fracplace"]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "system.fsys")
+        head = ["fracsys 1", f"n {n}"]
+        if command == "import":
+            argv = [sys.executable, "-X", "importtime", "-c", "import fracplace.cli"]
+        elif command == "sweep":
+            argv = cli + ["sweep", "--n", str(n), "--levels", "0.5,0.9,0.99", "--trials", "3", "--seed", "0"]
+        elif command == "simulate":
+            A, alpha, x0 = numeric_draw(n)
+            lines = head + ["alpha " + " ".join(map(repr, alpha.tolist())), f"k {K}", "matrix dense"]
+            lines += [" ".join(map(repr, row)) for row in A.tolist()]
+            path.write_text("\n".join(lines + ["end"]) + "\n")
+            Path(tmp, "x0.txt").write_text(" ".join(map(repr, x0.tolist())) + "\n")
+            argv = cli + ["simulate", str(path), "--x0", str(Path(tmp, "x0.txt")), "--steps", str(K)]
+        else:
+            pattern = _random_pattern(n, 1.0 - GIANT_DEGREE / n, np.random.default_rng(0))
+            lines = head + ["alpha 0.8", f"k {K}", "matrix pattern"]
+            lines += [f"{r + 1} {c + 1}" for r, c in sorted(pattern.entries)]
+            path.write_text("\n".join(lines + ["end"]) + "\n")
+            argv = cli + ["place", str(path)]
+            if command == "verify":
+                placed = subprocess.run(argv, capture_output=True, text=True, check=True)
+                sensors = json.loads(placed.stdout)["sensors"]
+                argv = cli + ["verify", str(path), "--sensors", ",".join(map(str, sensors))]
+        for _ in range(CLI_REPEATS):
+            t = time.perf_counter()
+            proc = subprocess.run(argv, capture_output=True, text=True)
+            seconds = time.perf_counter() - t
+            if command == "import":  # "import time: self | cumulative | name", in microseconds
+                line = next(line for line in proc.stderr.splitlines() if line.endswith("| fracplace.cli"))
+                seconds = int(line.split("|")[1]) / 1e6
+            print(json.dumps({"seconds": seconds}), flush=True)
+    print(json.dumps({
+        "exit_code": proc.returncode,
+        "stdout_sha256": hashlib.sha256(proc.stdout.encode()).hexdigest()[:16],
+    }), flush=True)
 
 
 def run_numeric_case(case: dict) -> None:
     """Child side of a numeric case: one JSON line per repeat, then one more."""
     import tracemalloc
 
-    import numpy as np
-
     from fracplace.fraccore import FracSystem, is_observable_numeric, simulate
 
     n, K = case["n"], case["horizon"]
-    rng = np.random.default_rng(0)
-    system = FracSystem(rng.normal(0.0, 0.7 / np.sqrt(n), (n, n)), rng.uniform(0.5, 0.9, n), K)
-    x0 = rng.normal(0.0, 1.0, n)
+    A, alpha, x0 = numeric_draw(n)
+    system = FracSystem(A, alpha, K)
     if case["regime"] == "simulate":
         def run():
             return simulate(system, x0, K).states.tobytes()
@@ -115,6 +182,9 @@ def run_case(case: dict) -> None:
     """Child side: one JSON line per repeat, then one with the sizes."""
     if case["regime"] in NUMERIC_REGIMES:
         run_numeric_case(case)
+        return
+    if case["regime"].startswith("cli-"):
+        run_cli_case(case)
         return
     import numpy as np
 

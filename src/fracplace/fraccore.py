@@ -314,13 +314,16 @@ def numeric_rank(M: np.ndarray, tol: float) -> int:
     """Rank as the number of singular values above tol * (largest one).
 
     The threshold is relative to the largest singular value; an empty or
-    all-zero matrix has rank 0.
+    all-zero matrix has rank 0.  A matrix with an infinite or NaN entry
+    has no rank to report and raises ValueError.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError("tolerance must be finite and > 0")
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.size == 0:
         return 0
+    if not (np.isfinite(M.min()) and np.isfinite(M.max())):  # NaN propagates; no mask copy
+        raise ValueError("matrix entries must be finite")
     s = np.linalg.svd(M, compute_uv=False)
     if s[0] <= 0.0:
         return 0
@@ -345,7 +348,8 @@ def is_observable_numeric(
     the block recursion on (A^T, C^T), in O(K |S| n^2 + K^2 |S| n) time and
     O(K |S| n) memory.  A memory term n |S| K (K + 1) / 2 above
     ``MAX_SIMULATION_WORK``, or a stack above ``MAX_FACTOR_STACK_BYTES``, is
-    refused before anything is allocated.
+    refused before anything is allocated.  A stack that leaves the float64
+    range raises ValueError naming the first factor with a non-finite row.
 
     Rows are scaled to unit max-magnitude before the rank test so that the
     geometric growth of the factors cannot mask small but genuine rank
@@ -372,11 +376,19 @@ def is_observable_numeric(
     stacked = np.zeros((K + 2, m, n))
     stacked[0, range(m), idx] = 1.0  # C
     # R_k^T is hist[:, K - k]; R_k A goes straight into block k + 1
-    hist = _recursion(system.A.T, gl_tails(system).table, stacked[0].T, K)
-    np.matmul(hist.transpose(1, 2, 0)[::-1], system.A, out=stacked[1:])
+    # an overflow is reported once, below, as an error rather than a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        hist = _recursion(system.A.T, gl_tails(system).table, stacked[0].T, K)
+        np.matmul(hist.transpose(1, 2, 0)[::-1], system.A, out=stacked[1:])
     del hist  # freed before the SVD
     stacked = stacked.reshape(-1, n)
-    scale = np.abs(stacked).max(axis=1)
+    scale = np.abs(stacked).max(axis=1)  # inf or NaN on a non-finite row
+    finite = np.isfinite(scale)
+    if not finite.all():
+        raise ValueError(
+            f"the observability rows overflow float64 at C T_{int(np.argmin(finite)) // m - 1}; "
+            "lower the horizon"
+        )
     scale[scale == 0.0] = 1.0  # an all-zero row adds no rank
     stacked /= scale[:, None]
     return numeric_rank(stacked, tol) == n

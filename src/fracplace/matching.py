@@ -10,26 +10,24 @@ A graph is two row-bitmask patterns, and the solvers work on the masks
 where they can.  Hopcroft-Karp can start from a given matching and runs
 every phase on the masks: its breadth-first layers are column masks and
 its depth-first searches take the lowest column of a row mask and
-layer.  The weighted solver
-works in pure Python integers, in three steps: Hopcroft-Karp on the
-weight-0 edges; one successive-shortest-path step per row left free,
-over reduced costs with row and column potentials, which builds the
-cost rows it visits and no others; and a tie-break that walks the rows
-in ascending order and moves each onto its smallest column lying on a
-zero-reduced-cost alternating cycle of the current optimum.  The tie-break
-keeps the tight edges as masks: a row with no tight column below its
-own outside the fixed ones costs one mask test, and any other row one
-reverse breadth-first search on masks over the residual graph.  It
-returns a canonical optimum: among all matchings with maximum
-cardinality and minimum total weight, the one whose sorted (row, col)
-pair sequence is lexicographically smallest.  That makes placement
-output reproducible across platforms.
+layer.  The weighted solver works in pure Python integers, in two
+steps: the Hungarian method, whose rounds run that Hopcroft-Karp on the
+tight edges of the current row and column potentials, kept as masks,
+with a dual step on the potentials between rounds; and a tie-break that
+walks the rows in ascending order and moves each onto its smallest
+column lying on a zero-reduced-cost alternating cycle of the current
+optimum.  The tie-break keeps the tight edges as masks: a row with no
+tight column below its own outside the fixed ones costs one mask test,
+and any other row one reverse breadth-first search on masks over the
+residual graph.  It returns a canonical optimum: among all matchings
+with maximum cardinality and minimum total weight, the one whose sorted
+(row, col) pair sequence is lexicographically smallest.  That makes
+placement output reproducible across platforms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import Iterable
 
 from .structure import Pattern, set_bits
@@ -155,7 +153,7 @@ def _max_matching_rows(pattern: Pattern, start: Iterable = ()) -> tuple[list, li
     while True:
         roots = [r for r, c in enumerate(match_row) if c == -1 and rows[r]]
         layers = _layers(rows, roots, match_col, free, pattern.ncols)
-        if not layers:
+        if not (layers and layers[-1] & free):
             return match_row, match_col
         for root in roots:
             path, cols = [root], []  # the rows of the path, and the columns they take
@@ -185,7 +183,8 @@ def _layers(rows, roots, match_col, free: int, width: int) -> list:
     masks reached at depth d, minus the columns of the earlier layers;
     the rows of depth d + 1 own the columns of layer d.  The search stops
     at the first layer that holds a free column and keeps only its free
-    columns.  Empty if no free column can be reached.
+    columns.  If it reaches no free column it runs to the end, and the
+    layers hold every column an alternating path from ``roots`` reaches.
     """
     layers = []
     seen = 0
@@ -200,7 +199,7 @@ def _layers(rows, roots, match_col, free: int, width: int) -> list:
         layers.append(reached)
         seen |= reached
         roots = [match_col[c] for c in set_bits(reached, width)]
-    return []
+    return layers
 
 
 def max_matching(graph: WeightedBipartite) -> Matching:
@@ -212,75 +211,6 @@ def max_matching(graph: WeightedBipartite) -> Matching:
     match_row, _ = _max_matching_rows(graph._support())
     pairs = [(r, c) for r, c in enumerate(match_row) if c != -1]
     return Matching(pairs, sum(graph.unit.rows[r] >> c & 1 for r, c in pairs))
-
-
-def _match_cheapest(s, cost, y, z, match_row, match_col) -> None:
-    """Match free row ``s`` along a cheapest alternating path.
-
-    One successive-shortest-path step: Dijkstra over the reduced costs
-    ``cost - y - z``, which the potentials keep non-negative, from ``s``
-    to the nearest free column; row ``s``'s own slack column is always
-    free, so one is found.  Each node reached closer than the path's
-    length D, at distance d, then moves by D - d (row potentials up,
-    column potentials down), which keeps the potentials feasible and
-    makes the path tight before it is flipped.
-    """
-    dist: dict = {}  # settled column -> distance from s
-    best: dict = {}  # column -> tentative distance
-    via: dict = {}  # column -> the row it was reached from
-    reached = [(s, 0)]  # rows with their distance, s first
-    heap: list = []
-    i, d = s, 0
-    while True:
-        yi, own = y[i], match_row[i]
-        for j, w in cost[i].items():
-            if j == own or j in dist:
-                continue
-            nd = d + w - yi - z[j]
-            if nd < best.get(j, nd + 1):
-                best[j] = nd
-                via[j] = i
-                heappush(heap, (nd, j))
-        d, j = heappop(heap)
-        while j in dist:  # stale entry of a column settled earlier
-            d, j = heappop(heap)
-        dist[j] = d
-        i = match_col[j]
-        if i == -1:
-            break
-        reached.append((i, d))
-    for i, di in reached:
-        y[i] += d - di
-    for j, dj in dist.items():
-        z[j] -= d - dj
-    while True:
-        i = via[j]
-        j_next = match_row[i]
-        match_row[i] = j
-        match_col[j] = i
-        if i == s:
-            return
-        j = j_next
-
-
-class _RowCosts(dict):
-    """Row -> {column: weight} of a graph with slack columns, built on first read.
-
-    Row r's weight-0 and weight-1 edges, plus its slack column
-    ``n_cols + r`` at cost ``slack``.
-    """
-
-    def __init__(self, graph: WeightedBipartite, slack: int):
-        super().__init__()
-        self.graph, self.slack = graph, slack
-
-    def __missing__(self, r):
-        graph = self.graph
-        row = dict.fromkeys(set_bits(graph.free.rows[r], graph.n_cols), 0)
-        row.update(dict.fromkeys(set_bits(graph.unit.rows[r], graph.n_cols), 1))
-        row[graph.n_cols + r] = self.slack
-        self[r] = row
-        return row
 
 
 class _Residual:
@@ -380,13 +310,21 @@ def min_weight_max_matching(graph: WeightedBipartite) -> Matching:
     Every row gets a slack column of its own at cost
     ``min(n_rows, n_cols) + 1``, more than any real matching weighs, so
     the cheapest assignment of all rows to real or slack columns is a
-    maximum matching of minimum weight.  It is found in three steps:
+    maximum matching of minimum weight.  It is found in two steps:
 
-    1. Hopcroft-Karp on the weight-0 edges, optimal for the rows it
-       matches with all potentials at 0;
-    2. one successive-shortest-path step (Dijkstra on reduced costs) per
-       row left free, keeping the row and column potentials;
-    3. the canonical tie-break: rows in ascending order, each takes the
+    1. the Hungarian method, in rounds over row potentials y and column
+       potentials z that stay dual feasible (y[r] + z[c] never exceeds
+       the cost of (r, c)).  A round runs Hopcroft-Karp on the tight
+       edges (those where it is equal), starting from the pairs of the
+       round before, which stay tight.  If a row is still free, the rows
+       and columns that alternating tight paths from the free rows reach
+       move by the smallest reduced cost delta >= 1 from a reached row to
+       an unreached column: y up and z down by delta.  Every reached
+       column is matched and stays matched, so z is 0 on the free real
+       columns.  Round 1, at zero potentials, matches on the weight-0
+       edges, and every later round without an augmentation raises each
+       free row's y, which the slack column caps;
+    2. the canonical tie-break: rows in ascending order, each takes the
        smallest column through which a zero-reduced-cost alternating
        cycle runs in the residual graph of the current optimum (the
        edges of some optimum, as in Regin's 1994 all-different
@@ -398,31 +336,55 @@ def min_weight_max_matching(graph: WeightedBipartite) -> Matching:
        by one of them (by the sink, if the column is free) wins.
 
     The result is the lexicographically smallest optimal sorted pair
-    sequence.  The potentials stay an optimal dual throughout step 3, so
-    its tight sets are computed once.
+    sequence.  The potentials stay an optimal dual throughout step 2, so
+    it reads the tight edges of step 1's last round.
     """
     n_rows, n_cols = graph.n_rows, graph.n_cols
+    width = n_cols + n_rows  # the real columns, then the slack ones
     slack = min(n_rows, n_cols) + 1
     free, unit = graph.free.rows, graph.unit.rows
-    cost = _RowCosts(graph, slack)  # read by step 2 only
-
-    match_row, match_col = _max_matching_rows(graph.free)
-    match_col += [-1] * n_rows  # the slack columns
     y = [0] * n_rows
-    z = [0] * (n_cols + n_rows)
-    for r in range(n_rows):
-        if match_row[r] == -1:
-            _match_cheapest(r, cost, y, z, match_row, match_col)
-
-    at_potential: dict = {}  # potential -> mask of the real columns that have it
-    for j in range(n_cols):
-        at_potential[z[j]] = at_potential.get(z[j], 0) | 1 << j
-    tight = [
-        free[r] & at_potential.get(-y[r], 0)
-        | unit[r] & at_potential.get(1 - y[r], 0)
-        | (y[r] + z[n_cols + r] == slack) << (n_cols + r)  # row r's slack column
-        for r in range(n_rows)
-    ]
+    z = [0] * width
+    pairs: list = []
+    while True:
+        at_potential: dict = {}  # potential -> mask of the real columns that have it
+        for j in range(n_cols):
+            at_potential[z[j]] = at_potential.get(z[j], 0) | 1 << j
+        tight = [
+            free[r] & at_potential.get(-y[r], 0)
+            | unit[r] & at_potential.get(1 - y[r], 0)
+            | (y[r] + z[n_cols + r] == slack) << (n_cols + r)  # row r's slack column
+            for r in range(n_rows)
+        ]
+        match_row, match_col = _max_matching_rows(Pattern.from_masks(n_rows, width, tight), pairs)
+        roots = [r for r, c in enumerate(match_row) if c == -1]
+        if not roots:
+            break
+        pairs = [(r, c) for r, c in enumerate(match_row) if c != -1]
+        cols = 0  # the reached columns, all matched: no augmenting path is left
+        for layer in _layers(tight, roots, match_col, 0, width):
+            cols |= layer
+        reached_cols = set_bits(cols, width)
+        rows = roots + [match_col[j] for j in reached_cols]
+        # Every reached row's slack column is unreached: only that row has
+        # an edge to it, a free tight one would be an augmenting path, and
+        # a row that holds it can be reached through it alone.
+        delta = min(slack - y[r] - z[n_cols + r] for r in rows)
+        by_y: dict = {}  # row potential -> the weight-0 and weight-1 masks of its reached rows
+        for r in rows:
+            f, u = by_y.get(y[r], (0, 0))
+            by_y[y[r]] = (f | free[r], u | unit[r])
+        for zj, m in at_potential.items():
+            m &= ~cols  # the unreached real columns of potential zj
+            for yr, (f, u) in by_y.items():
+                if f & m:
+                    delta = min(delta, -yr - zj)
+                if u & m:
+                    delta = min(delta, 1 - yr - zj)
+        for r in rows:
+            y[r] += delta
+        for j in reached_cols:
+            z[j] -= delta
 
     residual = None  # built for the first row that has a candidate
     fixed = 0

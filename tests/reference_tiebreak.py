@@ -1,16 +1,70 @@
 """The per-row tie-break that ``min_weight_max_matching`` used before, kept as a test oracle.
 
-Steps 1 and 2 (Hopcroft-Karp, then one shortest-path step per free row)
-are the same as in :mod:`fracplace.matching`.  Step 3 searches the
-residual graph once per candidate column of every row, depth first,
-until a zero-reduced-cost alternating cycle through it turns up: the
-searches that fail make it O(n E).  The code below is the earlier
-``min_weight_max_matching`` and its ``_tight_cycle``, unchanged.
+It finds an optimum in two steps: Hopcroft-Karp on the weight-0 edges,
+then one shortest-path step per free row (``_match_cheapest``, a heap
+Dijkstra over per-row cost dicts, which :mod:`fracplace.matching` used
+until its dual rounds replaced it).  Step 3 searches the residual graph
+once per candidate column of every row, depth first, until a
+zero-reduced-cost alternating cycle through it turns up: the searches
+that fail make it O(n E).  The code below is the earlier
+``min_weight_max_matching``, its ``_tight_cycle`` and ``_match_cheapest``,
+unchanged.
 """
 
-from fracplace.matching import Matching, WeightedBipartite, _match_cheapest
+from heapq import heappop, heappush
+
+from fracplace.matching import Matching, WeightedBipartite
 
 from reference_hopcroft_karp import _hopcroft_karp
+
+
+def _match_cheapest(s, cost, y, z, match_row, match_col) -> None:
+    """Match free row ``s`` along a cheapest alternating path.
+
+    One successive-shortest-path step: Dijkstra over the reduced costs
+    ``cost - y - z``, which the potentials keep non-negative, from ``s``
+    to the nearest free column; row ``s``'s own slack column is always
+    free, so one is found.  Each node reached closer than the path's
+    length D, at distance d, then moves by D - d (row potentials up,
+    column potentials down), which keeps the potentials feasible and
+    makes the path tight before it is flipped.
+    """
+    dist: dict = {}  # settled column -> distance from s
+    best: dict = {}  # column -> tentative distance
+    via: dict = {}  # column -> the row it was reached from
+    reached = [(s, 0)]  # rows with their distance, s first
+    heap: list = []
+    i, d = s, 0
+    while True:
+        yi, own = y[i], match_row[i]
+        for j, w in cost[i].items():
+            if j == own or j in dist:
+                continue
+            nd = d + w - yi - z[j]
+            if nd < best.get(j, nd + 1):
+                best[j] = nd
+                via[j] = i
+                heappush(heap, (nd, j))
+        d, j = heappop(heap)
+        while j in dist:  # stale entry of a column settled earlier
+            d, j = heappop(heap)
+        dist[j] = d
+        i = match_col[j]
+        if i == -1:
+            break
+        reached.append((i, d))
+    for i, di in reached:
+        y[i] += d - di
+    for j, dj in dist.items():
+        z[j] -= d - dj
+    while True:
+        i = via[j]
+        j_next = match_row[i]
+        match_row[i] = j
+        match_col[j] = i
+        if i == s:
+            return
+        j = j_next
 
 
 def _tight_cycle(r, c, tight, optional, match_row, match_col, fixed, seen):

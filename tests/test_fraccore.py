@@ -406,6 +406,12 @@ class TestNumericRank:
         with pytest.raises(ValueError, match="tolerance must be finite and > 0"):
             numeric_rank(np.eye(3), tol)
 
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_entry_refused(self, bad):
+        # an infinite entry used to give rank 0 and a NaN one LinAlgError
+        with pytest.raises(ValueError, match="entries must be finite"):
+            numeric_rank([[bad, 1.0], [0.0, 1.0]], 1e-9)
+
 
 class TestIsObservableNumeric:
     def test_full_sensor_set_on_identity(self):
@@ -419,6 +425,19 @@ class TestIsObservableNumeric:
         sysm = FracSystem(np.eye(3), np.full(3, 0.5), 10**6)
         with pytest.raises(ValueError, match="tolerance must be finite and > 0"):
             is_observable_numeric(sysm, {0, 1, 2}, tol=tol)
+
+    def test_overflow_is_named_not_a_linalg_error(self):
+        sysm = FracSystem(np.full((4, 4), 10.0), [0.8] * 4, 200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow float64"):
+                is_observable_numeric(sysm, [0])
+
+    def test_overflow_names_the_first_non_finite_factor(self):
+        # T_k = 2**(k + 1) here, so T_1023 is the first past float64's range
+        with pytest.raises(ValueError, match="at C T_1023;"):
+            is_observable_numeric(FracSystem([[2.0]], [1.0], 1100), [0])
+        assert is_observable_numeric(FracSystem([[2.0]], [1.0], 1022), [0])
 
     def test_chain_sensor_at_sink_end(self):
         rng = np.random.default_rng(2)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,10 +16,15 @@ from fracplace import (
     random_realization,
 )
 
+import fracplace.matching
+from fracplace import condense, sink_scc_columns, transition_union
 from fracplace.matching import _max_matching_rows
+from fracplace.placement import _placement_graph
+from fracplace.sweep import _random_pattern
 
 from conftest import random_pattern
 from reference_hopcroft_karp import _hopcroft_karp
+from reference_matching import reference_min_weight_max_matching
 from reference_rank import generic_rank
 
 
@@ -246,6 +253,84 @@ class TestMinWeightMaxMatching:
             unique.setdefault((r, c), w)
         g = WeightedBipartite(5, 6, [(r, c, w) for (r, c), w in unique.items()])
         assert min_weight_max_matching(g).cardinality == max_matching(g).cardinality
+
+
+def dual_round_graph(rng, shape):
+    """Up to 40 x 40, weights per edge or per whole column.
+
+    Some draws have no columns, about a fifth of the rows have no edge,
+    and rows often outnumber columns, so some rows end on their slack
+    column only after the dual steps have raised them that far.
+    """
+    rows = int(rng.integers(1, 41))
+    cols = int(rng.integers(0, 41)) if rng.random() < 0.9 else 0
+    density = rng.uniform(0.02, 0.4)
+    one_frac = rng.uniform(0.0, 1.0)
+    heavy = rng.random(cols) < one_frac
+    edges = [
+        (r, c, int(rng.random() < one_frac if shape == "edge" else heavy[c]))
+        for r in range(rows)
+        if rng.random() >= 0.2
+        for c in range(cols)
+        if rng.random() < density
+    ]
+    return WeightedBipartite(rows, cols, edges)
+
+
+class TestDualRounds:
+    """The Hungarian rounds of ``min_weight_max_matching``."""
+
+    @pytest.fixture
+    def rounds(self, monkeypatch):
+        """The number of Hopcroft-Karp runs since the last reset."""
+        count = [0]
+
+        def counted(*args, **kwargs):
+            count[0] += 1
+            return _max_matching_rows(*args, **kwargs)
+
+        monkeypatch.setattr(fracplace.matching, "_max_matching_rows", counted)
+        return count
+
+    @pytest.mark.parametrize("shape", ["edge", "column"])
+    def test_against_the_assignment_reference(self, shape, rounds):
+        rng = np.random.default_rng({"edge": 61, "column": 62}[shape])
+        seen = []
+        for _ in range(150):
+            graph = dual_round_graph(rng, shape)
+            rounds[0] = 0
+            got = min_weight_max_matching(graph)
+            seen.append(rounds[0])
+            want = reference_min_weight_max_matching(graph)
+            assert got.sorted_pairs() == want.sorted_pairs()
+            assert got.total_weight == want.total_weight
+        assert max(seen) >= 3  # dual steps after the first one ran
+
+    def test_rows_that_share_one_column(self, rounds):
+        # row 0 keeps the column, and one dual step of the slack cost 2
+        # raises rows 0 and 1 until row 1's slack column is tight
+        graph = WeightedBipartite(2, 1, [(0, 0, 0), (1, 0, 0)])
+        assert min_weight_max_matching(graph).sorted_pairs() == [(0, 0)]
+        assert rounds[0] == 2
+
+    def test_no_columns(self, rounds):
+        assert min_weight_max_matching(WeightedBipartite(3, 0)).pairs == frozenset()
+        assert rounds[0] == 2
+
+    def test_traced_peak_on_a_giant_placement_graph(self):
+        # a {column: weight} dict per row would hold a whole SCC each
+        # here: 62.6 MiB traced; the masks of the rounds take under 1 MiB
+        n = 1024
+        pattern = _random_pattern(n, 0.995, np.random.default_rng(0))
+        union = transition_union(pattern, n)
+        graph = _placement_graph(union.transpose(), sink_scc_columns(condense(pattern)))
+        tracemalloc.start()
+        try:
+            min_weight_max_matching(graph)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
 
 class TestGenericRank:
