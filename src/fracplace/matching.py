@@ -18,11 +18,12 @@ walks the rows in ascending order and moves each onto its smallest
 column lying on a zero-reduced-cost alternating cycle of the current
 optimum.  The tie-break keeps the tight edges as masks: a row with no
 tight column below its own outside the fixed ones costs one mask test,
-and any other row one reverse breadth-first search on masks over the
-residual graph.  It returns a canonical optimum: among all matchings
-with maximum cardinality and minimum total weight, the one whose sorted
-(row, col) pair sequence is lexicographically smallest.  That makes
-placement output reproducible across platforms.
+and any other row one run of the same breadth-first search, on the
+transposed masks, for the nodes of the residual graph that can reach
+it.  It returns a canonical optimum: among all matchings with maximum
+cardinality and minimum total weight, the one whose sorted (row, col)
+pair sequence is lexicographically smallest.  That makes placement
+output reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -213,95 +214,83 @@ def max_matching(graph: WeightedBipartite) -> Matching:
     return Matching(pairs, sum(graph.unit.rows[r] >> c & 1 for r, c in pairs))
 
 
-class _Residual:
-    """The residual graph of the current optimum, for the canonical tie-break.
+def _tie_break(tight, z, match_row, match_col) -> None:
+    """Move the optimum in ``match_row`` and ``match_col`` onto the canonical one.
 
-    Row x has an arc to each tight column other than its own, a matched
-    column to its row, and a free column to the sink pseudo-row, which
-    has an arc to every matched column of potential 0: an alternative
-    optimum may take a free column and leave one of those, while a column
-    of negative potential is matched in every optimum (complementary
-    slackness).  Arcs into a fixed column are dropped.  An edge (r, c)
-    lies in some optimum that keeps the fixed pairs iff it closes a cycle
-    of this graph (Regin 1994): iff the owner of c, or the sink when c is
-    free, can reach r.
+    Rows in ascending order each take their smallest candidate, a tight
+    column below their own and not fixed, through which a zero-reduced-cost
+    alternating cycle of the current optimum runs; the cycle is rotated
+    in and the row's column is fixed.  The cycles are those of the
+    residual graph (Regin 1994).  Its nodes are the rows and a sink
+    pseudo-row that holds the free columns.  Node x can take a column
+    that is not fixed if it is tight for x or, for the sink, if its
+    potential is 0: an alternative optimum may take a free column and
+    leave one of those, while a column of negative potential is matched
+    in every optimum (complementary slackness).  A row can take the
+    sink's pseudo-column if it has a tight free column.  Edge (r, c)
+    closes a cycle iff the owner of c, or the sink when c is free, can
+    reach r: take r's column, or the column of a node that can.
+
+    The nodes that can reach r are the layers of ``_layers`` run from r's
+    column on the transposed tight masks, with ``match_row``, extended by
+    the sink's pseudo-column, as the node -> column map.  The search
+    stops at the owner of the smallest candidate; otherwise the smallest
+    candidate whose owner it reached wins.  The cycle is read back up the
+    layers.  The transposed masks are built for the first row with a
+    candidate, and the sink's pseudo-column again after each rotation
+    that changes the free columns.
     """
-
-    def __init__(self, tight, z, match_row, match_col):
-        n_rows, width = len(tight), len(z)
-        col_rows = Pattern.from_masks(n_rows, width, tight).transpose().rows
-        # column -> the rows it is tight for, and the sink if its potential is 0
-        self.col_rows = [m | (zj == 0) << n_rows for m, zj in zip(col_rows, z)]
-        self.tight, self.match_row, self.match_col = tight, match_row, match_col
-        self.sink = n_rows
-        self.free_cols = sum(1 << j for j, i in enumerate(match_col) if i == -1)
-        self._sink_preds = None  # rows with a tight free column, when known
-
-    def sink_preds(self) -> int:
-        if self._sink_preds is None:
-            preds = 0
-            for j in set_bits(self.free_cols, len(self.col_rows)):
-                preds |= self.col_rows[j]
-            self._sink_preds = preds & ~(1 << self.sink)
-        return self._sink_preds
-
-    def rotate_smallest(self, r: int, cands: int, fixed: int) -> None:
-        """Rotate row r onto its smallest candidate column that closes a cycle.
-
-        The rows that can reach r come from one reverse breadth-first
-        search on masks; the predecessors of row x are the rows (and the
-        sink) for which x's column is tight.  Nothing moves if no
-        candidate closes a cycle.
-        """
-        match_row, match_col, col_rows, sink = self.match_row, self.match_col, self.col_rows, self.sink
-        cols = set_bits(cands, len(col_rows))
-        owners = [sink if match_col[c] == -1 else match_col[c] for c in cols]
-        reach = frontier = 1 << r
-        found = []  # (node, the new predecessors it gave), in search order
-        while frontier and not reach >> owners[0] & 1:
-            nodes, frontier = frontier, 0
-            while nodes:
-                low = nodes & -nodes
-                nodes ^= low
-                x = low.bit_length() - 1
-                if x == sink:
-                    preds = self.sink_preds()
-                else:
-                    j = match_row[x]
-                    if fixed >> j & 1:
-                        continue
-                    preds = col_rows[j]
-                preds &= ~reach
-                if preds:
-                    reach |= preds
-                    frontier |= preds
-                    found.append((x, preds))
-        for c, x in zip(cols, owners):
-            if reach >> x & 1:
-                break
-        else:
-            return
-        cycle = [(r, c)]  # (node, the column it moves to)
-        while x != r:  # up the search tree: x's parent is the node that found it
-            parent = next(node for node, preds in reversed(found) if preds >> x & 1)
-            if parent == sink:
-                free = self.tight[x] & self.free_cols
-                cycle.append((x, (free & -free).bit_length() - 1))
-            else:
-                cycle.append((x, match_row[parent]))
-            x = parent
-        for node, j in cycle:
-            if node == sink:  # the sink leaves column j
-                match_col[j] = -1
-                self.free_cols |= 1 << j
-                self._sink_preds = None
-        for node, j in cycle:
-            if node != sink:
-                match_row[node] = j
-                match_col[j] = node
-                if self.free_cols >> j & 1:
-                    self.free_cols ^= 1 << j
-                    self._sink_preds = None
+    n_rows, width = len(tight), len(z)
+    sink = n_rows
+    match_row.append(width)  # the sink's pseudo-column, popped at the end
+    takers = None  # column -> the nodes that can take it; None when not built
+    fixed = 0
+    for r in range(n_rows):
+        cands = tight[r] & ((1 << match_row[r]) - 1) & ~fixed
+        if cands:
+            if takers is None:
+                col_rows = Pattern.from_masks(n_rows, width, tight).transpose().rows
+                takers = [m | (zj == 0) << sink for m, zj in zip(col_rows, z)] + [None]
+                for j in set_bits(fixed, width):
+                    takers[j] = 0
+                free = sum(1 << j for j, i in enumerate(match_col) if i == -1)
+            if takers[width] is None:  # the rows with a tight free column
+                preds = 0
+                for j in set_bits(free, width):
+                    preds |= takers[j]
+                takers[width] = preds & ~(1 << sink)
+            cols = set_bits(cands, width)
+            owners = [sink if match_col[c] == -1 else match_col[c] for c in cols]
+            layers = _layers(takers, [match_row[r]], match_row, 1 << owners[0], sink + 1)
+            reach = 0
+            for layer in layers:
+                reach |= layer
+            won = next(((c, x) for c, x in zip(cols, owners) if reach >> x & 1), None)
+            if won:
+                c, x = won
+                cycle = [(r, c)]  # (node, the column it moves to)
+                depth = next(d for d, layer in enumerate(layers) if layer >> x & 1)
+                for layer in reversed(layers[:depth]):  # x takes its parent's column
+                    nodes = set_bits(layer, sink + 1)
+                    parent = next(p for p in nodes if takers[match_row[p]] >> x & 1)
+                    # from the sink: x's lowest tight free column
+                    j = tight[x] & free if parent == sink else 1 << match_row[parent]
+                    cycle.append((x, (j & -j).bit_length() - 1))
+                    x = parent
+                cycle.append((x, match_row[r]))
+                for node, j in cycle:
+                    if node == sink or match_col[j] == -1:  # j joins or leaves the free columns
+                        free ^= 1 << j
+                        takers[width] = None
+                    if node == sink:
+                        match_col[j] = -1
+                    else:
+                        match_row[node] = j
+                        match_col[j] = node
+        fixed |= 1 << match_row[r]
+        if takers is not None:
+            takers[match_row[r]] = 0
+    match_row.pop()
 
 
 def min_weight_max_matching(graph: WeightedBipartite) -> Matching:
@@ -331,9 +320,10 @@ def min_weight_max_matching(graph: WeightedBipartite) -> Matching:
        filtering); the cycle is rotated in, and the row and its column
        are fixed.  A row whose tight columns below its own are all
        fixed keeps its column after one mask test.  For any other row,
-       one reverse breadth-first search on bitmasks finds the residual
+       ``_layers`` on the transposed tight masks finds the residual
        nodes that can reach it, and the smallest candidate column owned
-       by one of them (by the sink, if the column is free) wins.
+       by one of them (by the sink, if the column is free) wins
+       (``_tie_break``).
 
     The result is the lexicographically smallest optimal sorted pair
     sequence.  The potentials stay an optimal dual throughout step 2, so
@@ -386,15 +376,7 @@ def min_weight_max_matching(graph: WeightedBipartite) -> Matching:
         for j in reached_cols:
             z[j] -= delta
 
-    residual = None  # built for the first row that has a candidate
-    fixed = 0
-    for r in range(n_rows):
-        cands = tight[r] & ((1 << match_row[r]) - 1) & ~fixed
-        if cands:
-            if residual is None:
-                residual = _Residual(tight, z, match_row, match_col)
-            residual.rotate_smallest(r, cands, fixed)
-        fixed |= 1 << match_row[r]
+    _tie_break(tight, z, match_row, match_col)
 
     pairs = [(r, c) for r, c in enumerate(match_row) if c < n_cols]
     return Matching(pairs, sum(unit[r] >> c & 1 for r, c in pairs))

@@ -140,29 +140,32 @@ def verify_observability(
     sensors = frozenset(int(s) for s in sensors)
     if _saturates(pattern, horizon):
         return _certify(*_closure_union(condense(pattern)), sensors, closed=True)
-    union = transition_union(pattern, horizon)
-    return _certify(union, union.transpose(), sensors)
+    # the powers of the transposed pattern are the transposed powers
+    return _certify(pattern, transition_union(pattern.transpose(), horizon), sensors)
 
 
 def _certify(
-    union: Pattern, union_t: Pattern, sensors: frozenset, start=(), closed=False
+    digraph: Pattern, union_t: Pattern, sensors: frozenset, start=(), closed=False
 ) -> Certificate:
-    """Both conditions on an already computed union pattern and its transpose.
+    """Both conditions on an already computed transposed union pattern.
 
-    With ``closed`` the union is the reachability closure, so a state
+    Condition (i) is read off ``digraph``, the union pattern or the base
+    pattern: every union edge is a walk of base edges and every base edge
+    is a union edge, so both reach the same states.  With ``closed``
+    ``union_t`` is the transposed reachability closure, so a state
     reaches a sensor iff it is one or its row of ``union_t`` holds one.
     A sensor's identity column meets only the sensor's row, so condition
     (ii) fails by the non-sensor rows of ``union_t`` left unmatched; that
     matching starts from the pairs of ``start`` that are its edges.
     """
-    n = union.nrows
+    n = digraph.nrows
     if closed:
         sensed = _state_mask(n, sensors)
         blocked = frozenset(
             v for v, below in enumerate(union_t.rows) if not (below | 1 << v) & sensed
         )
     else:
-        blocked = non_accessible_states(union, sensors)
+        blocked = non_accessible_states(digraph, sensors)
     rows = [0 if r in sensors else m for r, m in enumerate(union_t.rows)]
     match_row, _ = _max_matching_rows(Pattern.from_masks(n, n, rows), start)
     deficiency = match_row.count(-1) - len(sensors)

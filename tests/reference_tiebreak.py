@@ -1,19 +1,28 @@
-"""The per-row tie-break that ``min_weight_max_matching`` used before, kept as a test oracle.
+"""Two earlier canonical tie-breaks of ``min_weight_max_matching``, kept as test oracles.
 
-It finds an optimum in two steps: Hopcroft-Karp on the weight-0 edges,
-then one shortest-path step per free row (``_match_cheapest``, a heap
-Dijkstra over per-row cost dicts, which :mod:`fracplace.matching` used
-until its dual rounds replaced it).  Step 3 searches the residual graph
-once per candidate column of every row, depth first, until a
-zero-reduced-cost alternating cycle through it turns up: the searches
-that fail make it O(n E).  The code below is the earlier
-``min_weight_max_matching``, its ``_tight_cycle`` and ``_match_cheapest``,
-unchanged.
+``min_weight_max_matching`` below finds an optimum in two steps:
+Hopcroft-Karp on the weight-0 edges, then one shortest-path step per
+free row (``_match_cheapest``, a heap Dijkstra over per-row cost dicts,
+which :mod:`fracplace.matching` used until its dual rounds replaced it).
+Step 3 searches the residual graph once per candidate column of every
+row, depth first, until a zero-reduced-cost alternating cycle through it
+turns up: the searches that fail make it O(n E).  That code is the
+earlier ``min_weight_max_matching``, its ``_tight_cycle`` and
+``_match_cheapest``, unchanged.
+
+``residual_tie_break`` takes the tight masks, column potentials and
+optimum of the library's dual rounds, and moves the optimum onto the
+canonical one as :mod:`fracplace.matching` did before its tie-break ran
+on ``_layers``: one hand-written reverse breadth-first search per row
+with a candidate, over the residual graph held by ``_Residual``.  The
+class and the loop that drives it are unchanged; the loop only gained
+its ``def`` line and ``n_rows``.
 """
 
 from heapq import heappop, heappush
 
 from fracplace.matching import Matching, WeightedBipartite
+from fracplace.structure import Pattern, set_bits
 
 from reference_hopcroft_karp import _hopcroft_karp
 
@@ -183,3 +192,108 @@ def min_weight_max_matching(graph: WeightedBipartite) -> Matching:
 
     pairs = [(r, c) for r, c in enumerate(match_row) if c < n_cols]
     return Matching(pairs, sum(cost[r][c] for r, c in pairs))
+
+
+class _Residual:
+    """The residual graph of the current optimum, for the canonical tie-break.
+
+    Row x has an arc to each tight column other than its own, a matched
+    column to its row, and a free column to the sink pseudo-row, which
+    has an arc to every matched column of potential 0: an alternative
+    optimum may take a free column and leave one of those, while a column
+    of negative potential is matched in every optimum (complementary
+    slackness).  Arcs into a fixed column are dropped.  An edge (r, c)
+    lies in some optimum that keeps the fixed pairs iff it closes a cycle
+    of this graph (Regin 1994): iff the owner of c, or the sink when c is
+    free, can reach r.
+    """
+
+    def __init__(self, tight, z, match_row, match_col):
+        n_rows, width = len(tight), len(z)
+        col_rows = Pattern.from_masks(n_rows, width, tight).transpose().rows
+        # column -> the rows it is tight for, and the sink if its potential is 0
+        self.col_rows = [m | (zj == 0) << n_rows for m, zj in zip(col_rows, z)]
+        self.tight, self.match_row, self.match_col = tight, match_row, match_col
+        self.sink = n_rows
+        self.free_cols = sum(1 << j for j, i in enumerate(match_col) if i == -1)
+        self._sink_preds = None  # rows with a tight free column, when known
+
+    def sink_preds(self) -> int:
+        if self._sink_preds is None:
+            preds = 0
+            for j in set_bits(self.free_cols, len(self.col_rows)):
+                preds |= self.col_rows[j]
+            self._sink_preds = preds & ~(1 << self.sink)
+        return self._sink_preds
+
+    def rotate_smallest(self, r: int, cands: int, fixed: int) -> None:
+        """Rotate row r onto its smallest candidate column that closes a cycle.
+
+        The rows that can reach r come from one reverse breadth-first
+        search on masks; the predecessors of row x are the rows (and the
+        sink) for which x's column is tight.  Nothing moves if no
+        candidate closes a cycle.
+        """
+        match_row, match_col, col_rows, sink = self.match_row, self.match_col, self.col_rows, self.sink
+        cols = set_bits(cands, len(col_rows))
+        owners = [sink if match_col[c] == -1 else match_col[c] for c in cols]
+        reach = frontier = 1 << r
+        found = []  # (node, the new predecessors it gave), in search order
+        while frontier and not reach >> owners[0] & 1:
+            nodes, frontier = frontier, 0
+            while nodes:
+                low = nodes & -nodes
+                nodes ^= low
+                x = low.bit_length() - 1
+                if x == sink:
+                    preds = self.sink_preds()
+                else:
+                    j = match_row[x]
+                    if fixed >> j & 1:
+                        continue
+                    preds = col_rows[j]
+                preds &= ~reach
+                if preds:
+                    reach |= preds
+                    frontier |= preds
+                    found.append((x, preds))
+        for c, x in zip(cols, owners):
+            if reach >> x & 1:
+                break
+        else:
+            return
+        cycle = [(r, c)]  # (node, the column it moves to)
+        while x != r:  # up the search tree: x's parent is the node that found it
+            parent = next(node for node, preds in reversed(found) if preds >> x & 1)
+            if parent == sink:
+                free = self.tight[x] & self.free_cols
+                cycle.append((x, (free & -free).bit_length() - 1))
+            else:
+                cycle.append((x, match_row[parent]))
+            x = parent
+        for node, j in cycle:
+            if node == sink:  # the sink leaves column j
+                match_col[j] = -1
+                self.free_cols |= 1 << j
+                self._sink_preds = None
+        for node, j in cycle:
+            if node != sink:
+                match_row[node] = j
+                match_col[j] = node
+                if self.free_cols >> j & 1:
+                    self.free_cols ^= 1 << j
+                    self._sink_preds = None
+
+
+def residual_tie_break(tight, z, match_row, match_col) -> None:
+    """The canonical tie-break on one ``_Residual``, rotating in place."""
+    n_rows = len(tight)
+    residual = None  # built for the first row that has a candidate
+    fixed = 0
+    for r in range(n_rows):
+        cands = tight[r] & ((1 << match_row[r]) - 1) & ~fixed
+        if cands:
+            if residual is None:
+                residual = _Residual(tight, z, match_row, match_col)
+            residual.rotate_smallest(r, cands, fixed)
+        fixed |= 1 << match_row[r]

@@ -88,3 +88,24 @@ def test_placement_pairs_as_the_starting_matching():
         for sensors in [placed] + [placed - {s} for s in sorted(placed)[:3]]:
             want = n - generic_rank([union_t], Pattern.identity_columns(n, sensors))
             assert _certify(union, union_t, sensors, pairs).matching_deficiency == want
+
+
+def test_verify_matches_the_union_route():
+    # below K = n - 1 verify_observability reads condition (i) off the base
+    # pattern and transposes the base before the union is built; every
+    # certificate field must equal the one the union and its transpose give
+    rng = np.random.default_rng(103)
+    failed = {"i": 0, "ii": 0}
+    for _ in range(1500):
+        n = int(rng.integers(1, 25))
+        pattern = random_pattern(rng, n, rng.uniform(0.0, 2.5) / n)
+        horizon = int(rng.choice([0, 1, 2, max(n - 2, 0), n]))
+        sensors = frozenset(
+            int(s) for s in rng.choice(n, size=int(rng.integers(0, n // 2 + 2)), replace=False)
+        )
+        union = transition_union(pattern, horizon)
+        got = verify_observability(pattern, horizon, sensors)
+        assert got == _certify(union, union.transpose(), sensors)
+        failed["i"] += not got.condition_i
+        failed["ii"] += not got.condition_ii
+    assert min(failed.values()) > 200  # both conditions fail on many draws

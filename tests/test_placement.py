@@ -235,6 +235,8 @@ class TestMinimalSensors:
         # row that is not a sensor, so it runs no augmenting phase; only the
         # placement matching itself does, and a from-scratch rank check needs
         # phases beyond the first, whose rows each take their lowest column
+        # (the placement stage's count also holds the tie-break's searches,
+        # which run on _layers too)
         n = 256
         pattern = _random_pattern(n, 1 - 1 / n, np.random.default_rng(0))
         phases = []

@@ -1,7 +1,9 @@
 """The mask-based canonical tie-break against the per-row search it replaced.
 
-``reference_tiebreak`` runs steps 1 and 2 as the library does, then
-searches the residual graph once per candidate column of every row.
+``reference_tiebreak`` finds an optimum its own way, by Hopcroft-Karp on
+the weight-0 edges and then one Dijkstra step per row left free, where
+the library runs dual rounds; it then searches the residual graph once
+per candidate column of every row.
 Both must return the same canonical optimum, pair for pair, on the graph
 families where the two differ most in what they do.
 """
