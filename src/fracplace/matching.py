@@ -16,14 +16,15 @@ tight edges of the current row and column potentials, kept as masks,
 with a dual step on the potentials between rounds; and a tie-break that
 walks the rows in ascending order and moves each onto its smallest
 column lying on a zero-reduced-cost alternating cycle of the current
-optimum.  The tie-break keeps the tight edges as masks: a row with no
-tight column below its own outside the fixed ones costs one mask test,
-and any other row one run of the same breadth-first search, on the
-transposed masks, for the nodes of the residual graph that can reach
-it.  It returns a canonical optimum: among all matchings with maximum
-cardinality and minimum total weight, the one whose sorted (row, col)
-pair sequence is lexicographically smallest.  That makes placement
-output reproducible across platforms.
+optimum.  The tie-break runs the same breadth-first search on the same
+tight masks: a row with no tight column below its own outside the fixed
+ones costs one mask test, and any other row a search forward from the
+owner of each candidate, in ascending order, to the row's own column,
+where each failed search rules out every column it reached for the
+candidates after it.  It returns a canonical optimum: among all
+matchings with maximum cardinality and minimum total weight, the one
+whose sorted (row, col) pair sequence is lexicographically smallest.
+That makes placement output reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -177,18 +178,18 @@ def _max_matching_rows(pattern: Pattern, start: Iterable = ()) -> tuple[list, li
                 path.append(match_col[cols[-1]])
 
 
-def _layers(rows, roots, match_col, free: int, width: int) -> list:
+def _layers(rows, roots, match_col, free: int, width: int, seen: int = 0) -> list:
     """The column layers of one phase's breadth-first search from ``roots``.
 
     Layer d holds the columns first reached at depth d: the OR of the row
-    masks reached at depth d, minus the columns of the earlier layers;
-    the rows of depth d + 1 own the columns of layer d.  The search stops
-    at the first layer that holds a free column and keeps only its free
-    columns.  If it reaches no free column it runs to the end, and the
-    layers hold every column an alternating path from ``roots`` reaches.
+    masks reached at depth d, minus the columns of the earlier layers and
+    of ``seen``; the rows of depth d + 1 own the columns of layer d.  The
+    search stops at the first layer that holds a ``free`` column and
+    keeps only its free columns.  If it reaches no free column it runs to
+    the end, and the layers hold every column outside ``seen`` that an
+    alternating path from ``roots`` reaches.
     """
     layers = []
-    seen = 0
     while roots:
         reached = 0
         for r in roots:
@@ -221,76 +222,53 @@ def _tie_break(tight, z, match_row, match_col) -> None:
     column below their own and not fixed, through which a zero-reduced-cost
     alternating cycle of the current optimum runs; the cycle is rotated
     in and the row's column is fixed.  The cycles are those of the
-    residual graph (Regin 1994).  Its nodes are the rows and a sink
-    pseudo-row that holds the free columns.  Node x can take a column
-    that is not fixed if it is tight for x or, for the sink, if its
-    potential is 0: an alternative optimum may take a free column and
-    leave one of those, while a column of negative potential is matched
-    in every optimum (complementary slackness).  A row can take the
-    sink's pseudo-column if it has a tight free column.  Edge (r, c)
-    closes a cycle iff the owner of c, or the sink when c is free, can
-    reach r: take r's column, or the column of a node that can.
+    residual graph (Regin 1994).  Its nodes are the rows and a sink that
+    owns the free columns.  A row can take its tight columns, and the
+    sink every column of potential 0: an alternative optimum may take a
+    free column and leave one of those, while a column of negative
+    potential is matched in every optimum (complementary slackness).
+    Edge (r, c) closes a cycle iff c's owner can reach r's column: it can
+    take that column, or the column of a node that can.
 
-    The nodes that can reach r are the layers of ``_layers`` run from r's
-    column on the transposed tight masks, with ``match_row``, extended by
-    the sink's pseudo-column, as the node -> column map.  The search
-    stops at the owner of the smallest candidate; otherwise the smallest
-    candidate whose owner it reached wins.  The cycle is read back up the
-    layers.  The transposed masks are built for the first row with a
-    candidate, and the sink's pseudo-column again after each rotation
-    that changes the free columns.
+    Candidate c is tried by ``_layers`` from c's owner, on the tight masks
+    with the sink's row appended, so that ``match_col`` (-1 for a free
+    column) is the column -> node map.  Its target is r's column, and c
+    and the fixed columns count as seen from the start.  If the last
+    layer holds the target, the cycle is read back up the layers and
+    rotated.  Otherwise no column the search reached leads to the target:
+    they stay seen, with c, for r's later candidates, and a candidate
+    among them is skipped, so each row explores the graph at most once.
+    The appended list is built when the first candidate is tried.
     """
-    n_rows, width = len(tight), len(z)
-    sink = n_rows
-    match_row.append(width)  # the sink's pseudo-column, popped at the end
-    takers = None  # column -> the nodes that can take it; None when not built
+    width = len(z)
+    takes = None  # node -> the columns it can take; the sink's last
     fixed = 0
-    for r in range(n_rows):
-        cands = tight[r] & ((1 << match_row[r]) - 1) & ~fixed
-        if cands:
-            if takers is None:
-                col_rows = Pattern.from_masks(n_rows, width, tight).transpose().rows
-                takers = [m | (zj == 0) << sink for m, zj in zip(col_rows, z)] + [None]
-                for j in set_bits(fixed, width):
-                    takers[j] = 0
-                free = sum(1 << j for j, i in enumerate(match_col) if i == -1)
-            if takers[width] is None:  # the rows with a tight free column
-                preds = 0
-                for j in set_bits(free, width):
-                    preds |= takers[j]
-                takers[width] = preds & ~(1 << sink)
-            cols = set_bits(cands, width)
-            owners = [sink if match_col[c] == -1 else match_col[c] for c in cols]
-            layers = _layers(takers, [match_row[r]], match_row, 1 << owners[0], sink + 1)
-            reach = 0
+    for r in range(len(tight)):
+        col = match_row[r]
+        dead = fixed
+        cands = tight[r] & ((1 << col) - 1) & ~dead
+        while cands:
+            c = (cands & -cands).bit_length() - 1
+            dead |= 1 << c
+            if takes is None:
+                takes = tight + [sum(1 << j for j, zj in enumerate(z) if zj == 0)]
+            layers = _layers(takes, [match_col[c]], match_col, 1 << col, width, seen=dead)
+            if layers[-1] >> col & 1:
+                path = [col]  # the cycle's columns, from col back up to c
+                for layer in reversed(layers[:-1]):  # a column whose owner takes path[-1]
+                    j = path[-1]
+                    path.append(next(i for i in set_bits(layer, width) if takes[match_col[i]] >> j & 1))
+                path.append(c)
+                x = r  # r takes c, and each later column the owner of the one before it
+                for j in reversed(path):
+                    x, match_col[j] = match_col[j], x
+                    if match_col[j] != -1:
+                        match_row[match_col[j]] = j
+                break
             for layer in layers:
-                reach |= layer
-            won = next(((c, x) for c, x in zip(cols, owners) if reach >> x & 1), None)
-            if won:
-                c, x = won
-                cycle = [(r, c)]  # (node, the column it moves to)
-                depth = next(d for d, layer in enumerate(layers) if layer >> x & 1)
-                for layer in reversed(layers[:depth]):  # x takes its parent's column
-                    nodes = set_bits(layer, sink + 1)
-                    parent = next(p for p in nodes if takers[match_row[p]] >> x & 1)
-                    # from the sink: x's lowest tight free column
-                    j = tight[x] & free if parent == sink else 1 << match_row[parent]
-                    cycle.append((x, (j & -j).bit_length() - 1))
-                    x = parent
-                cycle.append((x, match_row[r]))
-                for node, j in cycle:
-                    if node == sink or match_col[j] == -1:  # j joins or leaves the free columns
-                        free ^= 1 << j
-                        takers[width] = None
-                    if node == sink:
-                        match_col[j] = -1
-                    else:
-                        match_row[node] = j
-                        match_col[j] = node
+                dead |= layer
+            cands &= ~dead
         fixed |= 1 << match_row[r]
-        if takers is not None:
-            takers[match_row[r]] = 0
-    match_row.pop()
 
 
 def min_weight_max_matching(graph: WeightedBipartite) -> Matching:
@@ -320,10 +298,10 @@ def min_weight_max_matching(graph: WeightedBipartite) -> Matching:
        filtering); the cycle is rotated in, and the row and its column
        are fixed.  A row whose tight columns below its own are all
        fixed keeps its column after one mask test.  For any other row,
-       ``_layers`` on the transposed tight masks finds the residual
-       nodes that can reach it, and the smallest candidate column owned
-       by one of them (by the sink, if the column is free) wins
-       (``_tie_break``).
+       ``_layers`` on the tight masks searches from the owner of each
+       candidate column in ascending order (the sink, if the column is
+       free) for the row's own column, and the first candidate whose
+       search reaches it wins (``_tie_break``).
 
     The result is the lexicographically smallest optimal sorted pair
     sequence.  The potentials stay an optimal dual throughout step 2, so

@@ -212,7 +212,8 @@ def minimal_sensors(
         union, union_t = _closure_union(cond)
     else:
         union = transition_union(pattern, horizon)
-        union_t = union.transpose()
+        # the powers of the transposed pattern are the transposed powers
+        union_t = transition_union(pattern.transpose(), horizon)
     cond = replace(cond, pattern=union)
     sink_cols = sink_scc_columns(cond)
     sink_ids = sorted(cond.sink_sccs)

@@ -1,4 +1,4 @@
-"""Two earlier canonical tie-breaks of ``min_weight_max_matching``, kept as test oracles.
+"""Three earlier canonical tie-breaks of ``min_weight_max_matching``, kept as test oracles.
 
 ``min_weight_max_matching`` below finds an optimum in two steps:
 Hopcroft-Karp on the weight-0 edges, then one shortest-path step per
@@ -17,11 +17,17 @@ on ``_layers``: one hand-written reverse breadth-first search per row
 with a candidate, over the residual graph held by ``_Residual``.  The
 class and the loop that drives it are unchanged; the loop only gained
 its ``def`` line and ``n_rows``.
+
+``reverse_tie_break`` is the library's ``_tie_break`` from the time it
+ran ``_layers`` backward: from each row's column, on the transposed
+tight masks, with a ``takers`` list (column -> the nodes that can take
+it) and a sink pseudo-column appended to ``match_row``.  It is unchanged
+but for its name; ``_layers`` still starts with nothing seen by default.
 """
 
 from heapq import heappop, heappush
 
-from fracplace.matching import Matching, WeightedBipartite
+from fracplace.matching import Matching, WeightedBipartite, _layers
 from fracplace.structure import Pattern, set_bits
 
 from reference_hopcroft_karp import _hopcroft_karp
@@ -297,3 +303,82 @@ def residual_tie_break(tight, z, match_row, match_col) -> None:
                 residual = _Residual(tight, z, match_row, match_col)
             residual.rotate_smallest(r, cands, fixed)
         fixed |= 1 << match_row[r]
+
+
+def reverse_tie_break(tight, z, match_row, match_col) -> None:
+    """Move the optimum in ``match_row`` and ``match_col`` onto the canonical one.
+
+    Rows in ascending order each take their smallest candidate, a tight
+    column below their own and not fixed, through which a zero-reduced-cost
+    alternating cycle of the current optimum runs; the cycle is rotated
+    in and the row's column is fixed.  The cycles are those of the
+    residual graph (Regin 1994).  Its nodes are the rows and a sink
+    pseudo-row that holds the free columns.  Node x can take a column
+    that is not fixed if it is tight for x or, for the sink, if its
+    potential is 0: an alternative optimum may take a free column and
+    leave one of those, while a column of negative potential is matched
+    in every optimum (complementary slackness).  A row can take the
+    sink's pseudo-column if it has a tight free column.  Edge (r, c)
+    closes a cycle iff the owner of c, or the sink when c is free, can
+    reach r: take r's column, or the column of a node that can.
+
+    The nodes that can reach r are the layers of ``_layers`` run from r's
+    column on the transposed tight masks, with ``match_row``, extended by
+    the sink's pseudo-column, as the node -> column map.  The search
+    stops at the owner of the smallest candidate; otherwise the smallest
+    candidate whose owner it reached wins.  The cycle is read back up the
+    layers.  The transposed masks are built for the first row with a
+    candidate, and the sink's pseudo-column again after each rotation
+    that changes the free columns.
+    """
+    n_rows, width = len(tight), len(z)
+    sink = n_rows
+    match_row.append(width)  # the sink's pseudo-column, popped at the end
+    takers = None  # column -> the nodes that can take it; None when not built
+    fixed = 0
+    for r in range(n_rows):
+        cands = tight[r] & ((1 << match_row[r]) - 1) & ~fixed
+        if cands:
+            if takers is None:
+                col_rows = Pattern.from_masks(n_rows, width, tight).transpose().rows
+                takers = [m | (zj == 0) << sink for m, zj in zip(col_rows, z)] + [None]
+                for j in set_bits(fixed, width):
+                    takers[j] = 0
+                free = sum(1 << j for j, i in enumerate(match_col) if i == -1)
+            if takers[width] is None:  # the rows with a tight free column
+                preds = 0
+                for j in set_bits(free, width):
+                    preds |= takers[j]
+                takers[width] = preds & ~(1 << sink)
+            cols = set_bits(cands, width)
+            owners = [sink if match_col[c] == -1 else match_col[c] for c in cols]
+            layers = _layers(takers, [match_row[r]], match_row, 1 << owners[0], sink + 1)
+            reach = 0
+            for layer in layers:
+                reach |= layer
+            won = next(((c, x) for c, x in zip(cols, owners) if reach >> x & 1), None)
+            if won:
+                c, x = won
+                cycle = [(r, c)]  # (node, the column it moves to)
+                depth = next(d for d, layer in enumerate(layers) if layer >> x & 1)
+                for layer in reversed(layers[:depth]):  # x takes its parent's column
+                    nodes = set_bits(layer, sink + 1)
+                    parent = next(p for p in nodes if takers[match_row[p]] >> x & 1)
+                    # from the sink: x's lowest tight free column
+                    j = tight[x] & free if parent == sink else 1 << match_row[parent]
+                    cycle.append((x, (j & -j).bit_length() - 1))
+                    x = parent
+                cycle.append((x, match_row[r]))
+                for node, j in cycle:
+                    if node == sink or match_col[j] == -1:  # j joins or leaves the free columns
+                        free ^= 1 << j
+                        takers[width] = None
+                    if node == sink:
+                        match_col[j] = -1
+                    else:
+                        match_row[node] = j
+                        match_col[j] = node
+        fixed |= 1 << match_row[r]
+        if takers is not None:
+            takers[match_row[r]] = 0
+    match_row.pop()

@@ -10,6 +10,7 @@ starting pairs are given, bad ones included.
 
 import numpy as np
 
+import fracplace.placement
 from fracplace import (
     Pattern,
     min_weight_max_matching,
@@ -109,3 +110,27 @@ def test_verify_matches_the_union_route():
         failed["i"] += not got.condition_i
         failed["ii"] += not got.condition_ii
     assert min(failed.values()) > 200  # both conditions fail on many draws
+
+
+def test_place_matches_the_union_route(monkeypatch):
+    # below K = n - 1 minimal_sensors builds the transposed union from the
+    # transposed base; every report field must equal the one it gives when
+    # the transposed union is the transpose of the union.  The patched
+    # transition_union returns the same pattern by way of the transpose:
+    # called on the transposed base, it transposes the union
+    def union_route(pattern, horizon):
+        return transition_union(pattern.transpose(), horizon).transpose()
+
+    rng = np.random.default_rng(104)
+    for _ in range(600):
+        n = int(rng.integers(1, 25))
+        pattern = random_pattern(rng, n, rng.uniform(0.0, 2.5) / n)
+        horizon = int(rng.choice([0, 1, 2, max(n - 2, 0)]))
+        got = minimal_sensors(pattern, horizon)
+        with monkeypatch.context() as patched:
+            patched.setattr(fracplace.placement, "transition_union", union_route)
+            want = minimal_sensors(pattern, horizon)
+        assert got == want
+        # the condensation's order and pattern take no part in its equality
+        assert got.condensation.order == want.condensation.order
+        assert got.condensation.pattern == want.condensation.pattern

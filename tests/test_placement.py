@@ -172,21 +172,25 @@ class TestMinimalSensors:
             assert a.sensors.all == b.sensors.all
 
     def test_union_computed_once(self, monkeypatch):
-        # at a bounded horizon (K = 2 < n - 1) the union is built step by step
+        # at a bounded horizon (K = 2 < n - 1) the union is built step by
+        # step, once from the base and once from its transpose for the
+        # transposed union; the self-check builds neither again
         calls = []
 
         def counted(pattern, horizon):
-            calls.append(horizon)
+            calls.append((pattern, horizon))
             return transition_union(pattern, horizon)
 
+        pattern = Pattern(4, 4, [(1, 0), (2, 1), (0, 2), (3, 3)])
         monkeypatch.setattr(fracplace.placement, "transition_union", counted)
-        minimal_sensors(Pattern(4, 4, [(1, 0), (2, 1), (0, 2), (3, 3)]), 2)
-        assert calls == [2]
+        minimal_sensors(pattern, 2)
+        assert calls == [(pattern, 2), (pattern.transpose(), 2)]
 
     def test_union_transposed_once(self, monkeypatch):
         # at a bounded horizon the placement graph and the self-check share
-        # one transpose, and the graph is built from its masks, never from
-        # edge triples (at K = 1 the tie-break transposes its tight edges too)
+        # one transposed union, built from the one transpose of the base
+        # pattern, and the graph is built from its masks, never from edge
+        # triples
         calls = []
         transpose = Pattern.transpose
 
@@ -201,6 +205,36 @@ class TestMinimalSensors:
         monkeypatch.setattr(WeightedBipartite, "__init__", no_triples)
         minimal_sensors(Pattern(4, 4, [(1, 0), (2, 1), (0, 2), (3, 3)]), 2)
         assert calls == [4]
+
+    def test_tie_break_transposes_nothing(self, monkeypatch):
+        # at K = n the union and its transpose come off the condensation,
+        # and the tie-break searches forward on the tight row masks: no
+        # pattern is transposed, though this fragmented pattern's tie-break
+        # runs searches
+        n = 256
+        pattern = _random_pattern(n, 1 - 1 / n, np.random.default_rng(0))
+        stage = ["dual rounds"]
+        searches = []
+        layers = fracplace.matching._layers
+        tie_break = fracplace.matching._tie_break
+
+        def no_transpose(pattern):
+            raise AssertionError("a pattern was transposed")
+
+        def counted(*args, **kwargs):
+            searches.append(stage[0])
+            return layers(*args, **kwargs)
+
+        def watched(*args):
+            stage[0] = "tie-break"
+            tie_break(*args)
+            stage[0] = "self-check"
+
+        monkeypatch.setattr(Pattern, "transpose", no_transpose)
+        monkeypatch.setattr(fracplace.matching, "_layers", counted)
+        monkeypatch.setattr(fracplace.matching, "_tie_break", watched)
+        assert minimal_sensors(pattern, n).certificate.observable
+        assert searches.count("tie-break") > 10
 
     @pytest.mark.parametrize("horizon", [3, 4, 8])
     @pytest.mark.parametrize("run", ["place", "verify"])
@@ -244,8 +278,8 @@ class TestMinimalSensors:
         layers = fracplace.matching._layers
         max_matching_rows = fracplace.placement._max_matching_rows
 
-        def counted(*args):
-            found = layers(*args)
+        def counted(*args, **kwargs):
+            found = layers(*args, **kwargs)
             if found:
                 phases.append(stage[0])
             return found

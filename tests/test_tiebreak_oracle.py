@@ -1,9 +1,12 @@
-"""The canonical tie-break on ``_layers`` against the residual search it replaced.
+"""The canonical tie-break against the searches it replaced.
 
 Each graph is matched twice by ``min_weight_max_matching``: once as the
-library runs it, and once with ``reference_tiebreak.residual_tie_break``
+library runs it, and once with an oracle of ``reference_tiebreak``
 swapped in for ``_tie_break``, so both tie-breaks start from the same
 optimum of the dual rounds.  Both must return the same pairs and weight.
+The oracles are ``residual_tie_break``, the hand-written reverse search
+over ``_Residual``, and ``reverse_tie_break``, which ran ``_layers``
+backward on the transposed tight masks.
 """
 
 import numpy as np
@@ -14,28 +17,44 @@ from fracplace import WeightedBipartite, condense, min_weight_max_matching, sink
 from fracplace.placement import _placement_graph
 
 from conftest import random_pattern
-from reference_tiebreak import residual_tie_break
+from reference_tiebreak import residual_tie_break, reverse_tie_break
 
 
-@pytest.fixture
-def check(monkeypatch):
-    """Compare both tie-breaks on a graph; count the draws where the optimum moved."""
-    tie_break = fracplace.matching._tie_break
-    moved = {"rows": 0, "free columns": 0}
+@pytest.fixture(params=[residual_tie_break, reverse_tie_break], ids=["residual", "reverse"])
+def check(request, monkeypatch):
+    """Compare the tie-break with an oracle on a graph; count what the draws exercised."""
+    tie_break, layers = fracplace.matching._tie_break, fracplace.matching._layers
+    moved = {"rows": 0, "free columns": 0, "wins after a failed search": 0}
 
     def watched(tight, z, match_row, match_col):
+        searches = []  # (target column mask, whether the search reached it)
+
+        def recorded(*args, **kwargs):
+            found = layers(*args, **kwargs)
+            searches.append((args[3], bool(found and found[-1] & args[3])))
+            return found
+
         before_rows, before_free = list(match_row), [i == -1 for i in match_col]
+        monkeypatch.setattr(fracplace.matching, "_layers", recorded)
         tie_break(tight, z, match_row, match_col)
+        monkeypatch.setattr(fracplace.matching, "_layers", layers)
         moved["rows"] += match_row != before_rows
         moved["free columns"] += [i == -1 for i in match_col] != before_free
+        # a row's searches all target its column, and a row whose searches
+        # all fail keeps and fixes it; so a failure right before a win for
+        # the same column is one row's, whose winner came after a dead end
+        moved["wins after a failed search"] += sum(
+            a == b and not a_won and b_won for (a, a_won), (b, b_won) in zip(searches, searches[1:])
+        )
 
     def compare(graph):
         monkeypatch.setattr(fracplace.matching, "_tie_break", watched)
         got = min_weight_max_matching(graph)
-        monkeypatch.setattr(fracplace.matching, "_tie_break", residual_tie_break)
+        monkeypatch.setattr(fracplace.matching, "_tie_break", request.param)
         want = min_weight_max_matching(graph)
         assert got.sorted_pairs() == want.sorted_pairs()
         assert got.total_weight == want.total_weight
+        return got
 
     compare.moved = moved
     return compare
@@ -60,6 +79,7 @@ def test_every_small_shape(check, weights):
             for _ in range(6):
                 check(random_graph(rng, rows, cols, rng.uniform(0.01, 0.9), weights))
     assert check.moved["rows"] > 100 and check.moved["free columns"] > 50
+    assert check.moved["wins after a failed search"] > 0
 
 
 @pytest.mark.parametrize("weights", ["edge", "column", "row"])
@@ -82,3 +102,14 @@ def test_fragmented_placement_graphs(check, horizon):
         union = transition_union(pattern, n if horizon == "n" else horizon)
         check(_placement_graph(union.transpose(), sink_scc_columns(condense(union))))
     assert check.moved["free columns"] > 0
+    assert check.moved["wins after a failed search"] > 0
+
+
+def test_roles_alone_do_not_fix_the_optimum(check):
+    # rows 0-2, weight-0 columns 0-1, weight-1 columns 2-3: the optimum
+    # (0, 1), (1, 0), (2, 3) weighs 1 too and gives row 1 a weight-0
+    # column, but the canonical one makes row 1 take a weight-1 column
+    edges = [(0, 0, 0), (0, 1, 0), (1, 0, 0), (1, 2, 1), (2, 1, 0), (2, 3, 1)]
+    got = check(WeightedBipartite(3, 4, edges))
+    assert got.sorted_pairs() == [(0, 0), (1, 2), (2, 1)]
+    assert got.total_weight == 1
