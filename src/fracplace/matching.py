@@ -97,13 +97,6 @@ class WeightedBipartite:
         rows = [a | b for a, b in zip(self.free.rows, self.unit.rows)]
         return Pattern.from_masks(self.n_rows, self.n_cols, rows)
 
-    def adjacency(self) -> list[list[int]]:
-        """Per-row sorted column lists (weights dropped)."""
-        return self._support().row_columns()
-
-    def weight_of(self) -> dict:
-        return {(r, c): w for r, c, w in self.edges}
-
 
 @dataclass(frozen=True)
 class Matching:

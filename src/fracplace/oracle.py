@@ -15,7 +15,7 @@ import numpy as np
 
 from .matching import Matching, WeightedBipartite
 from .placement import verify_observability
-from .structure import Pattern
+from .structure import Pattern, set_bits
 
 __all__ = [
     "RealizationConfig",
@@ -121,9 +121,9 @@ def enumerate_matchings(graph: WeightedBipartite) -> list[Matching]:
         raise ValueError(
             f"enumeration refused for {graph.n_rows} rows > {_MAX_ENUMERATION_ROWS}"
         )
-    weight = graph.weight_of()
-    adj = graph.adjacency()
-    edges = sorted(weight)
+    unit = graph.unit.rows
+    adj = [set_bits(a | b, graph.n_cols) for a, b in zip(graph.free.rows, unit)]
+    edges = [(r, c) for r, cols in enumerate(adj) for c in cols]
     out: list[Matching] = []
 
     def maximal(rows_used: set, cols_used: set) -> bool:
@@ -132,9 +132,7 @@ def enumerate_matchings(graph: WeightedBipartite) -> list[Matching]:
     def extend(r: int, rows_used: set, cols_used: set, pairs: list):
         if r == graph.n_rows:
             if maximal(rows_used, cols_used):
-                out.append(
-                    Matching(pairs, sum(weight[p] for p in pairs))
-                )
+                out.append(Matching(pairs, sum(unit[i] >> c & 1 for i, c in pairs)))
             return
         for c in adj[r]:
             if c not in cols_used:

@@ -312,88 +312,76 @@ def _closure_union(cond: Condensation) -> tuple[Pattern, Pattern]:
 
 
 def condense(pattern: Pattern) -> Condensation:
-    """SCC condensation of the pattern digraph (Tarjan, O(V + E)).
+    """SCC condensation of the pattern digraph, by a path-based search on the row masks.
 
     Edge convention: entry (i, j) is an edge from state j to state i.
     Returns the member partition, the ids of the sink SCCs (no outgoing
     quotient edge) and a topological order of the ids; the quotient DAG
     edges are derived on first read.
+
+    The search (Gabow 2000) walks the reversed digraph: row v holds v's
+    predecessors, and the state entered next is the lowest bit of
+    ``rows[v] & unvisited``.  The open path is a stack of component
+    masks.  A state's edge into the path below its own component merges
+    the components up to it into one; a state that leaves the path with
+    its parent outside the top component closes that component as an
+    SCC.  Each step costs O(n / 64) word operations, O(n^2 / 64) in all.
     """
     if not pattern.is_square():
         raise ValueError("condensation needs a square pattern")
-    n = pattern.nrows
-    # Tarjan walks the reversed digraph (row i lists the predecessors of
-    # state i): it has the same SCCs, and they are renumbered below
-    preds = pattern.row_columns()
-
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pos = work[-1]
-            if pos == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            pushed = False
-            for k in range(pos, len(preds[v])):
-                w = preds[v][k]
-                if index[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    pushed = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if pushed:
+    n, rows = pattern.nrows, pattern.rows
+    unvisited = (1 << n) - 1
+    live = 0  # the visited states in no closed SCC: the open path's
+    comps = []  # closed SCC masks, each after every SCC with an edge into it
+    while unvisited:
+        root = unvisited & -unvisited
+        unvisited ^= root
+        live |= root
+        states, path = [root.bit_length() - 1], [root]
+        while states:
+            bit = rows[states[-1]] & unvisited
+            if bit:
+                bit &= -bit
+                unvisited ^= bit
+                live |= bit
+                v = bit.bit_length() - 1
+                path.append(bit)
+                # the edges v has on entering are all it has into the open
+                # path: a state entered later is closed, or merged into
+                # v's component, by the time v is on top again
+                while rows[v] & live & ~path[-1]:
+                    top = path.pop()
+                    path[-1] |= top
+                states.append(v)
                 continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(comp)
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
+            states.pop()
+            if not states or not path[-1] >> states[-1] & 1:
+                top = path.pop()
+                comps.append(top)
+                live ^= top
 
-    # Tarjan on the predecessor lists emits every SCC after the SCCs with
-    # an edge into it; the ids ascend with the smallest member instead
-    by_min = sorted(range(len(comps)), key=lambda k: min(comps[k]))
+    # the ids ascend with the smallest member, the lowest bit of the mask
+    by_min = sorted(range(len(comps)), key=lambda k: comps[k] & -comps[k])
     order = [0] * len(comps)
     for cid, k in enumerate(by_min):
         order[k] = cid
-    comps = [comps[k] for k in by_min]
     scc_of = [0] * n
-    members = []
+    sccs = []
     # the states with an edge into another SCC: an SCC is a sink iff it
     # holds none of them
     leaving = 0
-    for cid, comp in enumerate(comps):
-        mask = into = 0
-        for v in comp:
+    for cid, k in enumerate(by_min):
+        mask, into = comps[k], 0
+        members = set_bits(mask, n)
+        for v in members:
             scc_of[v] = cid
-            mask |= 1 << v
-            into |= pattern.rows[v]
-        members.append(mask)
+            into |= rows[v]
+        sccs.append(frozenset(members))
         leaving |= into & ~mask
-    sinks = frozenset(cid for cid, mask in enumerate(members) if not mask & leaving)
+    sinks = frozenset(cid for cid, k in enumerate(by_min) if not comps[k] & leaving)
     return Condensation(
         scc_of=tuple(scc_of),
-        sccs=tuple(frozenset(c) for c in comps),
+        sccs=tuple(sccs),
         sink_sccs=sinks,
         order=tuple(order),
         pattern=pattern,

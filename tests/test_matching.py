@@ -69,8 +69,8 @@ class TestWeightedBipartite:
     def test_accepts_repeated_identical_edge(self):
         g = WeightedBipartite(1, 2, [(0, 1, 1), (0, 1, 1), (0, 0, 0)])
         assert g.edges == frozenset({(0, 1, 1), (0, 0, 0)})
-        assert g.adjacency() == [[0, 1]]
-        assert g.weight_of() == {(0, 1): 1, (0, 0): 0}
+        assert g.free.rows == (0b01,)
+        assert g.unit.rows == (0b10,)
 
     def test_rejects_out_of_bounds(self):
         with pytest.raises(ValueError):
@@ -86,10 +86,11 @@ class TestWeightedBipartite:
             h = WeightedBipartite.from_patterns(free, unit)
             assert h == g
             assert h.edges == g.edges
-            assert h.adjacency() == g.adjacency() == [
-                sorted(c for r2, c, _ in triples if r2 == r) for r in range(g.n_rows)
-            ]
-            assert h.weight_of() == g.weight_of() == {(r, c): w for r, c, w in triples}
+            for weight, p in ((0, h.free), (1, h.unit)):
+                assert p.rows == tuple(
+                    sum(1 << c for r2, c, w in triples if r2 == r and w == weight)
+                    for r in range(g.n_rows)
+                )
 
     def test_from_patterns_rejects_a_pair_in_both(self):
         with pytest.raises(ValueError, match=r"pair \(1, 2\)"):

@@ -240,7 +240,7 @@ class TestMinimalSensors:
     @pytest.mark.parametrize("run", ["place", "verify"])
     def test_long_horizon_reads_the_union_off_one_condensation(self, monkeypatch, run, horizon):
         # at K >= n - 1 both the union and its transpose come from the
-        # condensation: one Tarjan pass, no boolean product, no transpose
+        # condensation: one SCC search, no boolean product, no transpose
         calls = []
 
         def counting(name, fn):
