@@ -7,8 +7,9 @@ unusable edge; they are represented by absence, never by a big finite
 constant, so all arithmetic stays exact.
 
 A graph is two row-bitmask patterns, and the solvers work on the masks
-where they can.  Hopcroft-Karp can start from a given matching and runs
-every phase on the masks: its breadth-first layers are column masks and
+where they can.  Hopcroft-Karp takes bare row masks, can start from a
+given matching and runs every phase on the masks: its breadth-first
+layers are column masks and
 its depth-first searches take the lowest column of a row mask and
 layer.  The weighted solver works in pure Python integers, in two
 steps: the Hungarian method, whose rounds run that Hopcroft-Karp on the
@@ -29,8 +30,9 @@ That makes placement output reproducible across platforms.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .structure import Pattern, set_bits
 
@@ -56,10 +58,10 @@ class WeightedBipartite:
     unit: Pattern
 
     def __init__(self, n_rows: int, n_cols: int, edges: Iterable = ()):
-        n_rows, n_cols = int(n_rows), int(n_cols)
+        n_rows, n_cols = operator.index(n_rows), operator.index(n_cols)
         masks = ([0] * n_rows, [0] * n_rows)  # indexed by weight
         for r, c, w in edges:
-            r, c, w = int(r), int(c), int(w)
+            r, c, w = operator.index(r), operator.index(c), operator.index(w)
             if not (0 <= r < n_rows and 0 <= c < n_cols):
                 raise ValueError(f"edge ({r}, {c}) outside {n_rows} x {n_cols} graph")
             if w not in (0, 1):
@@ -92,11 +94,6 @@ class WeightedBipartite:
             (r, c, w) for w, p in enumerate((self.free, self.unit)) for r, c in p.entries
         )
 
-    def _support(self) -> Pattern:
-        """The edges as a pattern, weights dropped."""
-        rows = [a | b for a, b in zip(self.free.rows, self.unit.rows)]
-        return Pattern.from_masks(self.n_rows, self.n_cols, rows)
-
 
 @dataclass(frozen=True)
 class Matching:
@@ -122,8 +119,8 @@ class Matching:
         return sorted(self.pairs)
 
 
-def _max_matching_rows(pattern: Pattern, start: Iterable = ()) -> tuple[list, list]:
-    """Hopcroft-Karp on a pattern's row masks; returns match_row and match_col.
+def _max_matching_rows(rows: Sequence[int], width: int, start: Iterable = ()) -> tuple[list, list]:
+    """Hopcroft-Karp on row masks below ``2**width``; returns match_row and match_col.
 
     A pair of ``start`` is kept if it is an edge sharing no row or column
     with a pair kept before it.  Each phase then searches from the free
@@ -135,19 +132,18 @@ def _max_matching_rows(pattern: Pattern, start: Iterable = ()) -> tuple[list, li
     start the first phase gives each row in turn its smallest free
     column.  No adjacency list is built.
     """
-    rows = pattern.rows
-    match_row = [-1] * pattern.nrows
-    match_col = [-1] * pattern.ncols
-    free = (1 << pattern.ncols) - 1  # the columns no pair holds
+    match_row = [-1] * len(rows)
+    match_col = [-1] * width
+    free = (1 << width) - 1  # the columns no pair holds
     for r, c in start:
-        is_edge = 0 <= r < pattern.nrows and c >= 0 and rows[r] >> c & 1
+        is_edge = 0 <= r < len(rows) and c >= 0 and rows[r] >> c & 1
         if is_edge and match_row[r] == -1 and match_col[c] == -1:
             match_row[r] = c
             match_col[c] = r
             free ^= 1 << c
     while True:
         roots = [r for r, c in enumerate(match_row) if c == -1 and rows[r]]
-        layers = _layers(rows, roots, match_col, free, pattern.ncols)
+        layers = _layers(rows, roots, match_col, free, width)
         if not (layers and layers[-1] & free):
             return match_row, match_col
         for root in roots:
@@ -203,7 +199,8 @@ def max_matching(graph: WeightedBipartite) -> Matching:
     O(E sqrt(V)) Hopcroft-Karp.  The reported total weight sums the graph
     weights of the chosen pairs.
     """
-    match_row, _ = _max_matching_rows(graph._support())
+    rows = [a | b for a, b in zip(graph.free.rows, graph.unit.rows)]
+    match_row, _ = _max_matching_rows(rows, graph.n_cols)
     pairs = [(r, c) for r, c in enumerate(match_row) if c != -1]
     return Matching(pairs, sum(graph.unit.rows[r] >> c & 1 for r, c in pairs))
 
@@ -317,7 +314,7 @@ def min_weight_max_matching(graph: WeightedBipartite) -> Matching:
             | (y[r] + z[n_cols + r] == slack) << (n_cols + r)  # row r's slack column
             for r in range(n_rows)
         ]
-        match_row, match_col = _max_matching_rows(Pattern.from_masks(n_rows, width, tight), pairs)
+        match_row, match_col = _max_matching_rows(tight, width, pairs)
         roots = [r for r, c in enumerate(match_row) if c == -1]
         if not roots:
             break

@@ -20,8 +20,8 @@ self-check of condition (ii) starts from the same matching's pairs.
 
 For K >= n - 1 the union is the reachability closure of the base
 pattern; it and its transpose are read off the base pattern's
-condensation, which the placement needs anyway, and condition (i) is a
-test of each state's transposed row.
+condensation, which the placement needs anyway.  Condition (i) is read
+off the base pattern at every horizon: it reaches the same states.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .structure import (
     Pattern,
     _closure_union,
     _saturates,
-    _state_mask,
     condense,
     non_accessible_states,
     transition_union,
@@ -103,6 +102,15 @@ class Certificate:
 
 @dataclass(frozen=True)
 class PlacementReport:
+    """A placement, what it was read off, and its passing ``certificate``.
+
+    ``g_union`` is the transition union at this horizon; ``condensation``
+    holds the base pattern's SCCs (the union's too) with the union as its
+    ``pattern``; ``beta`` is the number of sink SCCs; ``matching_cardinality``
+    is the size of the placement matching, and ``covered_sccs`` the ids of
+    the sink SCCs it covers through their indicator columns.
+    """
+
     sensors: SensorSet
     g_union: Pattern
     condensation: Condensation
@@ -120,10 +128,8 @@ def sink_scc_columns(cond: Condensation) -> Pattern:
     sink SCC.
     """
     sink_ids = sorted(cond.sink_sccs)  # SCC ids ascend with smallest member
-    entries = []
-    for p, cid in enumerate(sink_ids):
-        entries.extend((state, p) for state in cond.sccs[cid])
-    return Pattern(cond.n, len(sink_ids), entries)
+    column = {cid: 1 << p for p, cid in enumerate(sink_ids)}  # sink SCC id -> its column's bit
+    return Pattern.from_masks(cond.n, len(sink_ids), [column.get(c, 0) for c in cond.scc_of])
 
 
 def verify_observability(
@@ -139,35 +145,27 @@ def verify_observability(
         raise ValueError("verification needs a square pattern")
     sensors = frozenset(int(s) for s in sensors)
     if _saturates(pattern, horizon):
-        return _certify(*_closure_union(condense(pattern)), sensors, closed=True)
-    # the powers of the transposed pattern are the transposed powers
-    return _certify(pattern, transition_union(pattern.transpose(), horizon), sensors)
+        union_t = _closure_union(condense(pattern))[1]
+    else:  # the powers of the transposed pattern are the transposed powers
+        union_t = transition_union(pattern.transpose(), horizon)
+    return _certify(pattern, union_t, sensors)
 
 
-def _certify(
-    digraph: Pattern, union_t: Pattern, sensors: frozenset, start=(), closed=False
-) -> Certificate:
+def _certify(digraph: Pattern, union_t: Pattern, sensors: frozenset, start=()) -> Certificate:
     """Both conditions on an already computed transposed union pattern.
 
-    Condition (i) is read off ``digraph``, the union pattern or the base
-    pattern: every union edge is a walk of base edges and every base edge
-    is a union edge, so both reach the same states.  With ``closed``
-    ``union_t`` is the transposed reachability closure, so a state
-    reaches a sensor iff it is one or its row of ``union_t`` holds one.
-    A sensor's identity column meets only the sensor's row, so condition
-    (ii) fails by the non-sensor rows of ``union_t`` left unmatched; that
-    matching starts from the pairs of ``start`` that are its edges.
+    Condition (i) is a search back from the sensors on ``digraph``; the
+    callers pass the base pattern, but the union would do: every union
+    edge is a walk of base edges and every base edge is a union edge, so
+    both reach the same states.  A sensor's identity column meets only
+    the sensor's row, so condition (ii) fails by the non-sensor rows of
+    ``union_t`` left unmatched; that matching runs on the row masks with
+    the sensor rows cleared and starts from the pairs of ``start`` that
+    are its edges.
     """
-    n = digraph.nrows
-    if closed:
-        sensed = _state_mask(n, sensors)
-        blocked = frozenset(
-            v for v, below in enumerate(union_t.rows) if not (below | 1 << v) & sensed
-        )
-    else:
-        blocked = non_accessible_states(digraph, sensors)
+    blocked = non_accessible_states(digraph, sensors)
     rows = [0 if r in sensors else m for r, m in enumerate(union_t.rows)]
-    match_row, _ = _max_matching_rows(Pattern.from_masks(n, n, rows), start)
+    match_row, _ = _max_matching_rows(rows, union_t.ncols, start)
     deficiency = match_row.count(-1) - len(sensors)
     return Certificate(
         condition_i=not blocked,
@@ -207,8 +205,7 @@ def minimal_sensors(
     # union edge, so both digraphs have the same SCCs and sink SCCs; the
     # sparser base is condensed and the union kept for the quotient edges
     cond = condense(pattern)
-    closed = _saturates(pattern, horizon)
-    if closed:
+    if _saturates(pattern, horizon):
         union, union_t = _closure_union(cond)
     else:
         union = transition_union(pattern, horizon)
@@ -230,7 +227,7 @@ def minimal_sensors(
     j_triple = {min(cond.sccs[cid]) for cid in sink_ids if cid not in covered}
 
     sensors = SensorSet(j_prime, j_double, j_triple)
-    cert = _certify(union, union_t, sensors.all, matching.pairs, closed)
+    cert = _certify(pattern, union_t, sensors.all, matching.pairs)
     if not cert.observable:
         raise RuntimeError("internal error: placement failed its own certificate")
     return PlacementReport(

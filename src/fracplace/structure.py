@@ -13,6 +13,7 @@ All types are immutable and all operations are pure functions.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import compress
@@ -62,7 +63,9 @@ class Pattern:
     """Sparse boolean matrix stored as row bitmasks, 0-based.
 
     Bit c of ``rows[r]`` is set iff (r, c) is present.  Two patterns are
-    equal iff their dimensions and entries are.
+    equal iff their dimensions and entries are.  Dimensions, indices and
+    masks are taken through ``operator.index``: a float raises TypeError
+    instead of being truncated.
     """
 
     nrows: int
@@ -70,12 +73,12 @@ class Pattern:
     rows: tuple
 
     def __init__(self, nrows: int, ncols: int, entries: Iterable = ()):
-        nrows, ncols = int(nrows), int(ncols)
+        nrows, ncols = operator.index(nrows), operator.index(ncols)
         if nrows < 0 or ncols < 0:
             raise ValueError("pattern dimensions must be non-negative")
         rows = [0] * nrows
         for r, c in entries:
-            r, c = int(r), int(c)
+            r, c = operator.index(r), operator.index(c)
             if not (0 <= r < nrows and 0 <= c < ncols):
                 raise ValueError(
                     f"entry ({r}, {c}) outside a {nrows} x {ncols} pattern"
@@ -144,10 +147,10 @@ class Pattern:
     def from_masks(cls, nrows: int, ncols: int, masks: Sequence[int]) -> "Pattern":
         """Pattern whose row r has the columns set in ``masks[r]``."""
         pattern = cls(nrows, ncols)  # checks the dimensions
-        rows = tuple(int(m) for m in masks)
+        rows = tuple(map(operator.index, masks))
         if len(rows) != pattern.nrows:
             raise ValueError(f"need {pattern.nrows} row masks, got {len(rows)}")
-        if any(m < 0 or m >> pattern.ncols for m in rows):
+        if rows and (min(rows) < 0 or max(rows) >> pattern.ncols):
             raise ValueError(f"row masks must lie in [0, 2**{pattern.ncols})")
         object.__setattr__(pattern, "rows", rows)
         return pattern
@@ -405,10 +408,12 @@ def non_accessible_states(pattern: Pattern, sensors: Collection[int]) -> frozens
     """
     if not pattern.is_square():
         raise ValueError("accessibility needs a square pattern")
-    n = pattern.nrows
+    n, rows = pattern.nrows, pattern.rows
     seen = frontier = _state_mask(n, sensors)
     while frontier:
-        (frontier,) = _bool_product([frontier], pattern.rows)  # row v: v's predecessors
-        frontier &= ~seen
+        reached = 0
+        for v in set_bits(frontier, n):
+            reached |= rows[v]  # row v: v's predecessors
+        frontier = reached & ~seen
         seen |= frontier
-    return frozenset(v for v in range(n) if not seen >> v & 1)
+    return frozenset(set_bits(((1 << n) - 1) & ~seen, n))

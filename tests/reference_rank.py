@@ -38,5 +38,5 @@ def generic_rank(patterns: Sequence[Pattern], extra_cols: Pattern | None = None)
         for r, m in enumerate(p.rows):
             rows[r] |= m << offset
         offset += p.ncols
-    match_row, _ = _max_matching_rows(Pattern.from_masks(n_rows, offset, rows))
+    match_row, _ = _max_matching_rows(rows, offset)
     return sum(c != -1 for c in match_row)

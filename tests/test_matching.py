@@ -62,6 +62,15 @@ class TestWeightedBipartite:
         with pytest.raises(ValueError):
             WeightedBipartite(1, 1, [(0, 0, 2)])
 
+    def test_rejects_non_integral_weight(self):
+        # 0.5 and 1.9 are not truncated to the weights 0 and 1
+        with pytest.raises(TypeError):
+            WeightedBipartite(1, 2, [(0, 0, 0.5), (0, 1, 1.9)])
+
+    def test_accepts_numpy_ints_and_bools(self):
+        g = WeightedBipartite(np.int64(1), 2, [(np.int64(0), np.uint8(1), True), (0, 0, False)])
+        assert g.edges == frozenset({(0, 1, 1), (0, 0, 0)})
+
     def test_rejects_duplicate_pair(self):
         with pytest.raises(ValueError):
             WeightedBipartite(1, 2, [(0, 0, 0), (0, 0, 1)])
@@ -139,7 +148,7 @@ class TestMaxMatching:
             p = Pattern.from_masks(rows, cols, masks)
             start = [(int(rng.integers(-1, rows + 1)), int(rng.integers(-1, cols + 1)))
                      for _ in range(int(rng.integers(0, 12)))]
-            match_row, match_col = _max_matching_rows(p, start)
+            match_row, match_col = _max_matching_rows(p.rows, p.ncols, start)
             want, _ = _hopcroft_karp(p.row_columns(), cols)
             assert_valid_matching(p, match_row, match_col)
             assert sum(c != -1 for c in match_row) == sum(c != -1 for c in want)
@@ -151,9 +160,9 @@ class TestMaxMatching:
         for _ in range(100):
             n = int(rng.integers(1, 40))
             p = random_pattern(rng, n, rng.uniform(0.01, 0.3))
-            match_row, _ = _max_matching_rows(p)
+            match_row, _ = _max_matching_rows(p.rows, p.ncols)
             start = [(r, c) for r, c in enumerate(match_row) if c != -1]
-            assert _max_matching_rows(p, start[::-1])[0] == match_row
+            assert _max_matching_rows(p.rows, p.ncols, start[::-1])[0] == match_row
 
     def test_cardinality_equals_scipy(self):
         # an engine-independent oracle, beyond the sizes enumeration reaches
@@ -180,7 +189,7 @@ class TestMaxMatching:
                 start += start[: len(start) // 2]  # repeats
                 start += [(int(r), int(c)) for r, c in zip(*np.nonzero(a)) if rng.random() < 0.05]
                 for begin in ((), start):
-                    match_row, match_col = _max_matching_rows(p, begin)
+                    match_row, match_col = _max_matching_rows(p.rows, p.ncols, begin)
                     assert_valid_matching(p, match_row, match_col)
                     assert sum(c != -1 for c in match_row) == want
 

@@ -299,6 +299,38 @@ class TestMinimalSensors:
         assert generic_rank([report.g_union.transpose()], sensors) == n
         assert len(phases) >= 2
 
+    def test_wrapped_patterns_do_not_grow_with_the_dual_rounds(self, monkeypatch):
+        # Hopcroft-Karp takes bare row masks, so neither a Hungarian dual
+        # round nor the self-check wraps its masks in a Pattern: the number
+        # of from_masks calls in one placement is set by the horizon's
+        # route alone, however many rounds the matching ran
+        from_masks = Pattern.from_masks.__func__
+        max_matching_rows = fracplace.matching._max_matching_rows
+        wrapped, rounds = [0], [0]
+
+        def counted_from_masks(cls, *args):
+            wrapped[0] += 1
+            return from_masks(cls, *args)
+
+        def counted_round(*args):
+            rounds[0] += 1
+            return max_matching_rows(*args)
+
+        monkeypatch.setattr(Pattern, "from_masks", classmethod(counted_from_masks))
+        monkeypatch.setattr(fracplace.matching, "_max_matching_rows", counted_round)
+        rng = np.random.default_rng(71)
+        for closure in (True, False):
+            calls, seen = set(), set()
+            for _ in range(60):
+                n = int(rng.integers(4, 30))  # K = 2 is below n - 1
+                pattern = random_pattern(rng, n, rng.uniform(0.0, 2.5) / n)
+                wrapped[0] = rounds[0] = 0
+                minimal_sensors(pattern, n if closure else 2)
+                calls.add(wrapped[0])
+                seen.add(rounds[0])
+            assert len(calls) == 1, calls
+            assert max(seen) >= 3  # dual steps after the first one ran
+
     def test_self_check_rejects_a_bad_matching(self, monkeypatch):
         # states 1 and 2 both feed only state 0; sensing state 0 alone gives
         # generic rank 2 < 3, which the certificate must catch

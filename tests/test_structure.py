@@ -114,6 +114,25 @@ class TestPattern:
             with pytest.raises(ValueError):
                 Pattern.from_masks(2, 3, masks)
 
+    def test_from_masks_accepts_no_rows(self):
+        p = Pattern.from_masks(0, 5, [])
+        assert (p.nrows, p.ncols, p.rows) == (0, 5, ())
+
+    def test_rejects_non_integral_input(self):
+        # a float is refused, not truncated to the index below it
+        with pytest.raises(TypeError):
+            Pattern(1, 3, [(0, 2.9)])
+        with pytest.raises(TypeError):
+            Pattern.from_masks(1, 3, [2.9])
+        with pytest.raises(TypeError):
+            Pattern(2.7, 3)
+
+    def test_accepts_numpy_ints_and_bools(self):
+        p = Pattern(np.int64(2), np.uint8(3), [(np.int32(1), np.int64(2)), (True, False)])
+        assert p == Pattern(2, 3, [(1, 2), (1, 0)])
+        q = Pattern.from_masks(np.int64(2), 3, [np.uint64(5), True])
+        assert q.rows == (5, 1) and all(type(m) is int for m in q.rows)
+
     def test_masks_and_entries_agree(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
