@@ -205,7 +205,7 @@ def run_case(case: dict) -> None:
     sensors = sorted(report.sensors.all)
     print(json.dumps({
         "pattern_entries": pattern.count,
-        "union_entries": report.g_union.count,
+        "union_entries": report.union_t.count,
         "sccs": len(report.condensation.sccs),
         "sensors": len(sensors),
         "sensors_sha256": hashlib.sha256(repr(sensors).encode()).hexdigest()[:16],

@@ -21,6 +21,7 @@ containers hold read-only arrays and are safe to share across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Collection
 
@@ -73,7 +74,8 @@ class FracSystem:
     """A fractional-order difference system: coupling matrix, orders, horizon.
 
     ``horizon`` is the number of transition factors kept beyond T_0; it
-    defaults to the state dimension when omitted.
+    defaults to the state dimension when omitted, and is taken through
+    ``operator.index``: a float raises TypeError.
     """
 
     A: np.ndarray
@@ -97,7 +99,7 @@ class FracSystem:
         horizon = self.horizon
         if horizon is None:
             horizon = A.shape[0]
-        horizon = int(horizon)
+        horizon = operator.index(horizon)
         if horizon < 0:
             raise ValueError("horizon must be >= 0")
         object.__setattr__(self, "A", A)
@@ -365,7 +367,7 @@ def is_observable_numeric(
     if not 0.0 < tol < math.inf:
         raise ValueError("tolerance must be finite and > 0")
     n, K = system.n, system.horizon
-    idx = sorted(set(int(s) for s in sensors))
+    idx = sorted(set(map(operator.index, sensors)))
     if any(s < 0 or s >= n for s in idx):
         raise ValueError(f"sensor indices must lie in 0..{n - 1}")
     if not idx:

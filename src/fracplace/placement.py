@@ -18,27 +18,22 @@ the three sensor groups off the matching.  Matched indicator columns give
 their smallest member as ``j_triple`` (reachability completion).  The
 self-check of condition (ii) starts from the same matching's pairs.
 
-For K >= n - 1 the union is the reachability closure of the base
-pattern; it and its transpose are read off the base pattern's
-condensation, which the placement needs anyway.  Condition (i) is read
-off the base pattern at every horizon: it reaches the same states.
+Only the transposed union is built, the pattern that is matched and
+certified.  For K >= n - 1 it is the transposed reachability closure of
+the base pattern, read off the base pattern's condensation, which the
+placement needs anyway; below that it is built step by step from the
+transposed base.  Condition (i) is read off the base pattern at every
+horizon: it reaches the same states.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
 from typing import Collection
 
 from .matching import Matching, WeightedBipartite, _max_matching_rows, min_weight_max_matching
-from .structure import (
-    Condensation,
-    Pattern,
-    _closure_union,
-    _saturates,
-    condense,
-    non_accessible_states,
-    transition_union,
-)
+from .structure import Condensation, Pattern, condense, non_accessible_states, transposed_union
 
 __all__ = [
     "SensorSet",
@@ -65,9 +60,9 @@ class SensorSet:
     j_triple: frozenset
 
     def __init__(self, j_prime=(), j_double=(), j_triple=()):
-        a = frozenset(int(i) for i in j_prime)
-        b = frozenset(int(i) for i in j_double)
-        c = frozenset(int(i) for i in j_triple)
+        a = frozenset(map(operator.index, j_prime))
+        b = frozenset(map(operator.index, j_double))
+        c = frozenset(map(operator.index, j_triple))
         if (a & b) or (a & c) or (b & c):
             raise ValueError("sensor groups must be pairwise disjoint")
         object.__setattr__(self, "j_prime", a)
@@ -104,15 +99,17 @@ class Certificate:
 class PlacementReport:
     """A placement, what it was read off, and its passing ``certificate``.
 
-    ``g_union`` is the transition union at this horizon; ``condensation``
-    holds the base pattern's SCCs (the union's too) with the union as its
-    ``pattern``; ``beta`` is the number of sink SCCs; ``matching_cardinality``
-    is the size of the placement matching, and ``covered_sccs`` the ids of
-    the sink SCCs it covers through their indicator columns.
+    ``union_t`` is the transposed transition union at this horizon, the
+    pattern that was matched and certified; the union itself is not
+    built.  ``condensation`` is the base pattern's own, whose ``scc_of``,
+    ``sccs`` and ``sink_sccs`` are the union's too; ``beta`` is the number
+    of sink SCCs; ``matching_cardinality`` is the size of the placement
+    matching, and ``covered_sccs`` the ids of the sink SCCs it covers
+    through their indicator columns.
     """
 
     sensors: SensorSet
-    g_union: Pattern
+    union_t: Pattern
     condensation: Condensation
     beta: int
     matching_cardinality: int
@@ -143,12 +140,8 @@ def verify_observability(
     """
     if not pattern.is_square():
         raise ValueError("verification needs a square pattern")
-    sensors = frozenset(int(s) for s in sensors)
-    if _saturates(pattern, horizon):
-        union_t = _closure_union(condense(pattern))[1]
-    else:  # the powers of the transposed pattern are the transposed powers
-        union_t = transition_union(pattern.transpose(), horizon)
-    return _certify(pattern, union_t, sensors)
+    sensors = frozenset(map(operator.index, sensors))
+    return _certify(pattern, transposed_union(pattern, horizon), sensors)
 
 
 def _certify(digraph: Pattern, union_t: Pattern, sensors: frozenset, start=()) -> Certificate:
@@ -202,16 +195,10 @@ def minimal_sensors(
         raise ValueError("placement needs a square pattern")
     n = pattern.nrows
     # every union edge is a walk of base edges and every base edge is a
-    # union edge, so both digraphs have the same SCCs and sink SCCs; the
-    # sparser base is condensed and the union kept for the quotient edges
+    # union edge, so both digraphs have the same SCCs and sink SCCs: the
+    # sparser base is condensed
     cond = condense(pattern)
-    if _saturates(pattern, horizon):
-        union, union_t = _closure_union(cond)
-    else:
-        union = transition_union(pattern, horizon)
-        # the powers of the transposed pattern are the transposed powers
-        union_t = transition_union(pattern.transpose(), horizon)
-    cond = replace(cond, pattern=union)
+    union_t = transposed_union(pattern, horizon, cond)
     sink_cols = sink_scc_columns(cond)
     sink_ids = sorted(cond.sink_sccs)
 
@@ -232,7 +219,7 @@ def minimal_sensors(
         raise RuntimeError("internal error: placement failed its own certificate")
     return PlacementReport(
         sensors=sensors,
-        g_union=union,
+        union_t=union_t,
         condensation=cond,
         beta=sink_cols.ncols,
         matching_cardinality=matching.cardinality,

@@ -137,7 +137,7 @@ class Pattern:
     @classmethod
     def identity_columns(cls, n: int, cols: Collection[int]) -> "Pattern":
         """The n x |cols| selector pattern with one entry per chosen state."""
-        ordered = sorted(set(int(c) for c in cols))
+        ordered = sorted(set(map(operator.index, cols)))
         for c in ordered:
             if not (0 <= c < n):
                 raise ValueError(f"state index {c} outside 0..{n - 1}")
@@ -231,11 +231,6 @@ def _bool_product(a_masks: Sequence[int], b_masks: Sequence[int]) -> list[int]:
     return out
 
 
-def _saturates(pattern: Pattern, horizon: int) -> bool:
-    """Whether the union at this horizon is the reachability closure (K >= n - 1)."""
-    return int(horizon) >= max(pattern.nrows - 1, 0)
-
-
 def transition_union(pattern: Pattern, horizon: int) -> Pattern:
     """Union pattern of all transition factors up to the given horizon.
 
@@ -247,20 +242,35 @@ def transition_union(pattern: Pattern, horizon: int) -> Pattern:
     factor T_k structurally contains the pure power P^(k+1) and every
     other term's pattern is contained in a shorter power).
 
-    For horizon >= n - 1 the union is read off the SCC condensation
-    (``_closure_union``): a shortest walk from j to i, or from i back
-    to itself, has at most n steps, so walks of length 1..n already reach
-    every pair that any walk reaches.  Shorter horizons take one boolean
-    product per step until the union stops growing.
+    The powers of the transposed pattern are the transposed powers, so
+    this is :func:`transposed_union` of the transposed pattern: for
+    horizon >= n - 1 it is read off the SCC condensation of the
+    transposed pattern, never by transposing a built union.
     """
     if not pattern.is_square():
         raise ValueError("transition union needs a square pattern")
-    horizon = int(horizon)
+    return transposed_union(pattern.transpose(), horizon)
+
+
+def transposed_union(pattern: Pattern, horizon: int, cond: Condensation | None = None) -> Pattern:
+    """The transpose of ``transition_union(pattern, horizon)``, for a square pattern.
+
+    Row j holds the states that state j has a walk of length
+    1..horizon+1 to.  For horizon >= n - 1 it is read off the SCC
+    condensation (``_closure_union``): a shortest walk from j to i, or
+    from i back to itself, has at most n steps, so walks of length 1..n
+    already reach every pair that any walk reaches.  ``cond`` is the
+    pattern's own condensation where the caller has one; it is computed
+    here otherwise, and only on that route.  Shorter horizons take one
+    boolean product per step on the transposed pattern until the union
+    stops growing.  The horizon is taken through ``operator.index``.
+    """
+    horizon = operator.index(horizon)
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    if _saturates(pattern, horizon):
-        return _closure_union(condense(pattern))[0]
-    return _stepwise_union(pattern, horizon)
+    if horizon >= pattern.nrows - 1:
+        return _closure_union(cond if cond is not None else condense(pattern))
+    return _stepwise_union(pattern.transpose(), horizon)
 
 
 def _stepwise_union(pattern: Pattern, horizon: int) -> Pattern:
@@ -277,16 +287,15 @@ def _stepwise_union(pattern: Pattern, horizon: int) -> Pattern:
     return Pattern.from_masks(pattern.nrows, pattern.ncols, acc)
 
 
-def _closure_union(cond: Condensation) -> tuple[Pattern, Pattern]:
-    """The transition union of ``cond.pattern`` for any horizon >= n - 1, and its transpose.
+def _closure_union(cond: Condensation) -> Pattern:
+    """The transposed transition union of ``cond.pattern`` for any horizon >= n - 1.
 
-    Entry (i, j) of the union is present iff state j has a walk of length
-    >= 1 to state i.  All states of an SCC share one union row: every
-    state of the SCCs above it (its ancestors in the quotient DAG), plus
-    its own members if it is cyclic (more than one state, or a self-loop).
-    Their transposed row is the same with the SCCs below it.  Both are
-    built in one pass over the SCCs in topological order and one in
-    reverse, ORing the masks of each SCC's predecessor SCCs.
+    Entry (j, i) is present iff state j has a walk of length >= 1 to
+    state i.  All states of an SCC share one row: every state of the SCCs
+    below it (its descendants in the quotient DAG), plus its own members
+    if it is cyclic (more than one state, or a self-loop).  The rows are
+    built in one pass over the SCCs in reverse topological order, ORing
+    each SCC's reach into the masks of its predecessor SCCs.
     """
     pattern, scc_of = cond.pattern, cond.scc_of
     n, m = pattern.nrows, len(cond.sccs)
@@ -295,23 +304,14 @@ def _closure_union(cond: Condensation) -> tuple[Pattern, Pattern]:
     for v, cid in enumerate(scc_of):
         members[cid] |= 1 << v
         into[cid] |= pattern.rows[v]
-    preds = [{scc_of[v] for v in set_bits(i & ~s, n)} for i, s in zip(into, members)]
-
-    above = [0] * m
-    for cid in cond.order:
-        mask = into[cid]
-        for p in preds[cid]:
-            mask |= above[p]  # holds all of p's members: cyclic, or its one state is in into
-        above[cid] = mask
     # into & members is every member of a cyclic SCC and empty otherwise;
     # an SCC has received all its successors' masks by the time it is read
     below = [i & s for i, s in zip(into, members)]
     for cid in reversed(cond.order):
         reach = below[cid] | members[cid]
-        for p in preds[cid]:
+        for p in {scc_of[v] for v in set_bits(into[cid] & ~members[cid], n)}:
             below[p] |= reach
-    union = Pattern.from_masks(n, n, [above[cid] for cid in scc_of])
-    return union, Pattern.from_masks(n, n, [below[cid] for cid in scc_of])
+    return Pattern.from_masks(n, n, [below[cid] for cid in scc_of])
 
 
 def condense(pattern: Pattern) -> Condensation:
@@ -393,7 +393,7 @@ def condense(pattern: Pattern) -> Condensation:
 
 def _state_mask(n: int, sensors: Collection[int]) -> int:
     """The mask of the sensor states, each checked to lie in 0..n - 1."""
-    sensor_set = set(int(s) for s in sensors)
+    sensor_set = set(map(operator.index, sensors))
     for s in sensor_set:
         if not (0 <= s < n):
             raise ValueError(f"sensor index {s} outside 0..{n - 1}")

@@ -10,6 +10,7 @@ fixed seed makes the whole sweep deterministic, trial by trial.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -28,7 +29,8 @@ class SweepSpec:
 
     Exactly one of ``n`` (random ensemble of that dimension, >= 1) or
     ``base_matrix`` (numeric matrix to sparsify) must be given.  Levels
-    are sparsity fractions in [0, 1), sorted ascending.
+    are sparsity fractions in [0, 1), sorted ascending.  ``horizon``, when
+    given, is an integer >= 0, taken through ``operator.index``.
     """
 
     levels: tuple
@@ -52,6 +54,11 @@ class SweepSpec:
             raise ValueError("give exactly one of n or base_matrix")
         if self.n is not None and self.n < 1:
             raise ValueError("state dimension must be positive")
+        if self.horizon is not None:
+            horizon = operator.index(self.horizon)
+            if horizon < 0:
+                raise ValueError("horizon must be >= 0")
+            object.__setattr__(self, "horizon", horizon)
         if self.base_matrix is not None:
             base = np.atleast_2d(np.asarray(self.base_matrix, dtype=float))
             if base.shape[0] != base.shape[1]:

@@ -81,8 +81,9 @@ def test_placement_pairs_as_the_starting_matching():
         pattern = random_pattern(rng, n, rng.uniform(0.0, 2.5) / n)
         horizon = int(rng.choice([0, 1, 2, n]))
         report = minimal_sensors(pattern, horizon)
-        union = report.g_union
-        union_t = union.transpose()
+        union = transition_union(pattern, horizon)
+        union_t = report.union_t
+        assert union_t == union.transpose()
         graph = _placement_graph(union_t, sink_scc_columns(report.condensation))
         pairs = min_weight_max_matching(graph).pairs
         placed = report.sensors.all
@@ -115,11 +116,9 @@ def test_verify_matches_the_union_route():
 def test_place_matches_the_union_route(monkeypatch):
     # below K = n - 1 minimal_sensors builds the transposed union from the
     # transposed base; every report field must equal the one it gives when
-    # the transposed union is the transpose of the union.  The patched
-    # transition_union returns the same pattern by way of the transpose:
-    # called on the transposed base, it transposes the union
-    def union_route(pattern, horizon):
-        return transition_union(pattern.transpose(), horizon).transpose()
+    # the transposed union is the transpose of the union
+    def union_route(pattern, horizon, cond=None):
+        return transition_union(pattern, horizon).transpose()
 
     rng = np.random.default_rng(104)
     for _ in range(600):
@@ -128,7 +127,7 @@ def test_place_matches_the_union_route(monkeypatch):
         horizon = int(rng.choice([0, 1, 2, max(n - 2, 0)]))
         got = minimal_sensors(pattern, horizon)
         with monkeypatch.context() as patched:
-            patched.setattr(fracplace.placement, "transition_union", union_route)
+            patched.setattr(fracplace.placement, "transposed_union", union_route)
             want = minimal_sensors(pattern, horizon)
         assert got == want
         # the condensation's order and pattern take no part in its equality

@@ -464,6 +464,11 @@ class TestIsObservableNumeric:
         with pytest.raises(ValueError):
             is_observable_numeric(sysm, {5})
 
+    def test_rejects_a_float_sensor(self):
+        sysm = FracSystem(np.eye(2), [0.5, 0.5], 2)
+        with pytest.raises(TypeError):
+            is_observable_numeric(sysm, [0.4])
+
     def test_rows_and_decisions_match_stack_oracle(self, monkeypatch):
         # the rows the rank test sees, against the factor-stack route's rows
         seen = []
@@ -594,6 +599,11 @@ class TestFracSystemValidation:
     def test_negative_horizon(self):
         with pytest.raises(ValueError):
             FracSystem(np.eye(2), [0.5, 0.5], -1)
+
+    def test_rejects_a_float_horizon(self):
+        with pytest.raises(TypeError):
+            FracSystem(np.eye(2), [0.5, 0.5], horizon=2.2)
+        assert type(FracSystem(np.eye(2), [0.5, 0.5], np.int64(2)).horizon) is int
 
     def test_default_horizon_is_dimension(self):
         assert FracSystem(np.eye(4), np.full(4, 0.5)).horizon == 4

@@ -38,6 +38,11 @@ class TestSensorSet:
         with pytest.raises(ValueError):
             SensorSet({0}, {0}, ())
 
+    def test_rejects_a_float_state(self):
+        with pytest.raises(TypeError):
+            SensorSet([1.5])
+        assert SensorSet([np.int64(1)]).j_prime == {1}
+
 
 class TestSinkColumns:
     def test_chain(self, chain3):
@@ -81,6 +86,14 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify_observability(chain3, 3, {7})
 
+    def test_rejects_a_float_sensor_or_horizon(self, chain3):
+        # refused, not truncated to sensor 2 or to K = 1
+        with pytest.raises(TypeError):
+            verify_observability(chain3, 2, [2.9])
+        for horizon in (1.5, 2.5):  # below n - 1 and at it
+            with pytest.raises(TypeError):
+                verify_observability(chain3, horizon, [2])
+
 
 class TestMinimalSensors:
     def test_chain(self, chain3):
@@ -92,16 +105,25 @@ class TestMinimalSensors:
         assert report.certificate.observable
 
     def test_condensation_is_that_of_the_union(self):
+        # the base pattern is condensed: its SCCs and sink SCCs are the
+        # union's, and only the transposed union is built
         rng = np.random.default_rng(14)
         for _ in range(40):
             n = int(rng.integers(1, 30))
             pat = random_pattern(rng, n, rng.uniform(0.0, 3.0 / n))
             horizon = int(rng.integers(0, n + 1))
             report = minimal_sensors(pat, horizon)
-            cond = condense(transition_union(pat, horizon))
-            assert report.condensation == cond
-            assert report.condensation.pattern == report.g_union
-            assert report.condensation.dag_edges == cond.dag_edges
+            union = transition_union(pat, horizon)
+            assert report.condensation == condense(union)
+            assert report.condensation.pattern == pat
+            assert report.union_t == union.transpose()
+
+    def test_rejects_a_float_horizon(self, chain3):
+        # refused, not truncated to K = 2 (or to K = 1 below n - 1)
+        for horizon in (2.5, 1.5):
+            with pytest.raises(TypeError):
+                minimal_sensors(chain3, horizon)
+        assert minimal_sensors(chain3, np.int64(1)) == minimal_sensors(chain3, 1)
 
     def test_empty_pattern_needs_all_sensors(self):
         report = minimal_sensors(Pattern(4, 4), 2)
@@ -172,19 +194,23 @@ class TestMinimalSensors:
             assert a.sensors.all == b.sensors.all
 
     def test_union_computed_once(self, monkeypatch):
-        # at a bounded horizon (K = 2 < n - 1) the union is built step by
-        # step, once from the base and once from its transpose for the
-        # transposed union; the self-check builds neither again
+        # at a bounded horizon (K = 2 < n - 1) only the transposed union is
+        # built, step by step from the transposed base, once per placement
+        # (the self-check does not build it again) and once per check
         calls = []
+        stepwise_union = fracplace.structure._stepwise_union
 
         def counted(pattern, horizon):
             calls.append((pattern, horizon))
-            return transition_union(pattern, horizon)
+            return stepwise_union(pattern, horizon)
 
         pattern = Pattern(4, 4, [(1, 0), (2, 1), (0, 2), (3, 3)])
-        monkeypatch.setattr(fracplace.placement, "transition_union", counted)
+        monkeypatch.setattr(fracplace.structure, "_stepwise_union", counted)
         minimal_sensors(pattern, 2)
-        assert calls == [(pattern, 2), (pattern.transpose(), 2)]
+        assert calls == [(pattern.transpose(), 2)]
+        calls.clear()
+        verify_observability(pattern, 2, {0})
+        assert calls == [(pattern.transpose(), 2)]
 
     def test_union_transposed_once(self, monkeypatch):
         # at a bounded horizon the placement graph and the self-check share
@@ -239,8 +265,10 @@ class TestMinimalSensors:
     @pytest.mark.parametrize("horizon", [3, 4, 8])
     @pytest.mark.parametrize("run", ["place", "verify"])
     def test_long_horizon_reads_the_union_off_one_condensation(self, monkeypatch, run, horizon):
-        # at K >= n - 1 both the union and its transpose come from the
-        # condensation: one SCC search, no boolean product, no transpose
+        # at K >= n - 1 the transposed union comes from the condensation:
+        # one SCC search, no boolean product, no transpose, and only the
+        # transposed union is wrapped in a Pattern (a placement wraps its
+        # sink indicators and the two halves of its graph too)
         calls = []
 
         def counting(name, fn):
@@ -253,16 +281,22 @@ class TestMinimalSensors:
         monkeypatch.setattr(fracplace.structure, "_bool_product",
                             counting("product", fracplace.structure._bool_product))
         monkeypatch.setattr(Pattern, "transpose", counting("transpose", Pattern.transpose))
-        monkeypatch.setattr(fracplace.placement, "condense",
-                            counting("condense", fracplace.placement.condense))
-        monkeypatch.setattr(fracplace.placement, "transition_union",
-                            counting("union", fracplace.placement.transition_union))
+        # minimal_sensors condenses through its own import of condense,
+        # transposed_union through the structure module's
+        condense = counting("condense", fracplace.structure.condense)
+        monkeypatch.setattr(fracplace.placement, "condense", condense)
+        monkeypatch.setattr(fracplace.structure, "condense", condense)
+        monkeypatch.setattr(fracplace.structure, "_stepwise_union",
+                            counting("stepwise", fracplace.structure._stepwise_union))
+        monkeypatch.setattr(Pattern, "from_masks",
+                            classmethod(counting("from_masks", Pattern.from_masks.__func__)))
         pattern = Pattern(4, 4, [(1, 0), (2, 1), (0, 2), (3, 3)])
         if run == "place":
             assert minimal_sensors(pattern, horizon).certificate.observable
+            assert calls == ["condense"] + ["from_masks"] * 4
         else:
             assert verify_observability(pattern, horizon, {0, 3}).observable
-        assert calls == ["condense"]
+            assert calls == ["condense", "from_masks"]
 
     def test_one_hopcroft_karp_run_on_a_fragmented_pattern(self, monkeypatch):
         # the self-check starts from the placement's pairs, which match every
@@ -296,14 +330,16 @@ class TestMinimalSensors:
         phases.clear()
         stage[0] = "from scratch"
         sensors = Pattern.identity_columns(n, report.sensors.all)
-        assert generic_rank([report.g_union.transpose()], sensors) == n
+        assert generic_rank([report.union_t], sensors) == n
         assert len(phases) >= 2
 
     def test_wrapped_patterns_do_not_grow_with_the_dual_rounds(self, monkeypatch):
         # Hopcroft-Karp takes bare row masks, so neither a Hungarian dual
         # round nor the self-check wraps its masks in a Pattern: the number
         # of from_masks calls in one placement is set by the horizon's
-        # route alone, however many rounds the matching ran
+        # route alone, however many rounds the matching ran: the transposed
+        # union, the sink indicators and the two halves of the graph, and
+        # below K = n - 1 the transposed base too
         from_masks = Pattern.from_masks.__func__
         max_matching_rows = fracplace.matching._max_matching_rows
         wrapped, rounds = [0], [0]
@@ -328,7 +364,7 @@ class TestMinimalSensors:
                 minimal_sensors(pattern, n if closure else 2)
                 calls.add(wrapped[0])
                 seen.add(rounds[0])
-            assert len(calls) == 1, calls
+            assert calls == ({4} if closure else {5}), calls
             assert max(seen) >= 3  # dual steps after the first one ran
 
     def test_self_check_rejects_a_bad_matching(self, monkeypatch):

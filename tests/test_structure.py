@@ -127,6 +127,11 @@ class TestPattern:
         with pytest.raises(TypeError):
             Pattern(2.7, 3)
 
+    def test_identity_columns_rejects_a_float_state(self):
+        with pytest.raises(TypeError):
+            Pattern.identity_columns(3, [0.6])
+        assert Pattern.identity_columns(3, [np.int64(2)]) == Pattern(3, 1, [(2, 0)])
+
     def test_accepts_numpy_ints_and_bools(self):
         p = Pattern(np.int64(2), np.uint8(3), [(np.int32(1), np.int64(2)), (True, False)])
         assert p == Pattern(2, 3, [(1, 2), (1, 0)])
@@ -229,6 +234,13 @@ class TestTransitionUnion:
     def test_rejects_rectangular(self):
         with pytest.raises(ValueError):
             transition_union(Pattern(2, 3), 1)
+
+    def test_rejects_a_float_horizon(self, chain3):
+        # refused, not truncated to K = 1, on both routes
+        for horizon in (1.7, 3.0):
+            with pytest.raises(TypeError):
+                transition_union(chain3, horizon)
+        assert transition_union(chain3, np.int64(1)) == transition_union(chain3, 1)
 
 
 class TestTransitionPatterns:
@@ -394,6 +406,10 @@ class TestNonAccessible:
 
     def test_empty_sensor_set(self):
         assert non_accessible_states(Pattern(3, 3), set()) == frozenset({0, 1, 2})
+
+    def test_rejects_a_float_sensor(self, chain3):
+        with pytest.raises(TypeError):
+            non_accessible_states(chain3, [1.5])
 
     def test_matches_sink_scc_coverage(self):
         # no non-accessible state iff every sink SCC can reach a sensor,

@@ -42,6 +42,16 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(levels=(0.5,), trials=1, n=4, base_matrix=np.eye(4))
 
+    def test_checks_the_horizon(self):
+        # refused at construction: a float is not truncated, while its rows
+        # would still report it
+        with pytest.raises(TypeError):
+            SweepSpec(levels=(0.5,), trials=1, n=4, horizon=1.5)
+        with pytest.raises(ValueError):
+            SweepSpec(levels=(0.5,), trials=1, n=4, horizon=-1)
+        spec = SweepSpec(levels=(0.5,), trials=1, n=4, horizon=np.int64(2))
+        assert type(spec.horizon) is int and run_sweep(spec)[0].horizon == 2
+
 
 class TestRunSweep:
     def test_deterministic_under_seed(self):

@@ -1,11 +1,13 @@
 """The union read off the SCC condensation against the stepwise union.
 
-For K >= n - 1, ``transition_union``, ``minimal_sensors`` and
-``verify_observability`` take the union and its transpose from
-``structure._closure_union``.  The stepwise loop ``_stepwise_union``, one
-boolean product per step, is exact at every horizon and serves as the
-oracle: both routes must give the same patterns, and the same placement
-report, certificate and quotient DAG.
+Only the transposed union is built.  ``minimal_sensors`` and
+``verify_observability`` take it from ``structure.transposed_union``,
+which for K >= n - 1 reads it off the base pattern's condensation with
+``_closure_union``; ``transition_union`` reads the union off the
+transposed pattern's condensation the same way.  The stepwise loop
+``_stepwise_union``, one boolean product per step, is exact at every
+horizon and serves as the oracle: both routes must give the same
+patterns, and the same placement report and certificate.
 """
 
 import contextlib
@@ -17,7 +19,7 @@ import pytest
 
 import fracplace.placement
 from fracplace import Pattern, condense, minimal_sensors, transition_union, verify_observability
-from fracplace.structure import _closure_union, _stepwise_union
+from fracplace.structure import _closure_union, _stepwise_union, transposed_union
 from fracplace.sweep import _random_pattern
 from fracplace.sysfile import parse_system_file
 
@@ -63,10 +65,12 @@ def random_patterns(count, seed):
 
 def assert_same_union(pattern):
     n = pattern.nrows
-    closure, closure_t = _closure_union(condense(pattern))
+    closure = _closure_union(condense(pattern.transpose()))
+    closure_t = _closure_union(condense(pattern))
     for k in horizons(n):
         want = _stepwise_union(pattern, k)
         assert transition_union(pattern, k) == want, (pattern, k)
+        assert transposed_union(pattern, k) == want.transpose(), (pattern, k)
         if k >= n - 1:
             assert closure == want, (pattern, k)
             assert closure_t == want.transpose(), (pattern, k)
@@ -92,22 +96,29 @@ def test_ladder_shaped_unions():
 
 @contextlib.contextmanager
 def stepwise_route(monkeypatch):
-    """Within this context a placement builds its union step by step and transposes it."""
+    """Within this context a placement builds its union step by step and transposes it.
+
+    Yields the list of horizons the stepwise oracle ran at.
+    """
+    ran = []
+
+    def stepwise_t(pattern, horizon, cond=None):
+        ran.append(horizon)
+        return _stepwise_union(pattern, horizon).transpose()
+
     with monkeypatch.context() as m:
-        m.setattr(fracplace.placement, "_saturates", lambda *args: False)
-        m.setattr(fracplace.placement, "transition_union", _stepwise_union)
-        yield
+        m.setattr(fracplace.placement, "transposed_union", stepwise_t)
+        yield ran
 
 
 def assert_same_report(got, want):
     assert got.sensors == want.sensors
-    assert got.g_union == want.g_union
+    assert got.union_t == want.union_t
     assert got.beta == want.beta
     assert got.matching_cardinality == want.matching_cardinality
     assert got.covered_sccs == want.covered_sccs
     assert got.certificate == want.certificate
     assert got.condensation == want.condensation
-    assert got.condensation.dag_edges == want.condensation.dag_edges
 
 
 def test_same_placements(monkeypatch):
@@ -116,22 +127,23 @@ def test_same_placements(monkeypatch):
         n = pattern.nrows
         for k in {max(n - 1, 0), n, 2 * n}:
             got = minimal_sensors(pattern, k)
-            with stepwise_route(monkeypatch):
+            with stepwise_route(monkeypatch) as ran:
                 want = minimal_sensors(pattern, k)
+            assert ran == [k]
             assert_same_report(got, want)
 
 
 def test_same_certificates(monkeypatch):
-    # condition (i) is read off the descendant masks on the closure route
     rng = np.random.default_rng(13)
     deficient = blocked = 0
     for pattern in shaped_patterns() + random_patterns(200, 14):
         n = pattern.nrows
-        for _ in range(3):
+        for k in (max(n - 1, 0), n, 2 * n):
             sensors = {int(s) for s in np.flatnonzero(rng.random(n) < rng.uniform(0, 0.5))}
-            got = verify_observability(pattern, n, sensors)
-            with stepwise_route(monkeypatch):
-                want = verify_observability(pattern, n, sensors)
+            got = verify_observability(pattern, k, sensors)
+            with stepwise_route(monkeypatch) as ran:
+                want = verify_observability(pattern, k, sensors)
+            assert ran == [k]
             assert got == want
             deficient += not got.condition_ii
             blocked += not got.condition_i
