@@ -182,25 +182,39 @@ class Trajectory:
         return self.states[k]
 
 
+def _tail_table(alpha: np.ndarray, horizon: int) -> np.ndarray:
+    """The tail coefficients of orders ``alpha``: entry [i, j-1] for j = 1..horizon.
+
+    C(alpha, m) runs the product recurrence C(alpha, m) = C(alpha, m-1) *
+    (alpha - m + 1) / m from C(alpha, 1) = alpha, elementwise, so every
+    entry is the same float whichever other orders share the table.
+    """
+    table = np.empty((alpha.shape[0], horizon))
+    b = alpha.copy()  # C(alpha, 1)
+    for m in range(2, horizon + 2):
+        b = b * (alpha - m + 1) / m  # C(alpha, m), m = j + 1
+        table[:, m - 2] = (-b if (m - 1) % 2 else b) + 0.0  # + 0.0 canonicalizes -0.0
+    return table
+
+
 def gl_coefficient(alpha: float, j: int) -> float:
     """Grunwald-Letnikov tail coefficient -(-1)**(j+1) * C(alpha, j+1).
 
     The generalized binomial C(alpha, m) is evaluated by the product
     recurrence C(alpha, m) = C(alpha, m-1) * (alpha - m + 1) / m starting
-    from C(alpha, 0) = 1.  Gamma-function quotients are deliberately not
+    from C(alpha, 1) = alpha.  Gamma-function quotients are deliberately not
     used: at integer alpha the quotient form hits poles exactly where the
-    coefficient is 0, while the recurrence is exact there.
+    coefficient is 0, while the recurrence is exact there.  The value is
+    bit for bit that of :func:`gl_tails` for the same order, and ``j`` is
+    taken through ``operator.index``: a float raises TypeError.
     """
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
-    j = int(j)
+    j = operator.index(j)
     if j < 1:
         raise ValueError("tail index j must be >= 1")
-    b = 1.0
-    for m in range(1, j + 2):
-        b *= (alpha - m + 1) / m
-    return (-b if j % 2 else b) + 0.0  # + 0.0 canonicalizes -0.0
+    return float(_tail_table(np.array([alpha]), j)[0, j - 1])
 
 
 def gl_tails(system: FracSystem) -> GlCoefficients:
@@ -210,13 +224,7 @@ def gl_tails(system: FracSystem) -> GlCoefficients:
     stored here.  For integer orders the table is exactly zero past the
     order (the recurrence hits an exact zero factor).
     """
-    n, horizon = system.n, system.horizon
-    table = np.empty((n, horizon))
-    b = system.alpha.copy()  # C(alpha, 1)
-    for m in range(2, horizon + 2):
-        b = b * (system.alpha - m + 1) / m  # C(alpha, m), m = j + 1
-        table[:, m - 2] = (-b if (m - 1) % 2 else b) + 0.0
-    return _adopt(GlCoefficients, "table", table)
+    return _adopt(GlCoefficients, "table", _tail_table(system.alpha, system.horizon))
 
 
 def _check_limits(what: str, remedy: str, work: int = 0, nbytes: int = 0) -> None:
@@ -278,9 +286,10 @@ def simulate(system: FracSystem, x0: np.ndarray, steps: int) -> Trajectory:
     horizon, ``x0`` must be finite, and runs whose memory term exceeds
     ``MAX_SIMULATION_WORK`` multiply-adds are refused before anything is
     allocated.  A trajectory that leaves the float64 range raises ValueError
-    naming the first step with a non-finite state.
+    naming the first step with a non-finite state.  ``steps`` is taken
+    through ``operator.index``: a float raises TypeError.
     """
-    steps = int(steps)
+    steps = operator.index(steps)
     if steps < 0:
         raise ValueError("steps must be >= 0")
     if steps > system.horizon:
@@ -297,7 +306,7 @@ def simulate(system: FracSystem, x0: np.ndarray, steps: int) -> Trajectory:
     work = n * steps * (steps + 1) // 2
     _check_limits(f"simulating n={n} for {steps} steps needs", "lower the number of steps", work)
     A = system.A
-    tails = gl_tails(FracSystem(A, system.alpha, steps)).table
+    tails = _tail_table(system.alpha, steps)
     # an overflow is reported once, below, as an error rather than a warning
     with np.errstate(over="ignore", invalid="ignore"):
         hist = _recursion(A, tails, (A @ x0)[:, None], steps)

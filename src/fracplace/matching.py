@@ -1,17 +1,19 @@
 """Bipartite matching engines.
 
-Two solvers over the same graph type: maximum-cardinality matching
-(Hopcroft-Karp) and minimum-weight maximum-cardinality matching for
-weights restricted to {0, 1}.  Missing (row, col) pairs mean an
-unusable edge; they are represented by absence, never by a big finite
-constant, so all arithmetic stays exact.
+Two solvers: maximum-cardinality matching (Hopcroft-Karp) and
+minimum-weight maximum-cardinality matching for weights restricted to
+{0, 1}.  Missing (row, col) pairs mean an unusable edge; they are
+represented by absence, never by a big finite constant, so all
+arithmetic stays exact.
 
-A graph is two row-bitmask patterns, and the solvers work on the masks
-where they can.  Hopcroft-Karp takes bare row masks, can start from a
-given matching and runs every phase on the masks: its breadth-first
-layers are column masks and
-its depth-first searches take the lowest column of a row mask and
-layer.  The weighted solver works in pure Python integers, in two
+Both engines take bare row masks and return ``match_row``, the column
+of each row or -1; the graph and matching types exist only at the
+public boundary, where ``max_matching`` and ``min_weight_max_matching``
+read a :class:`WeightedBipartite`'s masks and wrap the result in a
+:class:`Matching`.  Hopcroft-Karp can start from a given matching and
+runs every phase on the masks: its breadth-first layers are column
+masks and its depth-first searches take the lowest column of a row mask
+and layer.  The weighted solver works in pure Python integers, in two
 steps: the Hungarian method, whose rounds run that Hopcroft-Karp on the
 tight edges of the current row and column potentials, kept as masks,
 with a dual step on the potentials between rounds; and a tie-break that
@@ -97,19 +99,23 @@ class WeightedBipartite:
 
 @dataclass(frozen=True)
 class Matching:
-    """A set of vertex-disjoint (row, col) pairs with its total weight."""
+    """A set of vertex-disjoint (row, col) pairs with its total weight.
+
+    Indices and the weight are taken through ``operator.index``: a float
+    raises TypeError instead of being truncated.
+    """
 
     pairs: frozenset
     total_weight: int
 
     def __init__(self, pairs: Iterable, total_weight: int):
-        pair_set = frozenset((int(r), int(c)) for r, c in pairs)
+        pair_set = frozenset((operator.index(r), operator.index(c)) for r, c in pairs)
         rows = [r for r, _ in pair_set]
         cols = [c for _, c in pair_set]
         if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
             raise ValueError("matching repeats a row or column vertex")
         object.__setattr__(self, "pairs", pair_set)
-        object.__setattr__(self, "total_weight", int(total_weight))
+        object.__setattr__(self, "total_weight", operator.index(total_weight))
 
     @property
     def cardinality(self) -> int:
@@ -261,8 +267,12 @@ def _tie_break(tight, z, match_row, match_col) -> None:
         fixed |= 1 << match_row[r]
 
 
-def min_weight_max_matching(graph: WeightedBipartite) -> Matching:
-    """Minimum total weight among maximum-cardinality matchings.
+def _min_weight_max_matching_rows(free: Sequence[int], unit: Sequence[int], n_cols: int) -> list:
+    """A minimum-weight maximum matching of row masks; returns match_row.
+
+    ``free`` and ``unit`` hold each row's weight-0 and weight-1 edges, as
+    masks below ``2**n_cols`` that share no bit; ``match_row[r]`` is the
+    column of row r, or -1 if the matching leaves r unmatched.
 
     Every row gets a slack column of its own at cost
     ``min(n_rows, n_cols) + 1``, more than any real matching weighs, so
@@ -297,10 +307,9 @@ def min_weight_max_matching(graph: WeightedBipartite) -> Matching:
     sequence.  The potentials stay an optimal dual throughout step 2, so
     it reads the tight edges of step 1's last round.
     """
-    n_rows, n_cols = graph.n_rows, graph.n_cols
+    n_rows = len(free)
     width = n_cols + n_rows  # the real columns, then the slack ones
     slack = min(n_rows, n_cols) + 1
-    free, unit = graph.free.rows, graph.unit.rows
     y = [0] * n_rows
     z = [0] * width
     pairs: list = []
@@ -345,6 +354,15 @@ def min_weight_max_matching(graph: WeightedBipartite) -> Matching:
             z[j] -= delta
 
     _tie_break(tight, z, match_row, match_col)
+    return [c if c < n_cols else -1 for c in match_row]
 
-    pairs = [(r, c) for r, c in enumerate(match_row) if c < n_cols]
-    return Matching(pairs, sum(unit[r] >> c & 1 for r, c in pairs))
+
+def min_weight_max_matching(graph: WeightedBipartite) -> Matching:
+    """Minimum total weight among maximum-cardinality matchings.
+
+    The lexicographically smallest optimal sorted pair sequence, found by
+    ``_min_weight_max_matching_rows`` on the graph's row masks.
+    """
+    match_row = _min_weight_max_matching_rows(graph.free.rows, graph.unit.rows, graph.n_cols)
+    pairs = [(r, c) for r, c in enumerate(match_row) if c != -1]
+    return Matching(pairs, sum(graph.unit.rows[r] >> c & 1 for r, c in pairs))

@@ -17,6 +17,10 @@ the three sensor groups off the matching.  Matched indicator columns give
 ``j_double`` (rank completion), and sink SCCs left uncovered contribute
 their smallest member as ``j_triple`` (reachability completion).  The
 self-check of condition (ii) starts from the same matching's pairs.
+Both matchings run on bare row masks: the placement hands the weighted
+engine the union's rows and the shifted indicator rows and reads the
+groups off the ``match_row`` it returns, so no graph or matching object
+is built between them.
 
 Only the transposed union is built, the pattern that is matched and
 certified.  For K >= n - 1 it is the transposed reachability closure of
@@ -32,7 +36,7 @@ import operator
 from dataclasses import dataclass
 from typing import Collection
 
-from .matching import Matching, WeightedBipartite, _max_matching_rows, min_weight_max_matching
+from .matching import _max_matching_rows, _min_weight_max_matching_rows
 from .structure import Condensation, Pattern, condense, non_accessible_states, transposed_union
 
 __all__ = [
@@ -168,14 +172,6 @@ def _certify(digraph: Pattern, union_t: Pattern, sensors: frozenset, start=()) -
     )
 
 
-def _placement_graph(union_t: Pattern, sink_cols: Pattern) -> WeightedBipartite:
-    # row i of the graph is column i of the union, then its sink indicators
-    n, width = union_t.nrows, union_t.ncols + sink_cols.ncols
-    free = Pattern.from_masks(n, width, union_t.rows)
-    unit = Pattern.from_masks(n, width, [m << n for m in sink_cols.rows])
-    return WeightedBipartite.from_patterns(free, unit)
-
-
 def minimal_sensors(
     pattern: Pattern, horizon: int, strict_j3: bool = False
 ) -> PlacementReport:
@@ -199,14 +195,16 @@ def minimal_sensors(
     # sparser base is condensed
     cond = condense(pattern)
     union_t = transposed_union(pattern, horizon, cond)
-    sink_cols = sink_scc_columns(cond)
     sink_ids = sorted(cond.sink_sccs)
 
-    matching: Matching = min_weight_max_matching(_placement_graph(union_t, sink_cols))
+    # row i of the placement graph is column i of the union, then its sink
+    # indicators; match_row[i] is -1 for a row left unmatched
+    unit = [m << n for m in sink_scc_columns(cond).rows]
+    match_row = _min_weight_max_matching_rows(union_t.rows, unit, n + len(sink_ids))
 
-    j_prime = {r for r, c in matching.pairs if c >= n}
-    covered = {sink_ids[c - n] for _, c in matching.pairs if c >= n}
-    j_double = set(range(n)) - {r for r, _ in matching.pairs}
+    j_prime = {r for r, c in enumerate(match_row) if c >= n}
+    covered = {sink_ids[c - n] for c in match_row if c >= n}
+    j_double = {r for r, c in enumerate(match_row) if c == -1}
 
     # no state of an uncovered sink SCC is in j_prime (its indicator column
     # would cover the SCC) or in j_double (that free indicator edge would
@@ -214,15 +212,15 @@ def minimal_sensors(
     j_triple = {min(cond.sccs[cid]) for cid in sink_ids if cid not in covered}
 
     sensors = SensorSet(j_prime, j_double, j_triple)
-    cert = _certify(pattern, union_t, sensors.all, matching.pairs)
+    cert = _certify(pattern, union_t, sensors.all, enumerate(match_row))
     if not cert.observable:
         raise RuntimeError("internal error: placement failed its own certificate")
     return PlacementReport(
         sensors=sensors,
         union_t=union_t,
         condensation=cond,
-        beta=sink_cols.ncols,
-        matching_cardinality=matching.cardinality,
+        beta=len(sink_ids),
+        matching_cardinality=n - len(j_double),
         covered_sccs=frozenset(covered),
         certificate=cert,
     )

@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import compress
 from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 
@@ -178,17 +177,6 @@ class Condensation:
     def n(self) -> int:
         return len(self.scc_of)
 
-    @cached_property
-    def dag_edges(self) -> frozenset:
-        """Quotient DAG edges (a, b): a state of SCC a has an edge into SCC b."""
-        scc_of = self.scc_of
-        return frozenset(
-            (scc_of[j], scc_of[i])
-            for i, preds in enumerate(self.pattern.row_columns())
-            for j in preds
-            if scc_of[j] != scc_of[i]
-        )
-
 
 def _check_zero_tol(zero_tol: float) -> None:
     if not (math.isfinite(zero_tol) and zero_tol >= 0):
@@ -242,14 +230,16 @@ def transition_union(pattern: Pattern, horizon: int) -> Pattern:
     factor T_k structurally contains the pure power P^(k+1) and every
     other term's pattern is contained in a shorter power).
 
-    The powers of the transposed pattern are the transposed powers, so
-    this is :func:`transposed_union` of the transposed pattern: for
-    horizon >= n - 1 it is read off the SCC condensation of the
-    transposed pattern, never by transposing a built union.
+    For horizon >= n - 1 it is read off the SCC condensation of the
+    transposed pattern, the only transpose made, and never by transposing
+    a built union; shorter horizons take one boolean product per step on
+    the pattern itself.
     """
     if not pattern.is_square():
         raise ValueError("transition union needs a square pattern")
-    return transposed_union(pattern.transpose(), horizon)
+    if _reaches_closure(pattern, horizon):
+        return _closure_union(condense(pattern.transpose()))
+    return _stepwise_union(pattern, horizon)
 
 
 def transposed_union(pattern: Pattern, horizon: int, cond: Condensation | None = None) -> Pattern:
@@ -257,20 +247,28 @@ def transposed_union(pattern: Pattern, horizon: int, cond: Condensation | None =
 
     Row j holds the states that state j has a walk of length
     1..horizon+1 to.  For horizon >= n - 1 it is read off the SCC
-    condensation (``_closure_union``): a shortest walk from j to i, or
-    from i back to itself, has at most n steps, so walks of length 1..n
-    already reach every pair that any walk reaches.  ``cond`` is the
-    pattern's own condensation where the caller has one; it is computed
-    here otherwise, and only on that route.  Shorter horizons take one
-    boolean product per step on the transposed pattern until the union
-    stops growing.  The horizon is taken through ``operator.index``.
+    condensation (``_closure_union``).  ``cond`` is the pattern's own
+    condensation where the caller has one; it is computed here otherwise,
+    and only on that route.  Shorter horizons take one boolean product
+    per step on the transposed pattern until the union stops growing.
+    """
+    if _reaches_closure(pattern, horizon):
+        return _closure_union(cond if cond is not None else condense(pattern))
+    return _stepwise_union(pattern.transpose(), horizon)
+
+
+def _reaches_closure(pattern: Pattern, horizon: int) -> bool:
+    """Whether ``horizon``, checked to be an integer >= 0, is at least n - 1.
+
+    From there on the union is the reachability closure: a shortest walk
+    from j to i, or from i back to itself, has at most n steps, so walks
+    of length 1..n already reach every pair that any walk reaches.  The
+    horizon is taken through ``operator.index``: a float raises TypeError.
     """
     horizon = operator.index(horizon)
     if horizon < 0:
         raise ValueError("horizon must be >= 0")
-    if horizon >= pattern.nrows - 1:
-        return _closure_union(cond if cond is not None else condense(pattern))
-    return _stepwise_union(pattern.transpose(), horizon)
+    return horizon >= pattern.nrows - 1
 
 
 def _stepwise_union(pattern: Pattern, horizon: int) -> Pattern:
@@ -319,8 +317,7 @@ def condense(pattern: Pattern) -> Condensation:
 
     Edge convention: entry (i, j) is an edge from state j to state i.
     Returns the member partition, the ids of the sink SCCs (no outgoing
-    quotient edge) and a topological order of the ids; the quotient DAG
-    edges are derived on first read.
+    quotient edge) and a topological order of the ids.
 
     The search (Gabow 2000) walks the reversed digraph: row v holds v's
     predecessors, and the state entered next is the lowest bit of

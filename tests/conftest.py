@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracplace import Pattern
+from fracplace import Pattern, WeightedBipartite
 
 
 def random_pattern(rng: np.random.Generator, n: int, density: float) -> Pattern:
@@ -18,3 +18,15 @@ def random_pattern(rng: np.random.Generator, n: int, density: float) -> Pattern:
 def chain3() -> Pattern:
     """Three-state chain x0 -> x1 -> x2 (entry (i, j) means edge j -> i)."""
     return Pattern(3, 3, [(1, 0), (2, 1)])
+
+
+def placement_graph(union_t: Pattern, sink_cols: Pattern) -> WeightedBipartite:
+    """The placement's matching graph, as ``minimal_sensors`` hands it to the weighted engine.
+
+    Row i is column i of the union (weight 0), then its sink-SCC indicator
+    columns (weight 1), shifted past the n union columns.
+    """
+    n, width = union_t.nrows, union_t.ncols + sink_cols.ncols
+    free = Pattern.from_masks(n, width, union_t.rows)
+    unit = Pattern.from_masks(n, width, [m << n for m in sink_cols.rows])
+    return WeightedBipartite.from_patterns(free, unit)

@@ -19,9 +19,9 @@ from fracplace import (
     transition_union,
     verify_observability,
 )
-from fracplace.placement import _certify, _placement_graph
+from fracplace.placement import _certify
 
-from conftest import random_pattern
+from conftest import placement_graph, random_pattern
 from reference_rank import generic_rank
 
 
@@ -84,7 +84,7 @@ def test_placement_pairs_as_the_starting_matching():
         union = transition_union(pattern, horizon)
         union_t = report.union_t
         assert union_t == union.transpose()
-        graph = _placement_graph(union_t, sink_scc_columns(report.condensation))
+        graph = placement_graph(union_t, sink_scc_columns(report.condensation))
         pairs = min_weight_max_matching(graph).pairs
         placed = report.sensors.all
         for sensors in [placed] + [placed - {s} for s in sorted(placed)[:3]]:

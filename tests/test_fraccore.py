@@ -84,6 +84,12 @@ class TestGlCoefficient:
         with pytest.raises(ValueError):
             gl_coefficient(0.5, 0)
 
+    def test_rejects_a_float_tail_index(self):
+        # 2.9 is not truncated to j = 2
+        with pytest.raises(TypeError):
+            gl_coefficient(0.5, 2.9)
+        assert gl_coefficient(0.5, np.int64(2)) == gl_coefficient(0.5, 2)
+
     @given(alpha=nonintegral_orders, j=st.integers(1, 50))
     def test_matches_exact_recurrence(self, alpha, j):
         want = exact_gl(alpha, j)
@@ -109,6 +115,15 @@ class TestGlTails:
     def test_mixed_orders(self):
         sysm = FracSystem(np.zeros((2, 2)), [0.5, 1.5], 1)
         assert gl_tails(sysm).table.tolist() == [[0.125], [-0.375]]
+
+    def test_table_is_the_scalar_function_bit_for_bit(self):
+        # one recurrence serves both, so no entry differs even in its last bit
+        rng = np.random.default_rng(1)
+        alpha = rng.uniform(0.1, 2.9, size=200)
+        table = gl_tails(FracSystem(np.zeros((200, 200)), alpha, 50)).table
+        for i in range(200):
+            for j in range(1, 51):
+                assert gl_coefficient(alpha[i], j) == table[i, j - 1]
 
     def test_table_matches_scalar_function(self):
         rng = np.random.default_rng(0)
@@ -225,6 +240,13 @@ class TestTransitionFactors:
 
 
 class TestSimulate:
+    def test_rejects_a_float_step_count(self):
+        # 2.7 is not truncated to 2 steps
+        sysm = FracSystem(np.eye(2), [0.5, 0.5], 3)
+        with pytest.raises(TypeError):
+            simulate(sysm, np.ones(2), 2.7)
+        assert simulate(sysm, np.ones(2), np.int64(2)).steps == 2
+
     def test_zero_initial_state(self):
         sysm = FracSystem([[0, 1], [1, 0]], [0.8, 0.8], 3)
         traj = simulate(sysm, [0, 0], 3)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracplace import (
+    Matching,
     Pattern,
     RealizationConfig,
     WeightedBipartite,
@@ -19,10 +20,9 @@ from fracplace import (
 import fracplace.matching
 from fracplace import condense, sink_scc_columns, transition_union
 from fracplace.matching import _max_matching_rows
-from fracplace.placement import _placement_graph
 from fracplace.sweep import _random_pattern
 
-from conftest import random_pattern
+from conftest import placement_graph, random_pattern
 from reference_hopcroft_karp import _hopcroft_karp
 from reference_matching import reference_min_weight_max_matching
 from reference_rank import generic_rank
@@ -111,6 +111,17 @@ class TestWeightedBipartite:
         for unit in (Pattern(2, 4), Pattern(3, 3)):
             with pytest.raises(ValueError):
                 WeightedBipartite.from_patterns(Pattern(2, 3), unit)
+
+
+class TestMatching:
+    def test_rejects_float_indices_and_weight(self):
+        # (0.5, 1.9) is not truncated to the pair (0, 1), nor 0.7 to weight 0
+        with pytest.raises(TypeError):
+            Matching([(0.5, 1.9)], 0)
+        with pytest.raises(TypeError):
+            Matching([(0, 1)], 0.7)
+        m = Matching([(np.int64(0), np.uint8(1))], True)
+        assert m.pairs == frozenset({(0, 1)}) and m.total_weight == 1
 
 
 class TestMaxMatching:
@@ -333,7 +344,7 @@ class TestDualRounds:
         n = 1024
         pattern = _random_pattern(n, 0.995, np.random.default_rng(0))
         union = transition_union(pattern, n)
-        graph = _placement_graph(union.transpose(), sink_scc_columns(condense(pattern)))
+        graph = placement_graph(union.transpose(), sink_scc_columns(condense(pattern)))
         tracemalloc.start()
         try:
             min_weight_max_matching(graph)

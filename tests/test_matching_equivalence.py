@@ -2,7 +2,8 @@
 
 The reference (``reference_matching``) re-solves a scipy assignment once
 per candidate edge.  Both must return the same canonical optimum, and
-``fracplace place`` must print the same bytes with either one.
+``fracplace place`` must print the same bytes with either one in place
+of the row-mask engine ``minimal_sensors`` calls.
 """
 
 import contextlib
@@ -13,6 +14,7 @@ import pytest
 
 import fracplace.placement
 from fracplace import (
+    Pattern,
     WeightedBipartite,
     condense,
     min_weight_max_matching,
@@ -20,9 +22,8 @@ from fracplace import (
     transition_union,
 )
 from fracplace.cli import main
-from fracplace.placement import _placement_graph
 
-from conftest import random_pattern
+from conftest import placement_graph, random_pattern
 from reference_matching import reference_min_weight_max_matching
 
 
@@ -81,7 +82,7 @@ def test_placement_graphs():
         pattern = random_pattern(rng, n, rng.uniform(0.01, 0.3))
         horizon = int(rng.integers(0, n + 1))
         union = transition_union(pattern, horizon)
-        assert_same_optimum(_placement_graph(union.transpose(), sink_scc_columns(condense(union))))
+        assert_same_optimum(placement_graph(union.transpose(), sink_scc_columns(condense(union))))
 
 
 def place_output(argv):
@@ -113,7 +114,20 @@ def test_place_output_is_byte_identical(tmp_path, monkeypatch):
     corpus += [argv + ["--format", "csv"] for argv in corpus[:6]]
 
     new = [place_output(argv) for argv in corpus]
-    monkeypatch.setattr(
-        fracplace.placement, "min_weight_max_matching", reference_min_weight_max_matching
-    )
+    calls = []
+
+    def reference_rows(free, unit, n_cols):
+        # the scipy reference on the placement's masks: mask -> graph -> match_row
+        n = len(free)
+        graph = WeightedBipartite.from_patterns(
+            Pattern.from_masks(n, n_cols, free), Pattern.from_masks(n, n_cols, unit)
+        )
+        match_row = [-1] * n
+        for r, c in reference_min_weight_max_matching(graph).pairs:
+            match_row[r] = c
+        calls.append(n)
+        return match_row
+
+    monkeypatch.setattr(fracplace.placement, "_min_weight_max_matching_rows", reference_rows)
     assert [place_output(argv) for argv in corpus] == new
+    assert len(calls) == len(corpus)

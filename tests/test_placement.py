@@ -213,10 +213,9 @@ class TestMinimalSensors:
         assert calls == [(pattern.transpose(), 2)]
 
     def test_union_transposed_once(self, monkeypatch):
-        # at a bounded horizon the placement graph and the self-check share
-        # one transposed union, built from the one transpose of the base
-        # pattern, and the graph is built from its masks, never from edge
-        # triples
+        # at a bounded horizon the placement matching and the self-check
+        # share one transposed union, built from the one transpose of the
+        # base pattern, and no graph is built from edge triples
         calls = []
         transpose = Pattern.transpose
 
@@ -268,7 +267,7 @@ class TestMinimalSensors:
         # at K >= n - 1 the transposed union comes from the condensation:
         # one SCC search, no boolean product, no transpose, and only the
         # transposed union is wrapped in a Pattern (a placement wraps its
-        # sink indicators and the two halves of its graph too)
+        # sink indicators too; the weighted engine takes bare row masks)
         calls = []
 
         def counting(name, fn):
@@ -293,7 +292,7 @@ class TestMinimalSensors:
         pattern = Pattern(4, 4, [(1, 0), (2, 1), (0, 2), (3, 3)])
         if run == "place":
             assert minimal_sensors(pattern, horizon).certificate.observable
-            assert calls == ["condense"] + ["from_masks"] * 4
+            assert calls == ["condense"] + ["from_masks"] * 2
         else:
             assert verify_observability(pattern, horizon, {0, 3}).observable
             assert calls == ["condense", "from_masks"]
@@ -334,12 +333,12 @@ class TestMinimalSensors:
         assert len(phases) >= 2
 
     def test_wrapped_patterns_do_not_grow_with_the_dual_rounds(self, monkeypatch):
-        # Hopcroft-Karp takes bare row masks, so neither a Hungarian dual
-        # round nor the self-check wraps its masks in a Pattern: the number
-        # of from_masks calls in one placement is set by the horizon's
-        # route alone, however many rounds the matching ran: the transposed
-        # union, the sink indicators and the two halves of the graph, and
-        # below K = n - 1 the transposed base too
+        # both matching engines take bare row masks, so neither a Hungarian
+        # dual round, the placement matching nor the self-check wraps its
+        # masks in a Pattern: the number of from_masks calls in one
+        # placement is set by the horizon's route alone, however many
+        # rounds the matching ran: the transposed union and the sink
+        # indicators, and below K = n - 1 the transposed base too
         from_masks = Pattern.from_masks.__func__
         max_matching_rows = fracplace.matching._max_matching_rows
         wrapped, rounds = [0], [0]
@@ -364,16 +363,35 @@ class TestMinimalSensors:
                 minimal_sensors(pattern, n if closure else 2)
                 calls.add(wrapped[0])
                 seen.add(rounds[0])
-            assert calls == ({4} if closure else {5}), calls
+            assert calls == ({2} if closure else {3}), calls
             assert max(seen) >= 3  # dual steps after the first one ran
+
+    @pytest.mark.parametrize("horizon", [0, 2, "n"])
+    def test_places_and_certifies_without_graph_or_matching_objects(self, monkeypatch, horizon):
+        # the placement and the check run both engines on bare row masks:
+        # neither builds a WeightedBipartite or a Matching
+        def refused(*args, **kwargs):
+            raise AssertionError("a graph or matching object was built")
+
+        monkeypatch.setattr(WeightedBipartite, "__init__", refused)
+        monkeypatch.setattr(WeightedBipartite, "_fill", refused)
+        monkeypatch.setattr(Matching, "__init__", refused)
+        rng = np.random.default_rng(72)
+        for _ in range(40):
+            n = int(rng.integers(1, 30))
+            pattern = random_pattern(rng, n, rng.uniform(0.0, 3.0) / n)
+            k = n if horizon == "n" else horizon
+            report = minimal_sensors(pattern, k)
+            assert report.certificate.observable
+            assert verify_observability(pattern, k, report.sensors.all) == report.certificate
 
     def test_self_check_rejects_a_bad_matching(self, monkeypatch):
         # states 1 and 2 both feed only state 0; sensing state 0 alone gives
         # generic rank 2 < 3, which the certificate must catch
+        # (match_row [3, 0, 1]: row 0 takes the sink indicator column 3, and
+        # row 2 takes column 1, which is no edge of it)
         monkeypatch.setattr(
-            fracplace.placement,
-            "min_weight_max_matching",
-            lambda graph: Matching([(0, 3), (1, 0), (2, 1)], 1),
+            fracplace.placement, "_min_weight_max_matching_rows", lambda free, unit, n_cols: [3, 0, 1]
         )
         with pytest.raises(RuntimeError):
             minimal_sensors(Pattern(3, 3, [(0, 1), (0, 2)]), 0)

@@ -28,6 +28,17 @@ def per_bit_columns(mask: int) -> list:
     return [c for c in range(mask.bit_length()) if mask >> c & 1]
 
 
+def quotient_edges(cond) -> set:
+    """The quotient DAG's edges (a, b): a state of SCC a has an edge into SCC b."""
+    scc_of = cond.scc_of
+    return {
+        (scc_of[j], scc_of[i])
+        for i, row in enumerate(cond.pattern.rows)
+        for j in per_bit_columns(row)
+        if scc_of[j] != scc_of[i]
+    }
+
+
 def walk_union_oracle(pattern: Pattern, max_len: int) -> set:
     """(i, j) iff j has a walk of length 1..max_len to i; BFS per source."""
     n = pattern.nrows
@@ -235,6 +246,23 @@ class TestTransitionUnion:
         with pytest.raises(ValueError):
             transition_union(Pattern(2, 3), 1)
 
+    @pytest.mark.parametrize("horizon", [0, 1, 2, 3, 4, 8])
+    def test_transposes_only_on_the_closure_route(self, monkeypatch, horizon):
+        # below K = n - 1 the stepwise union runs on the pattern itself; at
+        # K >= n - 1 the base is transposed once, for its condensation
+        calls = []
+        transpose = Pattern.transpose
+
+        def counted(pattern):
+            calls.append(pattern)
+            return transpose(pattern)
+
+        pattern = Pattern(4, 4, [(1, 0), (2, 1), (0, 2), (3, 3)])
+        monkeypatch.setattr(Pattern, "transpose", counted)
+        got = transition_union(pattern, horizon)
+        assert calls == ([pattern] if horizon >= 3 else [])
+        assert got.entries == frozenset(walk_union_oracle(pattern, horizon + 1))
+
     def test_rejects_a_float_horizon(self, chain3):
         # refused, not truncated to K = 1, on both routes
         for horizon in (1.7, 3.0):
@@ -320,7 +348,7 @@ class TestCondense:
         cond = condense(chain3)
         assert cond.sccs == (frozenset({0}), frozenset({1}), frozenset({2}))
         assert cond.scc_of == (0, 1, 2)
-        assert cond.dag_edges == frozenset({(0, 1), (1, 2)})
+        assert quotient_edges(cond) == {(0, 1), (1, 2)}
         assert cond.sink_sccs == frozenset({2})
 
     def test_two_cycle(self):
@@ -331,7 +359,7 @@ class TestCondense:
     def test_empty_pattern(self):
         cond = condense(Pattern(4, 4))
         assert len(cond.sccs) == 4
-        assert cond.dag_edges == frozenset()
+        assert quotient_edges(cond) == set()
         assert cond.sink_sccs == frozenset({0, 1, 2, 3})
 
     @given(entries=entry_sets)
@@ -343,7 +371,7 @@ class TestCondense:
         assert sorted(members) == list(range(7))
         # quotient graph must be acyclic: repeated sink-stripping succeeds
         remaining = set(range(len(cond.sccs)))
-        edges = set(cond.dag_edges)
+        edges = quotient_edges(cond)
         while remaining:
             sinks = {v for v in remaining if not any(a == v for a, _ in edges)}
             assert sinks, "quotient graph has a cycle"
@@ -352,7 +380,7 @@ class TestCondense:
         # every quotient edge runs forward in the topological order
         assert sorted(cond.order) == list(range(len(cond.sccs)))
         rank = {cid: k for k, cid in enumerate(cond.order)}
-        assert all(rank[a] < rank[b] for a, b in cond.dag_edges)
+        assert all(rank[a] < rank[b] for a, b in quotient_edges(cond))
 
     def test_flags_against_reachability_oracle(self):
         rng = np.random.default_rng(4)

@@ -12,15 +12,14 @@ import numpy as np
 import pytest
 
 from fracplace import WeightedBipartite, condense, min_weight_max_matching, sink_scc_columns, transition_union
-from fracplace.placement import _placement_graph
 
-from conftest import random_pattern
+from conftest import placement_graph, random_pattern
 from reference_tiebreak import min_weight_max_matching as per_row_search
 
 
-def placement_graph(pattern, horizon):
+def graph_of(pattern, horizon):
     union = transition_union(pattern, horizon)
-    return _placement_graph(union.transpose(), sink_scc_columns(condense(union)))
+    return placement_graph(union.transpose(), sink_scc_columns(condense(union)))
 
 
 def assert_same_optimum(graph):
@@ -37,7 +36,7 @@ def test_giant_scc_placement_graphs(horizon):
     for _ in range(12):
         n = int(rng.integers(20, 121))
         pattern = random_pattern(rng, n, rng.uniform(3.0, 8.0) / n)
-        assert_same_optimum(placement_graph(pattern, n if horizon == "n" else 0))
+        assert_same_optimum(graph_of(pattern, n if horizon == "n" else 0))
 
 
 @pytest.mark.parametrize("horizon", ["n", 2, 0])
@@ -48,7 +47,7 @@ def test_fragmented_placement_graphs(horizon):
     for _ in range(25):
         n = int(rng.integers(20, 200))
         pattern = random_pattern(rng, n, rng.uniform(0.3, 1.2) / n)
-        graph = placement_graph(pattern, n if horizon == "n" else horizon)
+        graph = graph_of(pattern, n if horizon == "n" else horizon)
         assert graph.n_cols - graph.n_rows > n // 10  # beta is large
         assert_same_optimum(graph)
 

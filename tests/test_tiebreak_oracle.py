@@ -14,9 +14,8 @@ import pytest
 
 import fracplace.matching
 from fracplace import WeightedBipartite, condense, min_weight_max_matching, sink_scc_columns, transition_union
-from fracplace.placement import _placement_graph
 
-from conftest import random_pattern
+from conftest import placement_graph, random_pattern
 from reference_tiebreak import residual_tie_break, reverse_tie_break
 
 
@@ -100,7 +99,7 @@ def test_fragmented_placement_graphs(check, horizon):
         n = int(rng.integers(20, 160))
         pattern = random_pattern(rng, n, rng.uniform(0.3, 1.2) / n)
         union = transition_union(pattern, n if horizon == "n" else horizon)
-        check(_placement_graph(union.transpose(), sink_scc_columns(condense(union))))
+        check(placement_graph(union.transpose(), sink_scc_columns(condense(union))))
     assert check.moved["free columns"] > 0
     assert check.moved["wins after a failed search"] > 0
 
