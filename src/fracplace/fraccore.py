@@ -22,10 +22,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Collection
 
 import numpy as np
+
+from .structure import _Value
 
 __all__ = [
     "FracSystem",
@@ -69,8 +70,7 @@ def _adopt(cls, field: str, a: np.ndarray):
     return obj
 
 
-@dataclass(frozen=True)
-class FracSystem:
+class FracSystem(_Value):
     """A fractional-order difference system: coupling matrix, orders, horizon.
 
     ``horizon`` is the number of transition factors kept beyond T_0; it
@@ -78,17 +78,18 @@ class FracSystem:
     ``operator.index``: a float raises TypeError.
     """
 
+    _fields = ("A", "alpha", "horizon")
     A: np.ndarray
     alpha: np.ndarray
-    horizon: int | None = None
+    horizon: int
 
-    def __post_init__(self):
-        A = _readonly(self.A)
+    def __init__(self, A: np.ndarray, alpha: np.ndarray, horizon: int | None = None):
+        A = _readonly(A)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError(f"coupling matrix must be square, got shape {A.shape}")
         if not np.all(np.isfinite(A)):
             raise ValueError("every coupling matrix entry must be finite")
-        alpha = _readonly(self.alpha).reshape(-1)
+        alpha = _readonly(alpha).reshape(-1)
         if alpha.shape[0] != A.shape[0]:
             raise ValueError(
                 f"need one order per state: {alpha.shape[0]} orders for "
@@ -96,7 +97,6 @@ class FracSystem:
             )
         if not np.all(np.isfinite(alpha)) or np.any(alpha <= 0.0):
             raise ValueError("every fractional order must be finite and > 0")
-        horizon = self.horizon
         if horizon is None:
             horizon = A.shape[0]
         horizon = operator.index(horizon)
@@ -111,18 +111,18 @@ class FracSystem:
         return self.A.shape[0]
 
 
-@dataclass(frozen=True)
-class GlCoefficients:
+class GlCoefficients(_Value):
     """Per-state memory tail coefficients.
 
     ``table[i, j-1]`` is the diagonal entry of the j-th tail matrix D_j
     for state i, j = 1..horizon.
     """
 
+    _fields = ("table",)
     table: np.ndarray
 
-    def __post_init__(self):
-        table = _readonly(self.table)
+    def __init__(self, table: np.ndarray):
+        table = _readonly(table)
         if table.ndim != 2:
             raise ValueError("coefficient table must be 2-d (state x tail index)")
         if not np.all(np.isfinite(table)):
@@ -138,14 +138,14 @@ class GlCoefficients:
         return self.table.shape[1]
 
 
-@dataclass(frozen=True)
-class TransitionSequence:
+class TransitionSequence(_Value):
     """Stack of transition factors T_0..T_K, shape (K+1, n, n)."""
 
+    _fields = ("stack",)
     stack: np.ndarray
 
-    def __post_init__(self):
-        stack = _readonly(self.stack)
+    def __init__(self, stack: np.ndarray):
+        stack = _readonly(stack)
         if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
             raise ValueError("expected a (K+1, n, n) stack of square matrices")
         object.__setattr__(self, "stack", stack)
@@ -165,14 +165,14 @@ class TransitionSequence:
         return self.stack[k]
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Value):
     """States x_0..x_T as rows of a (T+1, n) array."""
 
+    _fields = ("states",)
     states: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "states", _readonly(self.states))
+    def __init__(self, states: np.ndarray):
+        object.__setattr__(self, "states", _readonly(states))
 
     @property
     def steps(self) -> int:

@@ -33,10 +33,9 @@ That makes placement output reproducible across platforms.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .structure import Pattern, set_bits
+from .structure import Pattern, _Value, set_bits
 
 __all__ = [
     "WeightedBipartite",
@@ -46,14 +45,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class WeightedBipartite:
+class WeightedBipartite(_Value):
     """Bipartite graph with edge weights in {0, 1}.
 
     ``free`` and ``unit`` hold the weight-0 and weight-1 edges, as patterns
     of one shape sharing no pair; absent pairs cannot be matched at any cost.
     """
 
+    _fields = ("n_rows", "n_cols", "free", "unit")
     n_rows: int
     n_cols: int
     free: Pattern
@@ -97,14 +96,14 @@ class WeightedBipartite:
         )
 
 
-@dataclass(frozen=True)
-class Matching:
+class Matching(_Value):
     """A set of vertex-disjoint (row, col) pairs with its total weight.
 
     Indices and the weight are taken through ``operator.index``: a float
     raises TypeError instead of being truncated.
     """
 
+    _fields = ("pairs", "total_weight")
     pairs: frozenset
     total_weight: int
 

@@ -8,14 +8,13 @@ random values on a pattern's support.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .matching import Matching, WeightedBipartite
 from .placement import verify_observability
-from .structure import Pattern, set_bits
+from .structure import Pattern, _Value, set_bits
 
 __all__ = [
     "RealizationConfig",
@@ -29,8 +28,7 @@ _MAX_EXHAUSTIVE_STATES = 16
 _MAX_ENUMERATION_ROWS = 8
 
 
-@dataclass(frozen=True)
-class RealizationConfig:
+class RealizationConfig(_Value):
     """How random numeric realizations are drawn.
 
     Magnitudes are uniform in ``magnitude_range`` (bounded away from zero
@@ -39,18 +37,29 @@ class RealizationConfig:
     ``order_range`` with integers rejected.
     """
 
-    magnitude_range: tuple = (0.5, 1.5)
-    random_signs: bool = True
-    order_range: tuple = (0.9, 1.3)
-    seed: int = 0
+    _fields = ("magnitude_range", "random_signs", "order_range", "seed")
+    magnitude_range: tuple
+    random_signs: bool
+    order_range: tuple
+    seed: int
 
-    def __post_init__(self):
-        lo, hi = self.magnitude_range
+    def __init__(
+        self,
+        magnitude_range: tuple = (0.5, 1.5),
+        random_signs: bool = True,
+        order_range: tuple = (0.9, 1.3),
+        seed: int = 0,
+    ):
+        lo, hi = magnitude_range
         if not (np.isfinite(lo) and np.isfinite(hi) and 0 < lo <= hi):
             raise ValueError("magnitude range must be finite with 0 < low <= high")
-        a, b = self.order_range
+        a, b = order_range
         if not (np.isfinite(a) and np.isfinite(b) and 0 < a <= b):
             raise ValueError("order range must be finite with 0 < low <= high")
+        object.__setattr__(self, "magnitude_range", magnitude_range)
+        object.__setattr__(self, "random_signs", random_signs)
+        object.__setattr__(self, "order_range", order_range)
+        object.__setattr__(self, "seed", seed)
 
 
 def random_realization(

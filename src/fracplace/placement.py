@@ -33,11 +33,17 @@ horizon: it reaches the same states.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import Collection
 
 from .matching import _max_matching_rows, _min_weight_max_matching_rows
-from .structure import Condensation, Pattern, condense, non_accessible_states, transposed_union
+from .structure import (
+    Condensation,
+    Pattern,
+    _Value,
+    condense,
+    non_accessible_states,
+    transposed_union,
+)
 
 __all__ = [
     "SensorSet",
@@ -49,8 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SensorSet:
+class SensorSet(_Value):
     """Dedicated sensor states, partitioned by how they were chosen.
 
     ``j_prime``: matched through a sink-SCC indicator column; ``j_double``:
@@ -59,6 +64,7 @@ class SensorSet:
     their union is the placed set.
     """
 
+    _fields = ("j_prime", "j_double", "j_triple")
     j_prime: frozenset
     j_double: frozenset
     j_triple: frozenset
@@ -81,26 +87,37 @@ class SensorSet:
         return len(self.all)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(_Value):
     """Outcome of the two structural observability conditions.
 
     ``non_accessible`` witnesses a condition (i) failure; the matching
     deficiency (n minus the achieved generic rank) witnesses (ii).
     """
 
+    _fields = ("condition_i", "condition_ii", "non_accessible", "matching_deficiency")
     condition_i: bool
     condition_ii: bool
     non_accessible: frozenset
     matching_deficiency: int
+
+    def __init__(
+        self,
+        condition_i: bool,
+        condition_ii: bool,
+        non_accessible: frozenset,
+        matching_deficiency: int,
+    ):
+        object.__setattr__(self, "condition_i", condition_i)
+        object.__setattr__(self, "condition_ii", condition_ii)
+        object.__setattr__(self, "non_accessible", non_accessible)
+        object.__setattr__(self, "matching_deficiency", matching_deficiency)
 
     @property
     def observable(self) -> bool:
         return self.condition_i and self.condition_ii
 
 
-@dataclass(frozen=True)
-class PlacementReport:
+class PlacementReport(_Value):
     """A placement, what it was read off, and its passing ``certificate``.
 
     ``union_t`` is the transposed transition union at this horizon, the
@@ -112,6 +129,15 @@ class PlacementReport:
     through their indicator columns.
     """
 
+    _fields = (
+        "sensors",
+        "union_t",
+        "condensation",
+        "beta",
+        "matching_cardinality",
+        "covered_sccs",
+        "certificate",
+    )
     sensors: SensorSet
     union_t: Pattern
     condensation: Condensation
@@ -119,6 +145,24 @@ class PlacementReport:
     matching_cardinality: int
     covered_sccs: frozenset
     certificate: Certificate
+
+    def __init__(
+        self,
+        sensors: SensorSet,
+        union_t: Pattern,
+        condensation: Condensation,
+        beta: int,
+        matching_cardinality: int,
+        covered_sccs: frozenset,
+        certificate: Certificate,
+    ):
+        object.__setattr__(self, "sensors", sensors)
+        object.__setattr__(self, "union_t", union_t)
+        object.__setattr__(self, "condensation", condensation)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "matching_cardinality", matching_cardinality)
+        object.__setattr__(self, "covered_sccs", covered_sccs)
+        object.__setattr__(self, "certificate", certificate)
 
 
 def sink_scc_columns(cond: Condensation) -> Pattern:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
 from itertools import compress
 from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 
@@ -57,8 +56,41 @@ def set_bits(mask: int, width: int) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class Pattern:
+class _Value:
+    """Base of the package's immutable value types.
+
+    A subclass names its compared fields, in order, in ``_fields``, and its
+    ``__init__`` sets every attribute with ``object.__setattr__``.  Two
+    values are equal iff they are of the same class and their compared
+    fields are; the hash and the ``Name(field=...)`` repr cover the same
+    fields.  Assigning or deleting an attribute raises AttributeError.
+    """
+
+    _fields: tuple
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Pattern(_Value):
     """Sparse boolean matrix stored as row bitmasks, 0-based.
 
     Bit c of ``rows[r]`` is set iff (r, c) is present.  Two patterns are
@@ -67,6 +99,7 @@ class Pattern:
     instead of being truncated.
     """
 
+    _fields = ("nrows", "ncols", "rows")
     nrows: int
     ncols: int
     rows: tuple
@@ -155,8 +188,7 @@ class Pattern:
         return pattern
 
 
-@dataclass(frozen=True)
-class Condensation:
+class Condensation(_Value):
     """SCC decomposition of a square pattern's digraph.
 
     SCCs are numbered in ascending order of their smallest member state.
@@ -164,14 +196,24 @@ class Condensation:
     every state of the graph can reach at least one of them.  ``order``
     lists the ids in a topological order of the quotient DAG: an SCC comes
     after every SCC with an edge into it.  ``pattern`` is the decomposed
-    pattern.  Neither takes part in equality.
+    pattern.  Neither takes part in equality, the hash or the repr.
     """
 
+    _fields = ("scc_of", "sccs", "sink_sccs")
     scc_of: tuple
     sccs: tuple
     sink_sccs: frozenset
-    order: tuple = field(repr=False, compare=False)
-    pattern: Pattern = field(repr=False, compare=False)
+    order: tuple
+    pattern: Pattern
+
+    def __init__(
+        self, scc_of: tuple, sccs: tuple, sink_sccs: frozenset, order: tuple, pattern: Pattern
+    ):
+        object.__setattr__(self, "scc_of", scc_of)
+        object.__setattr__(self, "sccs", sccs)
+        object.__setattr__(self, "sink_sccs", sink_sccs)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "pattern", pattern)
 
     @property
     def n(self) -> int:

@@ -12,59 +12,73 @@ from __future__ import annotations
 
 import operator
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .placement import minimal_sensors
-from .structure import Pattern
+from .structure import Pattern, _Value
 
 __all__ = ["SweepSpec", "SweepRow", "run_sweep"]
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(_Value):
     """Sweep configuration.
 
     Exactly one of ``n`` (random ensemble of that dimension, >= 1) or
     ``base_matrix`` (numeric matrix to sparsify) must be given.  Levels
-    are sparsity fractions in [0, 1), sorted ascending.  ``horizon``, when
-    given, is an integer >= 0, taken through ``operator.index``.
+    are sparsity fractions in [0, 1), sorted ascending.  ``trials``,
+    ``n``, ``seed`` and ``horizon`` (an integer >= 0 when given) are taken
+    through ``operator.index``: a float raises TypeError.
     """
 
+    _fields = ("levels", "trials", "n", "base_matrix", "horizon", "seed")
     levels: tuple
     trials: int
-    n: int | None = None
-    base_matrix: np.ndarray | None = None
-    horizon: int | None = None
-    seed: int = 0
+    n: int | None
+    base_matrix: np.ndarray | None
+    horizon: int | None
+    seed: int
 
-    def __post_init__(self):
-        levels = tuple(float(s) for s in self.levels)
+    def __init__(
+        self,
+        levels: tuple,
+        trials: int,
+        n: int | None = None,
+        base_matrix: np.ndarray | None = None,
+        horizon: int | None = None,
+        seed: int = 0,
+    ):
+        levels = tuple(float(s) for s in levels)
         if not levels:
             raise ValueError("need at least one sparsity level")
         if any(not (0.0 <= s < 1.0) for s in levels):
             raise ValueError("sparsity levels must lie in [0, 1)")
         if list(levels) != sorted(levels):
             raise ValueError("sparsity levels must be sorted ascending")
-        if self.trials < 1:
+        trials = operator.index(trials)
+        if trials < 1:
             raise ValueError("need at least one trial per level")
-        if (self.n is None) == (self.base_matrix is None):
+        if (n is None) == (base_matrix is None):
             raise ValueError("give exactly one of n or base_matrix")
-        if self.n is not None and self.n < 1:
-            raise ValueError("state dimension must be positive")
-        if self.horizon is not None:
-            horizon = operator.index(self.horizon)
+        if n is not None:
+            n = operator.index(n)
+            if n < 1:
+                raise ValueError("state dimension must be positive")
+        if horizon is not None:
+            horizon = operator.index(horizon)
             if horizon < 0:
                 raise ValueError("horizon must be >= 0")
-            object.__setattr__(self, "horizon", horizon)
-        if self.base_matrix is not None:
-            base = np.atleast_2d(np.asarray(self.base_matrix, dtype=float))
-            if base.shape[0] != base.shape[1]:
+        if base_matrix is not None:
+            base_matrix = np.atleast_2d(np.asarray(base_matrix, dtype=float))
+            if base_matrix.shape[0] != base_matrix.shape[1]:
                 raise ValueError("base matrix must be square")
-            object.__setattr__(self, "base_matrix", base)
         object.__setattr__(self, "levels", levels)
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "base_matrix", base_matrix)
+        object.__setattr__(self, "horizon", horizon)
+        object.__setattr__(self, "seed", operator.index(seed))
 
     @property
     def dimension(self) -> int:

@@ -22,10 +22,9 @@ block must be present, closed by ``end``; matrix values must be finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .structure import Pattern, _check_zero_tol, pattern_of
+from .structure import Pattern, _check_zero_tol, _Value, pattern_of
 
 if TYPE_CHECKING:
     import numpy as np
@@ -36,8 +35,7 @@ FORMAT_NAME = "fracsys"
 FORMAT_VERSION = 1
 
 
-@dataclass(frozen=True)
-class SystemFile:
+class SystemFile(_Value):
     """Parsed system description.
 
     The file's numbers are held as Python floats: ``orders`` has one
@@ -47,12 +45,29 @@ class SystemFile:
     the file leaves it to the default (the state dimension).
     """
 
+    _fields = ("n", "orders", "kind", "values", "pattern", "horizon")
     n: int
     orders: tuple
     kind: str  # "dense" | "sparse" | "pattern"
     values: tuple | None
     pattern: Pattern | None
     horizon: int | None
+
+    def __init__(
+        self,
+        n: int,
+        orders: tuple,
+        kind: str,
+        values: tuple | None,
+        pattern: Pattern | None,
+        horizon: int | None,
+    ):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "orders", orders)
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "horizon", horizon)
 
     @property
     def numeric(self) -> bool:

@@ -457,7 +457,8 @@ class TestImports:
         assert proc.stdout.strip() == "False"
 
     def test_structural_commands_do_not_import_numpy(self, tmp_path):
-        # place and verify print no floats: numpy and the test oracles stay unloaded
+        # place and verify print no floats: numpy and the test oracles stay
+        # unloaded, and so do dataclasses and the inspect module it imports
         pattern_file = tmp_path / "pattern.fracsys"
         pattern_file.write_text(PATTERN_ONLY)
         dense_file = tmp_path / "dense.fracsys"
@@ -465,7 +466,7 @@ class TestImports:
         code = f"""
 import contextlib, io, sys
 import fracplace, fracplace.cli
-loaded = lambda: sorted({{"numpy", "fracplace.oracle"}} & set(sys.modules))
+loaded = lambda: sorted({{"numpy", "fracplace.oracle", "dataclasses", "inspect"}} & set(sys.modules))
 print(loaded())
 with contextlib.redirect_stdout(io.StringIO()):
     for path in ({str(pattern_file)!r}, {str(dense_file)!r}):
@@ -476,6 +477,23 @@ print(loaded())
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split("\n") == ["[]", "[]", ""]
+
+    def test_no_submodule_imports_dataclasses(self):
+        # numpy imports inspect, so only dataclasses is checked here;
+        # __main__ is skipped, since importing it runs the command
+        code = (
+            "import importlib, pkgutil, sys, fracplace\n"
+            "for info in pkgutil.iter_modules(fracplace.__path__):\n"
+            "    if info.name != '__main__':\n"
+            "        importlib.import_module(f'fracplace.{info.name}')\n"
+            "print(sorted(m for m in sys.modules if m.startswith('fracplace.')))\n"
+            "print('dataclasses' in sys.modules)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        modules, dataclasses_loaded = proc.stdout.splitlines()
+        assert "fracplace.oracle" in modules and "fracplace.cli" in modules
+        assert dataclasses_loaded == "False"
 
     def test_every_public_name_resolves(self):
         code = (

@@ -52,6 +52,18 @@ class TestSweepSpec:
         spec = SweepSpec(levels=(0.5,), trials=1, n=4, horizon=np.int64(2))
         assert type(spec.horizon) is int and run_sweep(spec)[0].horizon == 2
 
+    @pytest.mark.parametrize("field, value", [("n", 4.0), ("trials", 2.5), ("seed", 1.5)])
+    def test_rejects_a_float_count_or_seed(self, field, value):
+        # refused when the spec is built, not partway through the sweep
+        args = {"levels": (0.5,), "trials": 1, "n": 4, field: value}
+        with pytest.raises(TypeError):
+            SweepSpec(**args)
+
+    def test_takes_integer_types_as_int(self):
+        spec = SweepSpec(levels=(0.5,), trials=np.int64(2), n=np.int64(4), seed=np.int64(7))
+        assert [type(v) for v in (spec.trials, spec.n, spec.seed)] == [int] * 3
+        assert run_sweep(spec) == run_sweep(SweepSpec(levels=(0.5,), trials=2, n=4, seed=7))
+
 
 class TestRunSweep:
     def test_deterministic_under_seed(self):
