@@ -62,6 +62,31 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class _ArrayValue(_Value):
+    """A value type with numpy array fields.
+
+    Array fields compare by shape and entries (``np.array_equal``), so
+    ``==`` has a plain truth value; the hash still raises TypeError on an
+    array.  Pickle and copy rebuild the value through its constructor,
+    which copies the arrays and makes them read-only again.
+    """
+
+    # kept, not dropped with the new __eq__: a SweepSpec without a base
+    # matrix holds no array and stays hashable
+    __hash__ = _Value.__hash__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(
+            np.array_equal(a, b) if np.ndarray in (type(a), type(b)) else a == b
+            for a, b in zip(self._values(), other._values())
+        )
+
+    def __reduce__(self):
+        return self.__class__, self._values()
+
+
 def _adopt(cls, field: str, a: np.ndarray):
     # a cls holding an array this module has just built, frozen but not copied
     a.setflags(write=False)
@@ -70,7 +95,7 @@ def _adopt(cls, field: str, a: np.ndarray):
     return obj
 
 
-class FracSystem(_Value):
+class FracSystem(_ArrayValue):
     """A fractional-order difference system: coupling matrix, orders, horizon.
 
     ``horizon`` is the number of transition factors kept beyond T_0; it
@@ -102,16 +127,14 @@ class FracSystem(_Value):
         horizon = operator.index(horizon)
         if horizon < 0:
             raise ValueError("horizon must be >= 0")
-        object.__setattr__(self, "A", A)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "horizon", horizon)
+        super().__init__(A, alpha, horizon)
 
     @property
     def n(self) -> int:
         return self.A.shape[0]
 
 
-class GlCoefficients(_Value):
+class GlCoefficients(_ArrayValue):
     """Per-state memory tail coefficients.
 
     ``table[i, j-1]`` is the diagonal entry of the j-th tail matrix D_j
@@ -127,7 +150,7 @@ class GlCoefficients(_Value):
             raise ValueError("coefficient table must be 2-d (state x tail index)")
         if not np.all(np.isfinite(table)):
             raise ValueError("tail coefficients must be finite")
-        object.__setattr__(self, "table", table)
+        super().__init__(table)
 
     @property
     def n(self) -> int:
@@ -138,7 +161,7 @@ class GlCoefficients(_Value):
         return self.table.shape[1]
 
 
-class TransitionSequence(_Value):
+class TransitionSequence(_ArrayValue):
     """Stack of transition factors T_0..T_K, shape (K+1, n, n)."""
 
     _fields = ("stack",)
@@ -148,7 +171,7 @@ class TransitionSequence(_Value):
         stack = _readonly(stack)
         if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
             raise ValueError("expected a (K+1, n, n) stack of square matrices")
-        object.__setattr__(self, "stack", stack)
+        super().__init__(stack)
 
     @property
     def horizon(self) -> int:
@@ -165,14 +188,14 @@ class TransitionSequence(_Value):
         return self.stack[k]
 
 
-class Trajectory(_Value):
+class Trajectory(_ArrayValue):
     """States x_0..x_T as rows of a (T+1, n) array."""
 
     _fields = ("states",)
     states: np.ndarray
 
     def __init__(self, states: np.ndarray):
-        object.__setattr__(self, "states", _readonly(states))
+        super().__init__(_readonly(states))
 
     @property
     def steps(self) -> int:

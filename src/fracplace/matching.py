@@ -83,17 +83,7 @@ class WeightedBipartite(_Value):
         for r, (a, b) in enumerate(zip(free.rows, unit.rows)):
             if a & b:
                 raise ValueError(f"duplicate edge for pair ({r}, {(a & b).bit_length() - 1})")
-        object.__setattr__(self, "n_rows", free.nrows)
-        object.__setattr__(self, "n_cols", free.ncols)
-        object.__setattr__(self, "free", free)
-        object.__setattr__(self, "unit", unit)
-
-    @property
-    def edges(self) -> frozenset:
-        """The (row, col, weight) triples."""
-        return frozenset(
-            (r, c, w) for w, p in enumerate((self.free, self.unit)) for r, c in p.entries
-        )
+        super().__init__(free.nrows, free.ncols, free, unit)
 
 
 class Matching(_Value):
@@ -113,15 +103,11 @@ class Matching(_Value):
         cols = [c for _, c in pair_set]
         if len(set(rows)) != len(rows) or len(set(cols)) != len(cols):
             raise ValueError("matching repeats a row or column vertex")
-        object.__setattr__(self, "pairs", pair_set)
-        object.__setattr__(self, "total_weight", operator.index(total_weight))
+        super().__init__(pair_set, operator.index(total_weight))
 
     @property
     def cardinality(self) -> int:
         return len(self.pairs)
-
-    def sorted_pairs(self) -> list[tuple]:
-        return sorted(self.pairs)
 
 
 def _max_matching_rows(rows: Sequence[int], width: int, start: Iterable = ()) -> tuple[list, list]:

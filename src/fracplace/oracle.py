@@ -8,6 +8,7 @@ random values on a pattern's support.
 
 from __future__ import annotations
 
+import operator
 from itertools import combinations
 
 import numpy as np
@@ -34,7 +35,9 @@ class RealizationConfig(_Value):
     Magnitudes are uniform in ``magnitude_range`` (bounded away from zero
     so genericity survives double precision), signs are random unless
     ``random_signs`` is off, and fractional orders are uniform in
-    ``order_range`` with integers rejected.
+    ``order_range`` with integers rejected.  Both ranges are stored as
+    pairs of floats, and ``seed`` is taken through ``operator.index``: a
+    float raises TypeError.
     """
 
     _fields = ("magnitude_range", "random_signs", "order_range", "seed")
@@ -56,10 +59,8 @@ class RealizationConfig(_Value):
         a, b = order_range
         if not (np.isfinite(a) and np.isfinite(b) and 0 < a <= b):
             raise ValueError("order range must be finite with 0 < low <= high")
-        object.__setattr__(self, "magnitude_range", magnitude_range)
-        object.__setattr__(self, "random_signs", random_signs)
-        object.__setattr__(self, "order_range", order_range)
-        object.__setattr__(self, "seed", seed)
+        magnitude_range, order_range = (float(lo), float(hi)), (float(a), float(b))
+        super().__init__(magnitude_range, random_signs, order_range, operator.index(seed))
 
 
 def random_realization(

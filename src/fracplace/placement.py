@@ -75,9 +75,7 @@ class SensorSet(_Value):
         c = frozenset(map(operator.index, j_triple))
         if (a & b) or (a & c) or (b & c):
             raise ValueError("sensor groups must be pairwise disjoint")
-        object.__setattr__(self, "j_prime", a)
-        object.__setattr__(self, "j_double", b)
-        object.__setattr__(self, "j_triple", c)
+        super().__init__(a, b, c)
 
     @property
     def all(self) -> frozenset:
@@ -99,18 +97,6 @@ class Certificate(_Value):
     condition_ii: bool
     non_accessible: frozenset
     matching_deficiency: int
-
-    def __init__(
-        self,
-        condition_i: bool,
-        condition_ii: bool,
-        non_accessible: frozenset,
-        matching_deficiency: int,
-    ):
-        object.__setattr__(self, "condition_i", condition_i)
-        object.__setattr__(self, "condition_ii", condition_ii)
-        object.__setattr__(self, "non_accessible", non_accessible)
-        object.__setattr__(self, "matching_deficiency", matching_deficiency)
 
     @property
     def observable(self) -> bool:
@@ -145,24 +131,6 @@ class PlacementReport(_Value):
     matching_cardinality: int
     covered_sccs: frozenset
     certificate: Certificate
-
-    def __init__(
-        self,
-        sensors: SensorSet,
-        union_t: Pattern,
-        condensation: Condensation,
-        beta: int,
-        matching_cardinality: int,
-        covered_sccs: frozenset,
-        certificate: Certificate,
-    ):
-        object.__setattr__(self, "sensors", sensors)
-        object.__setattr__(self, "union_t", union_t)
-        object.__setattr__(self, "condensation", condensation)
-        object.__setattr__(self, "beta", beta)
-        object.__setattr__(self, "matching_cardinality", matching_cardinality)
-        object.__setattr__(self, "covered_sccs", covered_sccs)
-        object.__setattr__(self, "certificate", certificate)
 
 
 def sink_scc_columns(cond: Condensation) -> Pattern:

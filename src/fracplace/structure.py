@@ -15,10 +15,7 @@ from __future__ import annotations
 import math
 import operator
 from itertools import compress
-from typing import TYPE_CHECKING, Collection, Iterable, Sequence
-
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Collection, Iterable, Sequence
 
 __all__ = [
     "Pattern",
@@ -59,14 +56,32 @@ def set_bits(mask: int, width: int) -> list[int]:
 class _Value:
     """Base of the package's immutable value types.
 
-    A subclass names its compared fields, in order, in ``_fields``, and its
-    ``__init__`` sets every attribute with ``object.__setattr__``.  Two
-    values are equal iff they are of the same class and their compared
-    fields are; the hash and the ``Name(field=...)`` repr cover the same
-    fields.  Assigning or deleting an attribute raises AttributeError.
+    A subclass names its compared fields, in order, in ``_fields``.  The
+    shared constructor binds them by position or by keyword, and raises
+    TypeError on a missing, unknown, repeated or surplus field; a class
+    that validates or converts its arguments keeps its own signature and
+    ends with ``super().__init__(...)``.  Two values are equal iff they are
+    of the same class and their compared fields are; the hash and the
+    ``Name(field=...)`` repr cover the same fields.  Assigning or deleting
+    an attribute raises AttributeError.
     """
 
     _fields: tuple
+
+    def __init__(self, *args, **kwargs):
+        names = self._fields
+        if kwargs:
+            try:
+                args += tuple(map(kwargs.pop, names[len(args) :]))
+            except KeyError as missing:
+                raise TypeError(f"{type(self).__qualname__} missing field {missing}") from None
+            if kwargs:  # each left is unknown, or a field already given by position
+                name = next(iter(kwargs))
+                kind = "repeated" if name in names else "unknown"
+                raise TypeError(f"{type(self).__qualname__} got {kind} field {name!r}")
+        if len(args) != len(names):
+            raise TypeError(f"{type(self).__qualname__} takes {len(names)} fields, got {len(args)}")
+        self.__dict__.update(zip(names, args))
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -116,9 +131,7 @@ class Pattern(_Value):
                     f"entry ({r}, {c}) outside a {nrows} x {ncols} pattern"
                 )
             rows[r] |= 1 << c
-        object.__setattr__(self, "nrows", nrows)
-        object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "rows", tuple(rows))
+        super().__init__(nrows, ncols, tuple(rows))
 
     @property
     def entries(self) -> frozenset:
@@ -154,26 +167,9 @@ class Pattern(_Value):
                     masks[c] |= bit
         return Pattern.from_masks(self.ncols, self.nrows, masks)
 
-    def to_array(self, dtype=float) -> np.ndarray:
-        import numpy as np
-
-        a = np.zeros((self.nrows, self.ncols), dtype=dtype)
-        for r, cols in enumerate(self.row_columns()):
-            a[r, cols] = 1
-        return a
-
     @classmethod
     def identity(cls, n: int) -> "Pattern":
         return cls(n, n, ((i, i) for i in range(n)))
-
-    @classmethod
-    def identity_columns(cls, n: int, cols: Collection[int]) -> "Pattern":
-        """The n x |cols| selector pattern with one entry per chosen state."""
-        ordered = sorted(set(map(operator.index, cols)))
-        for c in ordered:
-            if not (0 <= c < n):
-                raise ValueError(f"state index {c} outside 0..{n - 1}")
-        return cls(n, len(ordered), ((s, j) for j, s in enumerate(ordered)))
 
     @classmethod
     def from_masks(cls, nrows: int, ncols: int, masks: Sequence[int]) -> "Pattern":
@@ -209,9 +205,7 @@ class Condensation(_Value):
     def __init__(
         self, scc_of: tuple, sccs: tuple, sink_sccs: frozenset, order: tuple, pattern: Pattern
     ):
-        object.__setattr__(self, "scc_of", scc_of)
-        object.__setattr__(self, "sccs", sccs)
-        object.__setattr__(self, "sink_sccs", sink_sccs)
+        super().__init__(scc_of, sccs, sink_sccs)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "pattern", pattern)
 

@@ -16,20 +16,22 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .fraccore import _ArrayValue, _readonly
 from .placement import minimal_sensors
-from .structure import Pattern, _Value
+from .structure import Pattern
 
 __all__ = ["SweepSpec", "SweepRow", "run_sweep"]
 
 
-class SweepSpec(_Value):
+class SweepSpec(_ArrayValue):
     """Sweep configuration.
 
     Exactly one of ``n`` (random ensemble of that dimension, >= 1) or
     ``base_matrix`` (numeric matrix to sparsify) must be given.  Levels
-    are sparsity fractions in [0, 1), sorted ascending.  ``trials``,
-    ``n``, ``seed`` and ``horizon`` (an integer >= 0 when given) are taken
-    through ``operator.index``: a float raises TypeError.
+    are sparsity fractions in [0, 1), sorted ascending; ``base_matrix`` is
+    kept as a read-only copy.  ``trials``, ``n``, ``seed`` and ``horizon``
+    (an integer >= 0 when given) are taken through ``operator.index``: a
+    float raises TypeError.
     """
 
     _fields = ("levels", "trials", "n", "base_matrix", "horizon", "seed")
@@ -70,15 +72,10 @@ class SweepSpec(_Value):
             if horizon < 0:
                 raise ValueError("horizon must be >= 0")
         if base_matrix is not None:
-            base_matrix = np.atleast_2d(np.asarray(base_matrix, dtype=float))
+            base_matrix = _readonly(np.atleast_2d(base_matrix))
             if base_matrix.shape[0] != base_matrix.shape[1]:
                 raise ValueError("base matrix must be square")
-        object.__setattr__(self, "levels", levels)
-        object.__setattr__(self, "trials", trials)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "base_matrix", base_matrix)
-        object.__setattr__(self, "horizon", horizon)
-        object.__setattr__(self, "seed", operator.index(seed))
+        super().__init__(levels, trials, n, base_matrix, horizon, operator.index(seed))
 
     @property
     def dimension(self) -> int:

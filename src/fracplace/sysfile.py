@@ -53,22 +53,6 @@ class SystemFile(_Value):
     pattern: Pattern | None
     horizon: int | None
 
-    def __init__(
-        self,
-        n: int,
-        orders: tuple,
-        kind: str,
-        values: tuple | None,
-        pattern: Pattern | None,
-        horizon: int | None,
-    ):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "orders", orders)
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "pattern", pattern)
-        object.__setattr__(self, "horizon", horizon)
-
     @property
     def numeric(self) -> bool:
         return self.values is not None

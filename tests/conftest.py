@@ -1,3 +1,5 @@
+import operator
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,29 @@ def random_pattern(rng: np.random.Generator, n: int, density: float) -> Pattern:
         return Pattern(n, n)
     flat = rng.choice(total, size=count, replace=False)
     return Pattern(n, n, ((int(p) // n, int(p) % n) for p in flat))
+
+
+def identity_columns(n: int, cols) -> Pattern:
+    """The n x |cols| selector pattern with one entry per chosen state, in ascending order."""
+    ordered = sorted(set(map(operator.index, cols)))
+    for c in ordered:
+        if not (0 <= c < n):
+            raise ValueError(f"state index {c} outside 0..{n - 1}")
+    return Pattern(n, len(ordered), ((s, j) for j, s in enumerate(ordered)))
+
+
+def pattern_array(pattern: Pattern, dtype=float) -> np.ndarray:
+    """The pattern as a 0/1 array of its shape."""
+    a = np.zeros((pattern.nrows, pattern.ncols), dtype=dtype)
+    for r, cols in enumerate(pattern.row_columns()):
+        a[r, cols] = 1
+    return a
+
+
+def graph_edges(graph: WeightedBipartite) -> frozenset:
+    """The (row, col, weight) triples of a weighted bipartite graph."""
+    weighted = enumerate((graph.free, graph.unit))
+    return frozenset((r, c, w) for w, p in weighted for r, c in p.entries)
 
 
 @pytest.fixture

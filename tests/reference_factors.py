@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from fracplace import FracSystem, gl_tails
+from fracplace import FracSystem, Pattern, gl_tails
+
+from conftest import pattern_array
 
 
 def factor_stack(system: FracSystem) -> np.ndarray:
@@ -37,13 +39,13 @@ def factor_stack(system: FracSystem) -> np.ndarray:
 def observability_matrix(C, stack: np.ndarray) -> np.ndarray:
     """Vertical stack of C T_0, C T_1, ..., C T_K.
 
-    ``C`` may be a numeric (p, n) array or a boolean pattern object with a
-    ``to_array`` method.  A stack with horizon K yields K+1 stacked blocks;
+    ``C`` may be a numeric (p, n) array or a :class:`Pattern`, read as its
+    0/1 array.  A stack with horizon K yields K+1 stacked blocks;
     the classical finite-time observability test at time K+1 uses exactly
     these blocks.
     """
-    if hasattr(C, "to_array"):
-        C = C.to_array()
+    if isinstance(C, Pattern):
+        C = pattern_array(C)
     C = np.atleast_2d(np.asarray(C, dtype=float))
     n = stack.shape[1]
     if C.shape[1] != n:

@@ -14,6 +14,8 @@ from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 from fracplace import Matching, WeightedBipartite
 
+from conftest import graph_edges
+
 
 def _optimum(rows, cols, weights, n_rows, n_cols):
     """(cardinality, weight) of a min-weight max-cardinality matching.
@@ -45,7 +47,7 @@ def _optimum(rows, cols, weights, n_rows, n_cols):
 
 def reference_min_weight_max_matching(graph: WeightedBipartite) -> Matching:
     """Lexicographically smallest min-weight max-cardinality matching."""
-    edges = sorted(graph.edges)
+    edges = sorted(graph_edges(graph))
     if not edges:
         return Matching((), 0)
     er = np.array([e[0] for e in edges])

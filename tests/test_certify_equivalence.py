@@ -12,7 +12,6 @@ import numpy as np
 
 import fracplace.placement
 from fracplace import (
-    Pattern,
     min_weight_max_matching,
     minimal_sensors,
     sink_scc_columns,
@@ -21,7 +20,7 @@ from fracplace import (
 )
 from fracplace.placement import _certify
 
-from conftest import placement_graph, random_pattern
+from conftest import identity_columns, placement_graph, random_pattern
 from reference_rank import generic_rank
 
 
@@ -59,7 +58,7 @@ def test_deficiency_equals_generic_rank_oracle():
         )
         union = transition_union(pattern, horizon)
         union_t = union.transpose()
-        want = n - generic_rank([union_t], Pattern.identity_columns(n, sensors))
+        want = n - generic_rank([union_t], identity_columns(n, sensors))
 
         cert = verify_observability(pattern, horizon, sensors)
         assert cert.matching_deficiency == want
@@ -88,7 +87,7 @@ def test_placement_pairs_as_the_starting_matching():
         pairs = min_weight_max_matching(graph).pairs
         placed = report.sensors.all
         for sensors in [placed] + [placed - {s} for s in sorted(placed)[:3]]:
-            want = n - generic_rank([union_t], Pattern.identity_columns(n, sensors))
+            want = n - generic_rank([union_t], identity_columns(n, sensors))
             assert _certify(union, union_t, sensors, pairs).matching_deficiency == want
 
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from fracplace import (
     FracSystem,
-    Pattern,
     TransitionSequence,
     gl_coefficient,
     gl_tails,
@@ -21,6 +20,8 @@ from fracplace import (
 )
 from fracplace import fraccore
 from fracplace.fraccore import MAX_FACTOR_STACK_BYTES, MAX_SIMULATION_WORK
+
+from conftest import identity_columns
 from reference_factors import factor_stack, observability_matrix
 
 
@@ -391,7 +392,7 @@ class TestObservabilityMatrix:
 
     def test_accepts_pattern_output(self):
         stack = factor_stack(FracSystem(np.eye(2), [0.5, 0.5], 0))
-        M = observability_matrix(Pattern.identity_columns(2, [1]).transpose(), stack)
+        M = observability_matrix(identity_columns(2, [1]).transpose(), stack)
         assert M.shape == (1, 2)
 
     def test_dimension_mismatch(self):

@@ -12,6 +12,8 @@ from fracplace import (
     random_realization,
 )
 
+from conftest import graph_edges
+
 
 class TestExhaustiveMinPlacement:
     def test_chain(self, chain3):
@@ -65,6 +67,22 @@ class TestRandomRealization:
         with pytest.raises(ValueError):
             RealizationConfig(order_range=(-1.0, 1.0))
 
+    def test_config_rejects_a_float_seed(self):
+        with pytest.raises(TypeError):
+            RealizationConfig(seed=1.5)
+        assert type(RealizationConfig(seed=np.int64(3)).seed) is int
+
+    def test_config_stores_the_ranges_as_pairs_of_floats(self):
+        cfg = RealizationConfig(magnitude_range=[1, 2], order_range=np.array([0.9, 1.1]))
+        assert cfg.magnitude_range == (1.0, 2.0) and cfg.order_range == (0.9, 1.1)
+        assert all(type(x) is float for x in cfg.magnitude_range + cfg.order_range)
+        same = RealizationConfig(magnitude_range=(1.0, 2.0), order_range=(0.9, 1.1))
+        assert cfg == same and hash(cfg) == hash(same)
+        with pytest.raises(ValueError):
+            RealizationConfig(magnitude_range=(0.5, 1.0, 1.5))
+        with pytest.raises(TypeError):
+            RealizationConfig(order_range=("0.9", "1.1"))
+
 
 class TestDrawOrders:
     def test_in_range_and_non_integer(self):
@@ -108,7 +126,7 @@ class TestEnumerateMatchings:
                 used_r = {r for r, _ in m.pairs}
                 used_c = {c for _, c in m.pairs}
                 assert not any(
-                    r not in used_r and c not in used_c for r, c, _ in g.edges
+                    r not in used_r and c not in used_c for r, c, _ in graph_edges(g)
                 )
 
     def test_optimum_agrees_with_engine(self):

@@ -24,7 +24,7 @@ from fracplace import (
 
 from fracplace.sweep import _random_pattern
 
-from conftest import random_pattern
+from conftest import identity_columns, random_pattern
 from reference_rank import generic_rank
 
 
@@ -328,7 +328,7 @@ class TestMinimalSensors:
         assert "placement" in phases and "self-check" not in phases
         phases.clear()
         stage[0] = "from scratch"
-        sensors = Pattern.identity_columns(n, report.sensors.all)
+        sensors = identity_columns(n, report.sensors.all)
         assert generic_rank([report.union_t], sensors) == n
         assert len(phases) >= 2
 

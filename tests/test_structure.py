@@ -16,7 +16,7 @@ from fracplace import (
     transition_union,
 )
 
-from conftest import random_pattern
+from conftest import identity_columns, pattern_array, random_pattern
 
 entry_sets = st.sets(
     st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=22
@@ -116,7 +116,7 @@ class TestPattern:
             assert t.entries == frozenset((c, r) for r, c in p.entries)
 
     def test_identity_columns(self):
-        p = Pattern.identity_columns(4, [2, 0])
+        p = identity_columns(4, [2, 0])
         assert p.nrows == 4 and p.ncols == 2
         assert p.entries == frozenset({(0, 0), (2, 1)})
 
@@ -140,8 +140,8 @@ class TestPattern:
 
     def test_identity_columns_rejects_a_float_state(self):
         with pytest.raises(TypeError):
-            Pattern.identity_columns(3, [0.6])
-        assert Pattern.identity_columns(3, [np.int64(2)]) == Pattern(3, 1, [(2, 0)])
+            identity_columns(3, [0.6])
+        assert identity_columns(3, [np.int64(2)]) == Pattern(3, 1, [(2, 0)])
 
     def test_accepts_numpy_ints_and_bools(self):
         p = Pattern(np.int64(2), np.uint8(3), [(np.int32(1), np.int64(2)), (True, False)])
@@ -178,7 +178,7 @@ class TestPattern:
 
     def test_to_array_roundtrip(self):
         p = Pattern(3, 2, [(0, 1), (2, 0)])
-        assert pattern_of(p.to_array()).entries == p.entries
+        assert pattern_of(pattern_array(p)).entries == p.entries
 
 
 class TestPatternOf:
@@ -460,7 +460,7 @@ class TestNonAccessible:
             n = int(rng.integers(1, 13))
             pat = random_pattern(rng, n, rng.uniform(0.0, 0.4))
             sensors = {int(s) for s in rng.choice(n, size=rng.integers(0, n), replace=False)}
-            adj = pat.to_array(int)  # adj[i, j] = 1: an edge from state j to state i
+            adj = pattern_array(pat, int)  # adj[i, j] = 1: an edge from state j to state i
             reach = np.eye(n, dtype=int)  # reach[i, j] = 1: a walk from j to i
             for _ in range(n):
                 reach = np.minimum(reach + adj @ reach, 1)

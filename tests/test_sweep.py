@@ -64,6 +64,18 @@ class TestSweepSpec:
         assert [type(v) for v in (spec.trials, spec.n, spec.seed)] == [int] * 3
         assert run_sweep(spec) == run_sweep(SweepSpec(levels=(0.5,), trials=2, n=4, seed=7))
 
+    def test_keeps_a_read_only_copy_of_the_base_matrix(self):
+        A = np.arange(1.0, 10.0).reshape(3, 3)
+        spec = SweepSpec(levels=(0.5,), trials=1, base_matrix=A)
+        before = run_sweep(spec)
+        A[:] = A[::-1, ::-1]  # the caller's array changes, the spec does not
+        assert spec.base_matrix is not A
+        assert np.array_equal(spec.base_matrix, np.arange(1.0, 10.0).reshape(3, 3))
+        assert not spec.base_matrix.flags.writeable
+        with pytest.raises(ValueError):
+            spec.base_matrix[0, 0] = 2.0
+        assert run_sweep(spec) == before
+
 
 class TestRunSweep:
     def test_deterministic_under_seed(self):
