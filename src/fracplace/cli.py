@@ -16,11 +16,11 @@ with 17 significant digits so they round-trip exactly.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 
 from .placement import minimal_sensors, verify_observability
+from .structure import _ZERO_TOL
 from .sysfile import load_system_file
 
 __all__ = ["main"]
@@ -39,24 +39,25 @@ def _emit_json(doc: dict):
     sys.stdout.write("\n")
 
 
-def _emit_kv_csv(doc: dict):
-    writer = csv.writer(sys.stdout)
-    keys = list(doc.keys())
-    writer.writerow(keys)
-    row = []
-    for k in keys:
-        v = doc[k]
-        if isinstance(v, (list, tuple)):
-            row.append(";".join(str(x) for x in v))
-        elif isinstance(v, float):
-            row.append(_fmt(v))
-        else:
-            row.append(v)
-    writer.writerow(row)
+def _emit_csv(header, lines):
+    # the bytes csv.writer gives: no field here holds a comma, a quote or a newline
+    write = sys.stdout.write
+    write(",".join(header) + "\r\n")
+    for line in lines:
+        write(line + "\r\n")
+
+
+def _emit_doc(doc: dict, fmt: str):
+    """One JSON object, or a CSV header of its keys over one row, lists joined by ';'."""
+    if fmt == "json":
+        _emit_json(doc)
+    else:
+        cells = (";".join(map(str, v)) if isinstance(v, list) else str(v) for v in doc.values())
+        _emit_csv(doc, [",".join(cells)])
 
 
 def _resolve_horizon(args, sysfile) -> int:
-    if getattr(args, "k", None) is not None:
+    if args.k is not None:
         return args.k
     if sysfile.horizon is not None:
         return sysfile.horizon
@@ -83,7 +84,7 @@ def _cmd_place(args) -> int:
         "condition_i": report.certificate.condition_i,
         "condition_ii": report.certificate.condition_ii,
     }
-    (_emit_kv_csv if args.format == "csv" else _emit_json)(doc)
+    _emit_doc(doc, args.format)
     return 0
 
 
@@ -113,7 +114,7 @@ def _cmd_verify(args) -> int:
         "non_accessible": _one_based(cert.non_accessible),
         "matching_deficiency": cert.matching_deficiency,
     }
-    (_emit_kv_csv if args.format == "csv" else _emit_json)(doc)
+    _emit_doc(doc, args.format)
     return 0 if cert.observable else 1
 
 
@@ -147,13 +148,12 @@ def _cmd_simulate(args) -> int:
             }
         )
     else:
-        # the bytes csv.writer would give: no field here needs quoting
-        out = sys.stdout
-        out.write(",".join(["k"] + [f"x{i + 1}" for i in range(sysfile.n)]) + "\r\n")
         # one format call per row, with the digits _fmt gives each value
         values = ",".join(["%.17g"] * sysfile.n)
-        for k, row in enumerate(traj.states):
-            out.write(f"{k}," + values % tuple(row) + "\r\n")
+        _emit_csv(
+            ["k"] + [f"x{i + 1}" for i in range(sysfile.n)],
+            (f"{k}," + values % tuple(row) for k, row in enumerate(traj.states)),
+        )
     return 0
 
 
@@ -165,50 +165,32 @@ def _parse_levels(text: str) -> tuple:
 
 
 def _cmd_sweep(args) -> int:
-    from .sweep import SweepSpec, run_sweep
+    from .sweep import SweepRow, SweepSpec, run_sweep
 
+    if args.n is None and args.base is None:
+        raise ValueError("give --n for the random ensemble or --base FILE")
+    if args.n is not None and args.base is not None:
+        raise ValueError("give --n or --base FILE, not both")
     base = None
-    n = args.n
     if args.base is not None:
         sysfile = load_system_file(args.base)
         if not sysfile.numeric:
             raise ValueError("sweep base file must hold numeric matrix values")
         base = sysfile.matrix
-        n = None
-    elif n is None:
-        raise ValueError("give --n for the random ensemble or --base FILE")
     spec = SweepSpec(
         levels=_parse_levels(args.levels),
         trials=args.trials,
-        n=n,
+        n=args.n,
         base_matrix=base,
         horizon=args.k,
         seed=args.seed,
     )
     rows = run_sweep(spec)
+    header = SweepRow._fields[:-1] + ("K",)
     if args.format == "json":
-        _emit_json(
-            {
-                "schema": "fracplace.sweep/1",
-                "rows": [
-                    {
-                        "sparsity": r.sparsity,
-                        "trial": r.trial,
-                        "n_sensors": r.n_sensors,
-                        "beta": r.beta,
-                        "K": r.horizon,
-                    }
-                    for r in rows
-                ],
-            }
-        )
+        _emit_json({"schema": "fracplace.sweep/1", "rows": [dict(zip(header, r)) for r in rows]})
     else:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["sparsity", "trial", "n_sensors", "beta", "K"])
-        for r in rows:
-            writer.writerow(
-                [_fmt(r.sparsity), r.trial, r.n_sensors, r.beta, r.horizon]
-            )
+        _emit_csv(header, (",".join([_fmt(r.sparsity), *map(str, r[1:])]) for r in rows))
     return 0
 
 
@@ -222,48 +204,48 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, with_tol=True):
+    def common(p, fmt, with_tol=True):
         p.add_argument("--k", type=int, default=None, help="horizon override")
         if with_tol:
             p.add_argument(
                 "--tol",
                 type=float,
-                default=1e-12,
+                default=_ZERO_TOL,
                 help="zero threshold when thresholding numeric entries into a "
-                "pattern (default 1e-12)",
+                "pattern (default %(default)s)",
             )
         p.add_argument(
-            "--format", choices=("json", "csv"), default=None, help="output format"
+            "--format", choices=("json", "csv"), default=fmt, help="output format"
         )
 
     p = sub.add_parser("place", help="compute a minimal sensor placement")
     p.add_argument("file", help="system file")
-    common(p)
+    common(p, "json")
     p.add_argument(
         "--strict-j3",
         action="store_true",
         help="kept for compatibility: every uncovered sink SCC already gets "
         "a reachability sensor, so the set is the same",
     )
-    p.set_defaults(run=_cmd_place, default_format="json")
+    p.set_defaults(run=_cmd_place)
 
     p = sub.add_parser("verify", help="check a sensor set")
     p.add_argument("file", help="system file")
-    common(p)
+    common(p, "json")
     p.add_argument(
         "--sensors", required=True, help="comma-separated 1-based state indices"
     )
-    p.set_defaults(run=_cmd_verify, default_format="json")
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("simulate", help="simulate a trajectory to CSV")
     p.add_argument("file", help="system file (numeric matrix required)")
-    common(p, with_tol=False)
+    common(p, "csv", with_tol=False)
     p.add_argument("--x0", required=True, help="file with n initial values")
     p.add_argument("--steps", type=int, default=None, help="steps to simulate")
-    p.set_defaults(run=_cmd_simulate, default_format="csv")
+    p.set_defaults(run=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="sparsity sweep to CSV")
-    common(p, with_tol=False)
+    common(p, "csv", with_tol=False)
     p.add_argument("--n", type=int, default=None, help="random ensemble dimension")
     p.add_argument("--base", default=None, help="numeric system file to sparsify")
     p.add_argument(
@@ -273,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--trials", type=int, default=1, help="trials per level")
     p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.set_defaults(run=_cmd_sweep, default_format="csv")
+    p.set_defaults(run=_cmd_sweep)
 
     return parser
 
@@ -281,8 +263,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.format is None:
-        args.format = args.default_format
     try:
         return args.run(args)
     except (ValueError, OSError) as exc:

@@ -34,10 +34,11 @@ class RealizationConfig(_Value):
 
     Magnitudes are uniform in ``magnitude_range`` (bounded away from zero
     so genericity survives double precision), signs are random unless
-    ``random_signs`` is off, and fractional orders are uniform in
+    ``random_signs`` is False, and fractional orders are uniform in
     ``order_range`` with integers rejected.  Both ranges are stored as
     pairs of floats, and ``seed`` is taken through ``operator.index``: a
-    float raises TypeError.
+    float raises TypeError, and so does a ``random_signs`` that is not a
+    bool.
     """
 
     _fields = ("magnitude_range", "random_signs", "order_range", "seed")
@@ -59,6 +60,8 @@ class RealizationConfig(_Value):
         a, b = order_range
         if not (np.isfinite(a) and np.isfinite(b) and 0 < a <= b):
             raise ValueError("order range must be finite with 0 < low <= high")
+        if not isinstance(random_signs, bool):
+            raise TypeError(f"random_signs must be a bool, got {type(random_signs).__name__}")
         magnitude_range, order_range = (float(lo), float(hi)), (float(a), float(b))
         super().__init__(magnitude_range, random_signs, order_range, operator.index(seed))
 
@@ -106,14 +109,14 @@ def exhaustive_min_placement(pattern: Pattern, horizon: int, cap: int | None = N
     Scans subsets in increasing cardinality and, within a cardinality, in
     lexicographic order, so the witness is the lexicographically first
     passing set.  Refuses more than 16 states; ``cap`` bounds the subset
-    size searched.
+    size searched and is taken through ``operator.index``.
     """
     if not pattern.is_square():
         raise ValueError("placement search needs a square pattern")
     n = pattern.nrows
     if n > _MAX_EXHAUSTIVE_STATES:
         raise ValueError(f"exhaustive search refused for n={n} > {_MAX_EXHAUSTIVE_STATES}")
-    limit = n if cap is None else min(int(cap), n)
+    limit = n if cap is None else min(operator.index(cap), n)
     for size in range(1, limit + 1):
         for subset in combinations(range(n), size):
             if verify_observability(pattern, horizon, subset).observable:

@@ -33,6 +33,8 @@ _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
 # its bits is set: formatting it as a binary numeral then costs less than
 # walking its set bits
 _DENSE_WIDTH_PER_BIT = 8
+# the default zero threshold: a numeric entry is structural iff its magnitude exceeds it
+_ZERO_TOL = 1e-12
 
 
 def set_bits(mask: int, width: int) -> list[int]:
@@ -219,10 +221,11 @@ def _check_zero_tol(zero_tol: float) -> None:
         raise ValueError("zero_tol must be finite and >= 0")
 
 
-def pattern_of(M, zero_tol: float = 1e-12) -> Pattern:
+def pattern_of(M, zero_tol: float = _ZERO_TOL) -> Pattern:
     """Pattern of a numeric matrix: entries with magnitude above zero_tol.
 
     ``M`` is a 2-D array or a sequence of equally long rows of numbers.
+    A NaN entry raises ValueError naming its 0-based row and column.
     """
     _check_zero_tol(zero_tol)
     if hasattr(M, "shape"):
@@ -231,13 +234,15 @@ def pattern_of(M, zero_tol: float = 1e-12) -> Pattern:
     else:
         nrows, ncols = len(M), len(M[0]) if len(M) else 0
     masks = []
-    for row in M:
+    for r, row in enumerate(M):
         if len(row) != ncols:
             raise ValueError(f"row of {len(row)} entries in a {ncols}-column matrix")
         mask = 0
         for c in compress(range(ncols), row):  # skips the zeros
             if abs(row[c]) > zero_tol:
                 mask |= 1 << c
+            elif math.isnan(row[c]):  # NaN is truthy but never above the threshold
+                raise ValueError(f"matrix entry ({r}, {c}) is NaN")
         masks.append(mask)
     return Pattern.from_masks(nrows, ncols, masks)
 

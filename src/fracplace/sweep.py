@@ -27,11 +27,11 @@ class SweepSpec(_ArrayValue):
     """Sweep configuration.
 
     Exactly one of ``n`` (random ensemble of that dimension, >= 1) or
-    ``base_matrix`` (numeric matrix to sparsify) must be given.  Levels
-    are sparsity fractions in [0, 1), sorted ascending; ``base_matrix`` is
-    kept as a read-only copy.  ``trials``, ``n``, ``seed`` and ``horizon``
-    (an integer >= 0 when given) are taken through ``operator.index``: a
-    float raises TypeError.
+    ``base_matrix`` (finite numeric matrix to sparsify) must be given.
+    Levels are sparsity fractions in [0, 1), sorted ascending;
+    ``base_matrix`` is kept as a read-only copy.  ``trials``, ``n``,
+    ``seed`` and ``horizon`` (an integer >= 0 when given) are taken through
+    ``operator.index``: a float raises TypeError.
     """
 
     _fields = ("levels", "trials", "n", "base_matrix", "horizon", "seed")
@@ -75,6 +75,8 @@ class SweepSpec(_ArrayValue):
             base_matrix = _readonly(np.atleast_2d(base_matrix))
             if base_matrix.shape[0] != base_matrix.shape[1]:
                 raise ValueError("base matrix must be square")
+            if not np.all(np.isfinite(base_matrix)):
+                raise ValueError("every base matrix entry must be finite")
         super().__init__(levels, trials, n, base_matrix, horizon, operator.index(seed))
 
     @property

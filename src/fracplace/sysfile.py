@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .structure import Pattern, _check_zero_tol, _Value, pattern_of
+from .structure import _ZERO_TOL, Pattern, _check_zero_tol, _Value, pattern_of
 
 if TYPE_CHECKING:
     import numpy as np
@@ -71,7 +71,7 @@ class SystemFile(_Value):
 
         return np.array(self.values)
 
-    def pattern_at(self, zero_tol: float = 1e-12) -> Pattern:
+    def pattern_at(self, zero_tol: float = _ZERO_TOL) -> Pattern:
         """The structural pattern, thresholding numeric entries if needed.
 
         A numeric entry is present iff its magnitude exceeds ``zero_tol`` (checked on every file).
@@ -190,36 +190,32 @@ def parse_system_file(text: str) -> SystemFile:
                 _fail(lineno, "matrix values must be finite")
             rows.append(tuple(row))
         values = tuple(rows)
-    elif kind == "sparse":
-        rows = [[0.0] * n for _ in range(n)]
-        for lineno, body in matrix_rows:
-            toks = body.split()
-            if len(toks) != 3:
-                _fail(lineno, "sparse entries are 'row col value'")
-            try:
-                r, c, v = int(toks[0]), int(toks[1]), float(toks[2])
-            except ValueError:
-                _fail(lineno, "sparse entries are 'row col value'")
-            if not (1 <= r <= n and 1 <= c <= n):
-                _fail(lineno, f"index ({r}, {c}) outside 1..{n}")
-            if not math.isfinite(v):
-                _fail(lineno, "matrix values must be finite")
-            rows[r - 1][c - 1] = v
-        values = tuple(map(tuple, rows))
-    else:  # pattern
+    else:  # sparse or pattern: one 'row col value' or 'row col' entry per line
+        numeric = kind == "sparse"
+        form = "sparse entries are 'row col value'" if numeric else "pattern entries are 'row col'"
+        rows = [[0.0] * n for _ in range(n)] if numeric else None
         masks = [0] * n
         for lineno, body in matrix_rows:
             toks = body.split()
-            if len(toks) != 2:
-                _fail(lineno, "pattern entries are 'row col'")
+            if len(toks) != 2 + numeric:
+                _fail(lineno, form)
             try:
                 r, c = int(toks[0]), int(toks[1])
+                v = float(toks[2]) if numeric else None
             except ValueError:
-                _fail(lineno, "pattern entries are 'row col'")
+                _fail(lineno, form)
             if not (1 <= r <= n and 1 <= c <= n):
                 _fail(lineno, f"index ({r}, {c}) outside 1..{n}")
-            masks[r - 1] |= 1 << (c - 1)
-        pattern = Pattern.from_masks(n, n, masks)
+            if not numeric:
+                masks[r - 1] |= 1 << (c - 1)
+            elif math.isfinite(v):
+                rows[r - 1][c - 1] = v
+            else:
+                _fail(lineno, "matrix values must be finite")
+        if numeric:
+            values = tuple(map(tuple, rows))
+        else:
+            pattern = Pattern.from_masks(n, n, masks)
 
     return SystemFile(
         n=n,

@@ -407,11 +407,74 @@ class TestSweep:
             assert proc.stderr == "fracplace: error: state dimension must be positive\n"
             assert proc.stdout == ""
 
+    def test_both_sources_exit_two(self, chain_file):
+        # --n was dropped without a word and the file swept
+        proc = run_cli("sweep", "--n", "5", "--base", chain_file, "--levels", "0.0")
+        assert proc.returncode == 2
+        assert proc.stderr == "fracplace: error: give --n or --base FILE, not both\n"
+        assert proc.stdout == ""
+
     def test_no_tolerance_option(self, chain_file):
         # the sweep thresholds by entry count, so a zero threshold has no use
         proc = run_cli("sweep", "--base", chain_file, "--levels", "0.0", "--tol", "5")
         assert proc.returncode == 2
         assert "--tol" in proc.stderr
+
+
+class TestCsvOutput:
+    """Every command's CSV, read back with ``csv.reader``, holds its JSON values.
+
+    The CLI writes CSV without the csv module, so each output is also
+    compared with the bytes ``csv.writer`` gives for the cells read back.
+    """
+
+    @staticmethod
+    def outputs(argv):
+        out = {}
+        for fmt in ("csv", "json"):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert main([*argv, "--format", fmt]) in (0, 1)
+            out[fmt] = buf.getvalue()
+        rows = list(csv.reader(io.StringIO(out["csv"], newline="")))
+        want = io.StringIO()
+        csv.writer(want).writerows(rows)
+        assert out["csv"] == want.getvalue()
+        return rows, json.loads(out["json"])
+
+    @staticmethod
+    def same(cell, value):
+        if isinstance(value, list):
+            return cell == ";".join(map(str, value))
+        if isinstance(value, float):
+            return float(cell) == value
+        return cell == str(value)
+
+    def check_table(self, rows, records):
+        header, *body = rows
+        assert len(body) == len(records)
+        for cells, record in zip(body, records):
+            assert header == list(record)
+            assert all(map(self.same, cells, record.values()))
+
+    def test_place_and_verify(self, chain_file):
+        for argv in (["place", chain_file], ["verify", chain_file, "--sensors", "1,2"]):
+            rows, doc = self.outputs(argv)
+            self.check_table(rows, [doc])
+
+    def test_sweep(self):
+        rows, doc = self.outputs(["sweep", "--n", "6", "--levels", "0.2,0.6", "--trials", "2"])
+        self.check_table(rows, doc["rows"])
+
+    def test_simulate(self, tmp_path):
+        sysf = tmp_path / "sys.fracsys"
+        sysf.write_text(CHAIN_SPARSE)
+        x0 = tmp_path / "x0.txt"
+        x0.write_text("0.3 -1.7 2.1\n")
+        rows, doc = self.outputs(["simulate", str(sysf), "--x0", str(x0)])
+        records = [{"k": k, **{f"x{i + 1}": v for i, v in enumerate(state)}}
+                   for k, state in enumerate(doc["states"])]
+        self.check_table(rows, records)
 
 
 class TestSweepScript:
@@ -477,6 +540,26 @@ print(loaded())
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split("\n") == ["[]", "[]", ""]
+
+    def test_csv_output_does_not_import_csv(self, tmp_path):
+        numeric = tmp_path / "chain.fracsys"
+        numeric.write_text(CHAIN_SPARSE)
+        x0 = tmp_path / "x0.txt"
+        x0.write_text("1 0 0\n")
+        code = f"""
+import contextlib, io, sys
+import fracplace.cli
+path = {str(numeric)!r}
+with contextlib.redirect_stdout(io.StringIO()):
+    assert fracplace.cli.main(["place", path, "--format", "csv"]) == 0
+    assert fracplace.cli.main(["verify", path, "--sensors", "3", "--format", "csv"]) == 0
+    assert fracplace.cli.main(["simulate", path, "--x0", {str(x0)!r}, "--format", "csv"]) == 0
+    assert fracplace.cli.main(["sweep", "--base", path, "--levels", "0.8", "--format", "csv"]) == 0
+print("csv" in sys.modules)
+"""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_no_submodule_imports_dataclasses(self):
         # numpy imports inspect, so only dataclasses is checked here;

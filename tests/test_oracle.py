@@ -37,6 +37,13 @@ class TestExhaustiveMinPlacement:
         with pytest.raises(ValueError):
             exhaustive_min_placement(Pattern(3, 3), 1, cap=2)
 
+    def test_cap_is_an_index(self):
+        # a float cap was truncated: cap=1.9 searched sets of size 1 only
+        chain = Pattern(3, 3, [(1, 0), (2, 1)])
+        with pytest.raises(TypeError):
+            exhaustive_min_placement(chain, 3, cap=1.9)
+        assert exhaustive_min_placement(chain, 3, cap=np.int64(1)) == (1, frozenset({2}))
+
 
 class TestRandomRealization:
     def test_empty_pattern_gives_zero_matrix(self):
@@ -71,6 +78,15 @@ class TestRandomRealization:
         with pytest.raises(TypeError):
             RealizationConfig(seed=1.5)
         assert type(RealizationConfig(seed=np.int64(3)).seed) is int
+
+    def test_config_rejects_random_signs_that_are_not_a_bool(self):
+        # a truthy string would still draw random signs
+        for value in ("no", 0, None, np.bool_(False)):
+            with pytest.raises(TypeError, match="random_signs"):
+                RealizationConfig(random_signs=value)
+        full = Pattern(4, 4, [(r, c) for r in range(4) for c in range(4)])
+        M = random_realization(full, RealizationConfig(random_signs=False))
+        assert np.all(M > 0)
 
     def test_config_stores_the_ranges_as_pairs_of_floats(self):
         cfg = RealizationConfig(magnitude_range=[1, 2], order_range=np.array([0.9, 1.1]))

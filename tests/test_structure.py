@@ -209,6 +209,16 @@ class TestPatternOf:
                 assert pattern_of(M, tol) == want
                 assert pattern_of(M.tolist(), tol) == want
 
+    def test_a_nan_entry_raises_naming_its_position(self):
+        # NaN is never above the threshold, so it was dropped without a word
+        nan = float("nan")
+        for M in ([[nan, 1.0], [0.0, 0.0]], np.array([[0.0, 1.0], [0.0, nan]])):
+            with pytest.raises(ValueError, match="NaN"):
+                pattern_of(M)
+        with pytest.raises(ValueError, match=r"\(1, 1\)"):
+            pattern_of([[0.0, 1.0], [0.0, nan]], 0.5)
+        assert pattern_of([[float("inf"), 0.0], [0.0, 0.0]]).entries == {(0, 0)}
+
     def test_ragged_rows(self):
         with pytest.raises(ValueError):
             pattern_of([[1.0, 0.0], [1.0]])

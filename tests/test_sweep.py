@@ -76,6 +76,12 @@ class TestSweepSpec:
             spec.base_matrix[0, 0] = 2.0
         assert run_sweep(spec) == before
 
+    def test_rejects_a_non_finite_base_matrix(self):
+        # a NaN would otherwise rank as a nonzero and enter the pattern
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="finite"):
+                SweepSpec(levels=(0.0,), trials=1, base_matrix=[[bad, 1.0], [2.0, 0.0]])
+
 
 class TestRunSweep:
     def test_deterministic_under_seed(self):
