@@ -14,8 +14,8 @@ K = 2, drawn with ``sweep._random_pattern`` (seed 0):
   fragmented  mean degree 1 (sparsity 1 - 1/n): many small SCCs
 
 plus the reference cases n = 2048 at sparsity .999, n = 4096 at
-sparsity .9995 and n = 8192 at sparsity .99975 (mean degree 2), all at
-K = n and drawn the same way,
+sparsity .9995, n = 8192 at sparsity .99975 and n = 16384 at sparsity
+.999875 (mean degree 2), all at K = n and drawn the same way,
 and the chain x0 -> x1 -> ... at n = 2048 and n = 4096 with K = n, whose
 union holds walks of every length up to n - 1.  (The giant case at
 n = 1024 is sparsity .995.)  A case records the min and the spread
@@ -60,7 +60,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIZES = (256, 512, 1024, 2048, 4096)
 GIANT_DEGREE = 5.12
-REFERENCE = ((2048, 0.999), (4096, 0.9995), (8192, 0.99975))
+REFERENCE = ((2048, 0.999), (4096, 0.9995), (8192, 0.99975), (16384, 0.999875))
 CHAINS = (2048, 4096)
 NUMERIC_SIZES = (64, 128, 256)
 NUMERIC_REGIMES = ("simulate", "observe-one", "observe-all")

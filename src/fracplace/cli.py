@@ -148,11 +148,13 @@ def _cmd_simulate(args) -> int:
             }
         )
     else:
-        # one format call per row, with the digits _fmt gives each value
+        # one format call per row, with the digits _fmt gives each value;
+        # row.tolist() gives floats, so no numpy scalar is boxed, and only
+        # one row is converted at a time
         values = ",".join(["%.17g"] * sysfile.n)
         _emit_csv(
             ["k"] + [f"x{i + 1}" for i in range(sysfile.n)],
-            (f"{k}," + values % tuple(row) for k, row in enumerate(traj.states)),
+            (f"{k}," + values % tuple(row.tolist()) for k, row in enumerate(traj.states)),
         )
     return 0
 

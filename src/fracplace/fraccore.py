@@ -152,14 +152,6 @@ class GlCoefficients(_ArrayValue):
             raise ValueError("tail coefficients must be finite")
         super().__init__(table)
 
-    @property
-    def n(self) -> int:
-        return self.table.shape[0]
-
-    @property
-    def horizon(self) -> int:
-        return self.table.shape[1]
-
 
 class TransitionSequence(_ArrayValue):
     """Stack of transition factors T_0..T_K, shape (K+1, n, n)."""
@@ -173,17 +165,6 @@ class TransitionSequence(_ArrayValue):
             raise ValueError("expected a (K+1, n, n) stack of square matrices")
         super().__init__(stack)
 
-    @property
-    def horizon(self) -> int:
-        return self.stack.shape[0] - 1
-
-    @property
-    def n(self) -> int:
-        return self.stack.shape[1]
-
-    def __len__(self) -> int:
-        return self.stack.shape[0]
-
     def __getitem__(self, k: int) -> np.ndarray:
         return self.stack[k]
 
@@ -196,13 +177,6 @@ class Trajectory(_ArrayValue):
 
     def __init__(self, states: np.ndarray):
         super().__init__(_readonly(states))
-
-    @property
-    def steps(self) -> int:
-        return self.states.shape[0] - 1
-
-    def __getitem__(self, k: int) -> np.ndarray:
-        return self.states[k]
 
 
 def _tail_table(alpha: np.ndarray, horizon: int) -> np.ndarray:

@@ -21,11 +21,12 @@ walks the rows in ascending order and moves each onto its smallest
 column lying on a zero-reduced-cost alternating cycle of the current
 optimum.  The tie-break runs the same breadth-first search on the same
 tight masks: a row with no tight column below its own outside the fixed
-ones costs one mask test, and any other row a search forward from the
-owner of each candidate, in ascending order, to the row's own column,
-where each failed search rules out every column it reached for the
-candidates after it.  It returns a canonical optimum: among all
-matchings with maximum cardinality and minimum total weight, the one
+and dead ones costs one mask test, and any other row a search forward
+from the owner of each candidate, in ascending order, to the row's own
+column.  Each failed search marks every column it reached dead for the
+rest of the pass, and the dead set starts again empty only when a row
+whose own column is dead rotates.  It returns a canonical optimum: among
+all matchings with maximum cardinality and minimum total weight, the one
 whose sorted (row, col) pair sequence is lexicographically smallest.
 That makes placement output reproducible across platforms.
 """
@@ -67,23 +68,10 @@ class WeightedBipartite(_Value):
                 raise ValueError(f"edge ({r}, {c}) outside {n_rows} x {n_cols} graph")
             if w not in (0, 1):
                 raise ValueError(f"edge weight must be 0 or 1, got {w}")
+            if masks[1 - w][r] >> c & 1:
+                raise ValueError(f"duplicate edge for pair ({r}, {c})")
             masks[w][r] |= 1 << c
-        self._fill(*(Pattern.from_masks(n_rows, n_cols, m) for m in masks))
-
-    @classmethod
-    def from_patterns(cls, free: Pattern, unit: Pattern) -> "WeightedBipartite":
-        """The graph with weight-0 edges ``free`` and weight-1 edges ``unit``."""
-        graph = cls.__new__(cls)
-        graph._fill(free, unit)
-        return graph
-
-    def _fill(self, free: Pattern, unit: Pattern) -> None:
-        if (free.nrows, free.ncols) != (unit.nrows, unit.ncols):
-            raise ValueError("the weight-0 and weight-1 edge patterns differ in shape")
-        for r, (a, b) in enumerate(zip(free.rows, unit.rows)):
-            if a & b:
-                raise ValueError(f"duplicate edge for pair ({r}, {(a & b).bit_length() - 1})")
-        super().__init__(free.nrows, free.ncols, free, unit)
+        super().__init__(n_rows, n_cols, *(Pattern.from_masks(n_rows, n_cols, m) for m in masks))
 
 
 class Matching(_Value):
@@ -213,42 +201,57 @@ def _tie_break(tight, z, match_row, match_col) -> None:
 
     Candidate c is tried by ``_layers`` from c's owner, on the tight masks
     with the sink's row appended, so that ``match_col`` (-1 for a free
-    column) is the column -> node map.  Its target is r's column, and c
-    and the fixed columns count as seen from the start.  If the last
-    layer holds the target, the cycle is read back up the layers and
-    rotated.  Otherwise no column the search reached leads to the target:
-    they stay seen, with c, for r's later candidates, and a candidate
-    among them is skipped, so each row explores the graph at most once.
-    The appended list is built when the first candidate is tried.
+    column) is the column -> node map.  Its target is r's column, and c,
+    the fixed columns and the dead ones (below) count as seen from the
+    start; an owner that takes no unseen column fails without a search.
+    If the last layer holds the target, the cycle is read back up the
+    layers and rotated.  Otherwise no column the search reached leads to
+    the target: they are dead, with c, and a dead candidate is skipped.
+
+    The dead set lasts the whole pass.  No column reachable from it lies
+    outside it, the fixed columns aside: fixing a column only removes
+    it, and a rotation changes the owners of its own cycle's columns
+    only.  So a row whose column is not dead skips every dead candidate
+    and never searches through a dead column.  A row whose column is
+    dead searches without the dead set, and if it rotates, the cycle
+    ran through a dead column and the set starts again empty.  Either
+    way the row's own failures then join it.  The appended list is built
+    when the first candidate is tried.
     """
     width = len(z)
     takes = None  # node -> the columns it can take; the sink's last
-    fixed = 0
+    fixed = gone = 0  # gone: the pass's dead columns
     for r in range(len(tight)):
         col = match_row[r]
-        dead = fixed
-        cands = tight[r] & ((1 << col) - 1) & ~dead
+        inside = gone >> col & 1  # then the row searches without the dead set
+        dead = 0 if inside else gone
+        cands = tight[r] & ((1 << col) - 1) & ~(fixed | dead)
         while cands:
             c = (cands & -cands).bit_length() - 1
             dead |= 1 << c
             if takes is None:
                 takes = tight + [sum(1 << j for j, zj in enumerate(z) if zj == 0)]
-            layers = _layers(takes, [match_col[c]], match_col, 1 << col, width, seen=dead)
-            if layers[-1] >> col & 1:
-                path = [col]  # the cycle's columns, from col back up to c
-                for layer in reversed(layers[:-1]):  # a column whose owner takes path[-1]
-                    j = path[-1]
-                    path.append(next(i for i in set_bits(layer, width) if takes[match_col[i]] >> j & 1))
-                path.append(c)
-                x = r  # r takes c, and each later column the owner of the one before it
-                for j in reversed(path):
-                    x, match_col[j] = match_col[j], x
-                    if match_col[j] != -1:
-                        match_row[match_col[j]] = j
-                break
-            for layer in layers:
-                dead |= layer
+            seen = fixed | dead
+            if takes[match_col[c]] & ~seen:
+                layers = _layers(takes, [match_col[c]], match_col, 1 << col, width, seen=seen)
+                if layers[-1] >> col & 1:
+                    path = [col]  # the cycle's columns, from col back up to c
+                    for layer in reversed(layers[:-1]):  # a column whose owner takes path[-1]
+                        j = path[-1]
+                        path.append(next(i for i in set_bits(layer, width) if takes[match_col[i]] >> j & 1))
+                    path.append(c)
+                    x = r  # r takes c, and each later column the owner of the one before it
+                    for j in reversed(path):
+                        x, match_col[j] = match_col[j], x
+                        if match_col[j] != -1:
+                            match_row[match_col[j]] = j
+                    if inside:  # the cycle ran through a dead column
+                        gone = 0
+                    break
+                for layer in layers:
+                    dead |= layer
             cands &= ~dead
+        gone = gone | dead if inside else dead  # an outside row's dead set holds gone
         fixed |= 1 << match_row[r]
 
 
@@ -282,11 +285,12 @@ def _min_weight_max_matching_rows(free: Sequence[int], unit: Sequence[int], n_co
        edges of some optimum, as in Regin's 1994 all-different
        filtering); the cycle is rotated in, and the row and its column
        are fixed.  A row whose tight columns below its own are all
-       fixed keeps its column after one mask test.  For any other row,
-       ``_layers`` on the tight masks searches from the owner of each
-       candidate column in ascending order (the sink, if the column is
-       free) for the row's own column, and the first candidate whose
-       search reaches it wins (``_tie_break``).
+       fixed or dead keeps its column after one mask test.  For any
+       other row, ``_layers`` on the tight masks searches from the owner
+       of each candidate column in ascending order (the sink, if the
+       column is free) for the row's own column, and the first candidate
+       whose search reaches it wins.  A failed search's columns stay
+       dead for the later rows too (``_tie_break``).
 
     The result is the lexicographically smallest optimal sorted pair
     sequence.  The potentials stay an optimal dual throughout step 2, so

@@ -36,9 +36,9 @@ class RealizationConfig(_Value):
     so genericity survives double precision), signs are random unless
     ``random_signs`` is False, and fractional orders are uniform in
     ``order_range`` with integers rejected.  Both ranges are stored as
-    pairs of floats, and ``seed`` is taken through ``operator.index``: a
-    float raises TypeError, and so does a ``random_signs`` that is not a
-    bool.
+    pairs of floats, and ``seed``, which must be >= 0, is taken through
+    ``operator.index``: a float raises TypeError, and so does a
+    ``random_signs`` that is not a bool.
     """
 
     _fields = ("magnitude_range", "random_signs", "order_range", "seed")
@@ -62,8 +62,11 @@ class RealizationConfig(_Value):
             raise ValueError("order range must be finite with 0 < low <= high")
         if not isinstance(random_signs, bool):
             raise TypeError(f"random_signs must be a bool, got {type(random_signs).__name__}")
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError("seed must be >= 0")
         magnitude_range, order_range = (float(lo), float(hi)), (float(a), float(b))
-        super().__init__(magnitude_range, random_signs, order_range, operator.index(seed))
+        super().__init__(magnitude_range, random_signs, order_range, seed)
 
 
 def random_realization(

@@ -29,9 +29,9 @@ __all__ = [
 
 # maps the digits of a binary numeral to the bytes 0 and 1
 _BIT_FLAGS = bytes.maketrans(b"01", b"\x00\x01")
-# a mask (or pattern) counts as dense when more than one in this many of
-# its bits is set: formatting it as a binary numeral then costs less than
-# walking its set bits
+# a mask counts as dense when more than one in this many of its bits is
+# set: formatting it as a binary numeral then costs less than walking its
+# set bits
 _DENSE_WIDTH_PER_BIT = 8
 # the default zero threshold: a numeric entry is structural iff its magnitude exceeds it
 _ZERO_TOL = 1e-12
@@ -152,26 +152,12 @@ class Pattern(_Value):
         return [set_bits(m, self.ncols) for m in self.rows]
 
     def transpose(self) -> "Pattern":
-        # set_bits' threshold; timed on square random patterns, the paths
-        # cross near 1 in 8 at n = 32, 1 in 10 at n = 112 and 1 in 16 to
-        # 1 in 32 at n = 2048, so the sparse path is kept up to 3x too long
-        # there
-        if self.count * _DENSE_WIDTH_PER_BIT > self.nrows * self.ncols:
-            # dense: zip the rows' binary numerals into the columns' ones,
-            # in C; numeral k of the zip is column ncols - 1 - k
-            numerals = zip(*(format(m, f"0{self.ncols}b") for m in self.rows))
-            masks = [int("".join(digits)[::-1], 2) for digits in numerals][::-1]
-        else:
-            masks = [0] * self.ncols
-            for r, cols in enumerate(self.row_columns()):
-                bit = 1 << r
-                for c in cols:
-                    masks[c] |= bit
+        masks = [0] * self.ncols
+        for r, cols in enumerate(self.row_columns()):
+            bit = 1 << r
+            for c in cols:
+                masks[c] |= bit
         return Pattern.from_masks(self.ncols, self.nrows, masks)
-
-    @classmethod
-    def identity(cls, n: int) -> "Pattern":
-        return cls(n, n, ((i, i) for i in range(n)))
 
     @classmethod
     def from_masks(cls, nrows: int, ncols: int, masks: Sequence[int]) -> "Pattern":

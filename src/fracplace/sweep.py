@@ -30,7 +30,7 @@ class SweepSpec(_ArrayValue):
     ``base_matrix`` (finite numeric matrix to sparsify) must be given.
     Levels are sparsity fractions in [0, 1), sorted ascending;
     ``base_matrix`` is kept as a read-only copy.  ``trials``, ``n``,
-    ``seed`` and ``horizon`` (an integer >= 0 when given) are taken through
+    ``seed`` (>= 0) and ``horizon`` (>= 0 when given) are taken through
     ``operator.index``: a float raises TypeError.
     """
 
@@ -77,7 +77,10 @@ class SweepSpec(_ArrayValue):
                 raise ValueError("base matrix must be square")
             if not np.all(np.isfinite(base_matrix)):
                 raise ValueError("every base matrix entry must be finite")
-        super().__init__(levels, trials, n, base_matrix, horizon, operator.index(seed))
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError("seed must be >= 0")
+        super().__init__(levels, trials, n, base_matrix, horizon, seed)
 
     @property
     def dimension(self) -> int:

@@ -51,7 +51,6 @@ def placement_graph(union_t: Pattern, sink_cols: Pattern) -> WeightedBipartite:
     Row i is column i of the union (weight 0), then its sink-SCC indicator
     columns (weight 1), shifted past the n union columns.
     """
-    n, width = union_t.nrows, union_t.ncols + sink_cols.ncols
-    free = Pattern.from_masks(n, width, union_t.rows)
-    unit = Pattern.from_masks(n, width, [m << n for m in sink_cols.rows])
-    return WeightedBipartite.from_patterns(free, unit)
+    n = union_t.nrows
+    edges = [(r, c, 0) for r, c in union_t.entries] + [(r, n + c, 1) for r, c in sink_cols.entries]
+    return WeightedBipartite(n, n + sink_cols.ncols, edges)

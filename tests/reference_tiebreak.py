@@ -1,4 +1,4 @@
-"""Three earlier canonical tie-breaks of ``min_weight_max_matching``, kept as test oracles.
+"""Four earlier canonical tie-breaks of ``min_weight_max_matching``, kept as test oracles.
 
 ``min_weight_max_matching`` below finds an optimum in two steps:
 Hopcroft-Karp on the weight-0 edges, then one shortest-path step per
@@ -23,6 +23,12 @@ ran ``_layers`` backward: from each row's column, on the transposed
 tight masks, with a ``takers`` list (column -> the nodes that can take
 it) and a sink pseudo-column appended to ``match_row``.  It is unchanged
 but for its name; ``_layers`` still starts with nothing seen by default.
+
+``forward_tie_break`` is the library's ``_tie_break`` from before its
+dead set lasted the whole pass: it runs ``_layers`` forward from each
+candidate's owner, and a failed search rules out the columns it reached
+for the same row's later candidates only.  It is unchanged but for its
+name.
 """
 
 from heapq import heappop, heappush
@@ -382,3 +388,59 @@ def reverse_tie_break(tight, z, match_row, match_col) -> None:
         if takers is not None:
             takers[match_row[r]] = 0
     match_row.pop()
+
+
+def forward_tie_break(tight, z, match_row, match_col) -> None:
+    """Move the optimum in ``match_row`` and ``match_col`` onto the canonical one.
+
+    Rows in ascending order each take their smallest candidate, a tight
+    column below their own and not fixed, through which a zero-reduced-cost
+    alternating cycle of the current optimum runs; the cycle is rotated
+    in and the row's column is fixed.  The cycles are those of the
+    residual graph (Regin 1994).  Its nodes are the rows and a sink that
+    owns the free columns.  A row can take its tight columns, and the
+    sink every column of potential 0: an alternative optimum may take a
+    free column and leave one of those, while a column of negative
+    potential is matched in every optimum (complementary slackness).
+    Edge (r, c) closes a cycle iff c's owner can reach r's column: it can
+    take that column, or the column of a node that can.
+
+    Candidate c is tried by ``_layers`` from c's owner, on the tight masks
+    with the sink's row appended, so that ``match_col`` (-1 for a free
+    column) is the column -> node map.  Its target is r's column, and c
+    and the fixed columns count as seen from the start.  If the last
+    layer holds the target, the cycle is read back up the layers and
+    rotated.  Otherwise no column the search reached leads to the target:
+    they stay seen, with c, for r's later candidates, and a candidate
+    among them is skipped, so each row explores the graph at most once.
+    The appended list is built when the first candidate is tried.
+    """
+    width = len(z)
+    takes = None  # node -> the columns it can take; the sink's last
+    fixed = 0
+    for r in range(len(tight)):
+        col = match_row[r]
+        dead = fixed
+        cands = tight[r] & ((1 << col) - 1) & ~dead
+        while cands:
+            c = (cands & -cands).bit_length() - 1
+            dead |= 1 << c
+            if takes is None:
+                takes = tight + [sum(1 << j for j, zj in enumerate(z) if zj == 0)]
+            layers = _layers(takes, [match_col[c]], match_col, 1 << col, width, seen=dead)
+            if layers[-1] >> col & 1:
+                path = [col]  # the cycle's columns, from col back up to c
+                for layer in reversed(layers[:-1]):  # a column whose owner takes path[-1]
+                    j = path[-1]
+                    path.append(next(i for i in set_bits(layer, width) if takes[match_col[i]] >> j & 1))
+                path.append(c)
+                x = r  # r takes c, and each later column the owner of the one before it
+                for j in reversed(path):
+                    x, match_col[j] = match_col[j], x
+                    if match_col[j] != -1:
+                        match_row[match_col[j]] = j
+                break
+            for layer in layers:
+                dead |= layer
+            cands &= ~dead
+        fixed |= 1 << match_row[r]

@@ -407,6 +407,13 @@ class TestSweep:
             assert proc.stderr == "fracplace: error: state dimension must be positive\n"
             assert proc.stdout == ""
 
+    def test_negative_seed_exits_two_naming_the_seed(self):
+        # numpy's "expected non-negative integer" named no flag
+        proc = run_cli("sweep", "--n", "4", "--levels", "0.5", "--seed", "-1")
+        assert proc.returncode == 2
+        assert proc.stderr == "fracplace: error: seed must be >= 0\n"
+        assert proc.stdout == ""
+
     def test_both_sources_exit_two(self, chain_file):
         # --n was dropped without a word and the file swept
         proc = run_cli("sweep", "--n", "5", "--base", chain_file, "--levels", "0.0")

@@ -155,7 +155,7 @@ class TestTransitionFactors:
     def test_zero_horizon(self):
         A = np.arange(9.0).reshape(3, 3)
         seq = transition_factors(FracSystem(A, [0.7, 0.7, 0.7], 0))
-        assert len(seq) == 1
+        assert len(seq.stack) == 1
         assert np.array_equal(seq[0], A)
 
     def test_recursion_identity_on_random_systems(self):
@@ -246,7 +246,7 @@ class TestSimulate:
         sysm = FracSystem(np.eye(2), [0.5, 0.5], 3)
         with pytest.raises(TypeError):
             simulate(sysm, np.ones(2), 2.7)
-        assert simulate(sysm, np.ones(2), np.int64(2)).steps == 2
+        assert len(simulate(sysm, np.ones(2), np.int64(2)).states) == 3
 
     def test_zero_initial_state(self):
         sysm = FracSystem([[0, 1], [1, 0]], [0.8, 0.8], 3)
@@ -256,9 +256,9 @@ class TestSimulate:
     def test_worked_example(self):
         sysm = FracSystem([[0, 1], [0, 0]], [0.5, 0.5], 2)
         traj = simulate(sysm, [0, 1], 2)
-        assert np.array_equal(traj[0], [0, 1])
-        assert np.array_equal(traj[1], [0, 0])
-        assert np.array_equal(traj[2], [0.125, 0])
+        assert np.array_equal(traj.states[0], [0, 1])
+        assert np.array_equal(traj.states[1], [0, 0])
+        assert np.array_equal(traj.states[2], [0.125, 0])
 
     @given(scale=st.floats(-5, 5), shift=st.floats(-3, 3))
     @settings(max_examples=30)
@@ -354,7 +354,7 @@ class TestSimulate:
         n, steps = 3, 40
         monkeypatch.setattr(fraccore, "MAX_SIMULATION_WORK", n * steps * (steps + 1) // 2)
         system = FracSystem(np.full((n, n), 0.2), [0.5, 1.0, 1.5], steps + 1)
-        assert simulate(system, [1.0, -1.0, 2.0], steps).steps == steps
+        assert len(simulate(system, [1.0, -1.0, 2.0], steps).states) == steps + 1
         with pytest.raises(ValueError, match="lower the number of steps"):
             simulate(system, [1.0, -1.0, 2.0], steps + 1)
 

@@ -74,6 +74,8 @@ class TestWeightedBipartite:
     def test_rejects_duplicate_pair(self):
         with pytest.raises(ValueError):
             WeightedBipartite(1, 2, [(0, 0, 0), (0, 0, 1)])
+        with pytest.raises(ValueError, match=r"pair \(1, 2\)"):
+            WeightedBipartite(2, 3, [(0, 0, 0), (1, 2, 0), (1, 2, 1)])
 
     def test_accepts_repeated_identical_edge(self):
         g = WeightedBipartite(1, 2, [(0, 1, 1), (0, 1, 1), (0, 0, 0)])
@@ -84,33 +86,6 @@ class TestWeightedBipartite:
     def test_rejects_out_of_bounds(self):
         with pytest.raises(ValueError):
             WeightedBipartite(1, 1, [(0, 1, 0)])
-
-    def test_from_patterns_agrees_with_triples(self):
-        rng = np.random.default_rng(8)
-        for _ in range(100):
-            g = random_graph(rng)
-            triples = sorted(graph_edges(g))
-            free = Pattern(g.n_rows, g.n_cols, [(r, c) for r, c, w in triples if w == 0])
-            unit = Pattern(g.n_rows, g.n_cols, [(r, c) for r, c, w in triples if w == 1])
-            h = WeightedBipartite.from_patterns(free, unit)
-            assert h == g
-            assert graph_edges(h) == graph_edges(g)
-            for weight, p in ((0, h.free), (1, h.unit)):
-                assert p.rows == tuple(
-                    sum(1 << c for r2, c, w in triples if r2 == r and w == weight)
-                    for r in range(g.n_rows)
-                )
-
-    def test_from_patterns_rejects_a_pair_in_both(self):
-        with pytest.raises(ValueError, match=r"pair \(1, 2\)"):
-            WeightedBipartite.from_patterns(
-                Pattern(2, 3, [(0, 0), (1, 2)]), Pattern(2, 3, [(1, 2)])
-            )
-
-    def test_from_patterns_rejects_different_shapes(self):
-        for unit in (Pattern(2, 4), Pattern(3, 3)):
-            with pytest.raises(ValueError):
-                WeightedBipartite.from_patterns(Pattern(2, 3), unit)
 
 
 class TestMatching:
@@ -356,7 +331,7 @@ class TestDualRounds:
 
 class TestGenericRank:
     def test_identity(self):
-        assert generic_rank([Pattern.identity(5)]) == 5
+        assert generic_rank([identity_columns(5, range(5))]) == 5
 
     def test_empty(self):
         assert generic_rank([Pattern(3, 3)]) == 0

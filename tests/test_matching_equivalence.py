@@ -119,9 +119,9 @@ def test_place_output_is_byte_identical(tmp_path, monkeypatch):
     def reference_rows(free, unit, n_cols):
         # the scipy reference on the placement's masks: mask -> graph -> match_row
         n = len(free)
-        graph = WeightedBipartite.from_patterns(
-            Pattern.from_masks(n, n_cols, free), Pattern.from_masks(n, n_cols, unit)
-        )
+        weighted = enumerate((free, unit))
+        edges = [(r, c, w) for w, masks in weighted for r, c in Pattern.from_masks(n, n_cols, masks).entries]
+        graph = WeightedBipartite(n, n_cols, edges)
         match_row = [-1] * n
         for r, c in reference_min_weight_max_matching(graph).pairs:
             match_row[r] = c

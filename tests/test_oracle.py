@@ -79,6 +79,12 @@ class TestRandomRealization:
             RealizationConfig(seed=1.5)
         assert type(RealizationConfig(seed=np.int64(3)).seed) is int
 
+    def test_config_rejects_a_negative_seed(self):
+        # refused here, not later inside random_realization
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            RealizationConfig(seed=-1)
+        assert RealizationConfig(seed=0).seed == 0
+
     def test_config_rejects_random_signs_that_are_not_a_bool(self):
         # a truthy string would still draw random signs
         for value in ("no", 0, None, np.bool_(False)):

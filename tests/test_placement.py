@@ -52,7 +52,7 @@ class TestSinkColumns:
 
     def test_empty_pattern_gives_identity(self):
         cols = sink_scc_columns(condense(Pattern(3, 3)))
-        assert cols.entries == Pattern.identity(3).entries
+        assert cols.entries == identity_columns(3, range(3)).entries
 
     def test_two_cycle_single_column(self):
         cols = sink_scc_columns(condense(Pattern(2, 2, [(0, 1), (1, 0)])))
@@ -374,7 +374,6 @@ class TestMinimalSensors:
             raise AssertionError("a graph or matching object was built")
 
         monkeypatch.setattr(WeightedBipartite, "__init__", refused)
-        monkeypatch.setattr(WeightedBipartite, "_fill", refused)
         monkeypatch.setattr(Matching, "__init__", refused)
         rng = np.random.default_rng(72)
         for _ in range(40):

@@ -59,6 +59,12 @@ class TestSweepSpec:
         with pytest.raises(TypeError):
             SweepSpec(**args)
 
+    def test_rejects_a_negative_seed(self):
+        # refused here, not later by numpy's default_rng with a message naming no field
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            SweepSpec(levels=(0.5,), trials=1, n=4, seed=-1)
+        assert SweepSpec(levels=(0.5,), trials=1, n=4, seed=0).seed == 0
+
     def test_takes_integer_types_as_int(self):
         spec = SweepSpec(levels=(0.5,), trials=np.int64(2), n=np.int64(4), seed=np.int64(7))
         assert [type(v) for v in (spec.trials, spec.n, spec.seed)] == [int] * 3

@@ -23,7 +23,7 @@ from fracplace.structure import _closure_union, _stepwise_union, transposed_unio
 from fracplace.sweep import _random_pattern
 from fracplace.sysfile import parse_system_file
 
-from conftest import random_pattern
+from conftest import identity_columns, random_pattern
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
@@ -48,7 +48,7 @@ def golden_patterns():
 def shaped_patterns():
     out = [Pattern(0, 0), Pattern(1, 1), Pattern(1, 1, [(0, 0)])]
     for n in (2, 3, 7, 40):
-        out += [chain(n), cycle(n), Pattern.identity(n), Pattern(n, n)]
+        out += [chain(n), cycle(n), identity_columns(n, range(n)), Pattern(n, n)]
         # a chain feeding a cycle, with a self-loop on the chain's head
         out.append(Pattern(n, n, [(i + 1, i) for i in range(n - 1)] + [(0, n - 1), (n // 2, n // 2)]))
     return out + golden_patterns()
