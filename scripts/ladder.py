@@ -23,6 +23,11 @@ n = 1024 is sparsity .995.)  A case records the min and the spread
 sensor count and a digest of the sorted sensor set, so two result files
 can be checked for equal output.
 
+Every case repeats its timed run until it has at least ``MIN_REPEATS``
+repeats and they have taken at least ``MIN_TIMED_S`` seconds, so a case
+of a few milliseconds gets hundreds of repeats and its min settles, while
+a case of 4 s or more runs ``MIN_REPEATS`` times.
+
 The numeric cases draw one dense system per n in {64, 128, 256} with
 K = n, A ~ N(0, 0.49/n), orders uniform in [0.5, 0.9) and x0 ~ N(0, 1)
 (seed 0), and time ``simulate`` over K steps (regime ``simulate``) and
@@ -65,8 +70,8 @@ CHAINS = (2048, 4096)
 NUMERIC_SIZES = (64, 128, 256)
 NUMERIC_REGIMES = ("simulate", "observe-one", "observe-all")
 CLI_CASES = (("place", 256), ("verify", 256), ("sweep", 32), ("simulate", 64), ("import", 0))
-REPEATS = 3
-CLI_REPEATS = 7
+MIN_REPEATS = 3
+MIN_TIMED_S = 2.0
 TIMEOUT_S = 400.0  # per case
 
 
@@ -88,6 +93,14 @@ def cases() -> list[dict]:
     for case in out:
         case["name"] = f"{case['regime']}-n{case['n']}-k{case['horizon']}" if case["n"] else case["regime"]
     return out
+
+
+def repeats():
+    """Yield until ``MIN_REPEATS`` repeats have run and ``MIN_TIMED_S`` seconds have passed."""
+    began, count = time.perf_counter(), 0
+    while count < MIN_REPEATS or time.perf_counter() - began < MIN_TIMED_S:
+        yield
+        count += 1
 
 
 def numeric_draw(n: int):
@@ -133,7 +146,7 @@ def run_cli_case(case: dict) -> None:
                 placed = subprocess.run(argv, capture_output=True, text=True, check=True)
                 sensors = json.loads(placed.stdout)["sensors"]
                 argv = cli + ["verify", str(path), "--sensors", ",".join(map(str, sensors))]
-        for _ in range(CLI_REPEATS):
+        for _ in repeats():
             t = time.perf_counter()
             proc = subprocess.run(argv, capture_output=True, text=True)
             seconds = time.perf_counter() - t
@@ -164,7 +177,7 @@ def run_numeric_case(case: dict) -> None:
 
         def run():
             return is_observable_numeric(system, sensors)
-    for _ in range(REPEATS):
+    for _ in repeats():
         t = time.perf_counter()
         out = run()
         print(json.dumps({"seconds": time.perf_counter() - t}), flush=True)
@@ -198,7 +211,7 @@ def run_case(case: dict) -> None:
         pattern = Pattern(n, n, ((i + 1, i) for i in range(n - 1)))
     else:
         pattern = _random_pattern(n, case["sparsity"], np.random.default_rng(0))
-    for _ in range(REPEATS):
+    for _ in repeats():
         t = time.perf_counter()
         report = minimal_sensors(pattern, case["horizon"])
         print(json.dumps({"seconds": time.perf_counter() - t}), flush=True)
@@ -258,7 +271,8 @@ def main() -> int:
     out.write_text(json.dumps({
         "label": args.label,
         "host": {"python": platform.python_version(), "machine": platform.machine(), "cpus": os.cpu_count()},
-        "repeats": REPEATS,
+        "min_repeats": MIN_REPEATS,
+        "min_timed_s": MIN_TIMED_S,
         "timeout_s": TIMEOUT_S,
         "cases": results,
     }, indent=1) + "\n")

@@ -56,6 +56,14 @@ def _emit_doc(doc: dict, fmt: str):
         _emit_csv(doc, [",".join(cells)])
 
 
+def _numbers(text: str, kind, what: str) -> list:
+    """The comma- or space-separated numbers of a flag, each read by ``kind``."""
+    try:
+        return [kind(tok) for tok in text.replace(",", " ").split()]
+    except ValueError:
+        raise ValueError(f"cannot parse {what} '{text}'") from None
+
+
 def _resolve_horizon(args, sysfile) -> int:
     if args.k is not None:
         return args.k
@@ -91,10 +99,7 @@ def _cmd_place(args) -> int:
 def _cmd_verify(args) -> int:
     sysfile = load_system_file(args.file)
     horizon = _resolve_horizon(args, sysfile)
-    try:
-        sensors_1b = [int(tok) for tok in args.sensors.replace(",", " ").split()]
-    except ValueError:
-        raise ValueError(f"cannot parse sensor list '{args.sensors}'")
+    sensors_1b = _numbers(args.sensors, int, "sensor list")
     if not sensors_1b:
         raise ValueError("empty sensor list")
     for s in sensors_1b:
@@ -159,13 +164,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_levels(text: str) -> tuple:
-    try:
-        return tuple(float(tok) for tok in text.replace(",", " ").split())
-    except ValueError:
-        raise ValueError(f"cannot parse sparsity levels '{text}'")
-
-
 def _cmd_sweep(args) -> int:
     from .sweep import SweepRow, SweepSpec, run_sweep
 
@@ -180,7 +178,7 @@ def _cmd_sweep(args) -> int:
             raise ValueError("sweep base file must hold numeric matrix values")
         base = sysfile.matrix
     spec = SweepSpec(
-        levels=_parse_levels(args.levels),
+        levels=_numbers(args.levels, float, "sparsity levels"),
         trials=args.trials,
         n=args.n,
         base_matrix=base,

@@ -21,12 +21,11 @@ containers hold read-only arrays and are safe to share across threads.
 from __future__ import annotations
 
 import math
-import operator
 from typing import Collection
 
 import numpy as np
 
-from .structure import _Value
+from .structure import _at_least, _states, _Value
 
 __all__ = [
     "FracSystem",
@@ -124,10 +123,7 @@ class FracSystem(_ArrayValue):
             raise ValueError("every fractional order must be finite and > 0")
         if horizon is None:
             horizon = A.shape[0]
-        horizon = operator.index(horizon)
-        if horizon < 0:
-            raise ValueError("horizon must be >= 0")
-        super().__init__(A, alpha, horizon)
+        super().__init__(A, alpha, _at_least(horizon, 0, "horizon must be >= 0"))
 
     @property
     def n(self) -> int:
@@ -208,9 +204,7 @@ def gl_coefficient(alpha: float, j: int) -> float:
     alpha = float(alpha)
     if not math.isfinite(alpha):
         raise ValueError("alpha must be finite")
-    j = operator.index(j)
-    if j < 1:
-        raise ValueError("tail index j must be >= 1")
+    j = _at_least(j, 1, "tail index j must be >= 1")
     return float(_tail_table(np.array([alpha]), j)[0, j - 1])
 
 
@@ -286,9 +280,7 @@ def simulate(system: FracSystem, x0: np.ndarray, steps: int) -> Trajectory:
     naming the first step with a non-finite state.  ``steps`` is taken
     through ``operator.index``: a float raises TypeError.
     """
-    steps = operator.index(steps)
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    steps = _at_least(steps, 0, "steps must be >= 0")
     if steps > system.horizon:
         raise ValueError(
             f"steps={steps} exceeds horizon K={system.horizon}; "
@@ -318,6 +310,11 @@ def simulate(system: FracSystem, x0: np.ndarray, steps: int) -> Trajectory:
     return Trajectory(states)  # copied: row k of the reversed view is strided
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tolerance must be finite and > 0")
+
+
 def numeric_rank(M: np.ndarray, tol: float) -> int:
     """Rank as the number of singular values above tol * (largest one).
 
@@ -325,8 +322,7 @@ def numeric_rank(M: np.ndarray, tol: float) -> int:
     all-zero matrix has rank 0.  A matrix with an infinite or NaN entry
     has no rank to report and raises ValueError.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tolerance must be finite and > 0")
+    _check_tol(tol)
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.size == 0:
         return 0
@@ -370,12 +366,9 @@ def is_observable_numeric(
     stack computed exactly mod 2**31 - 1 is 64.  False is therefore no
     proof of unobservability (ROADMAP item 5).
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tolerance must be finite and > 0")
+    _check_tol(tol)
     n, K = system.n, system.horizon
-    idx = sorted(set(map(operator.index, sensors)))
-    if any(s < 0 or s >= n for s in idx):
-        raise ValueError(f"sensor indices must lie in 0..{n - 1}")
+    idx = _states(n, sensors)
     if not idx:
         return False
     m = len(idx)

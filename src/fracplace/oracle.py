@@ -8,14 +8,13 @@ random values on a pattern's support.
 
 from __future__ import annotations
 
-import operator
 from itertools import combinations
 
 import numpy as np
 
 from .matching import Matching, WeightedBipartite
 from .placement import verify_observability
-from .structure import Pattern, _Value, set_bits
+from .structure import Pattern, _at_least, _Value, set_bits
 
 __all__ = [
     "RealizationConfig",
@@ -62,9 +61,7 @@ class RealizationConfig(_Value):
             raise ValueError("order range must be finite with 0 < low <= high")
         if not isinstance(random_signs, bool):
             raise TypeError(f"random_signs must be a bool, got {type(random_signs).__name__}")
-        seed = operator.index(seed)
-        if seed < 0:
-            raise ValueError("seed must be >= 0")
+        seed = _at_least(seed, 0, "seed must be >= 0")
         magnitude_range, order_range = (float(lo), float(hi)), (float(a), float(b))
         super().__init__(magnitude_range, random_signs, order_range, seed)
 
@@ -94,7 +91,12 @@ def random_realization(
 def draw_orders(
     n: int, cfg: RealizationConfig, rng: np.random.Generator | None = None
 ) -> np.ndarray:
-    """n random non-integer fractional orders from the configured range."""
+    """n random non-integer fractional orders from the configured range.
+
+    ``n`` must be >= 0 and is taken through ``operator.index``: a float
+    raises TypeError.
+    """
+    n = _at_least(n, 0, "n must be >= 0")
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     a, b = cfg.order_range
@@ -106,25 +108,23 @@ def draw_orders(
         alpha[near_int] = rng.uniform(a, b, size=int(near_int.sum()))
 
 
-def exhaustive_min_placement(pattern: Pattern, horizon: int, cap: int | None = None):
+def exhaustive_min_placement(pattern: Pattern, horizon: int):
     """(minimum size, witness) dedicated sensor set by subset enumeration.
 
     Scans subsets in increasing cardinality and, within a cardinality, in
     lexicographic order, so the witness is the lexicographically first
-    passing set.  Refuses more than 16 states; ``cap`` bounds the subset
-    size searched and is taken through ``operator.index``.
+    passing set; the set of all n states always passes.  Refuses more
+    than 16 states.
     """
     if not pattern.is_square():
         raise ValueError("placement search needs a square pattern")
     n = pattern.nrows
     if n > _MAX_EXHAUSTIVE_STATES:
         raise ValueError(f"exhaustive search refused for n={n} > {_MAX_EXHAUSTIVE_STATES}")
-    limit = n if cap is None else min(operator.index(cap), n)
-    for size in range(1, limit + 1):
+    for size in range(n + 1):
         for subset in combinations(range(n), size):
             if verify_observability(pattern, horizon, subset).observable:
                 return size, frozenset(subset)
-    raise ValueError(f"no sensor set of size <= {limit} is observable")
 
 
 def enumerate_matchings(graph: WeightedBipartite) -> list[Matching]:

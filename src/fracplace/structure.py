@@ -122,9 +122,8 @@ class Pattern(_Value):
     rows: tuple
 
     def __init__(self, nrows: int, ncols: int, entries: Iterable = ()):
-        nrows, ncols = operator.index(nrows), operator.index(ncols)
-        if nrows < 0 or ncols < 0:
-            raise ValueError("pattern dimensions must be non-negative")
+        nrows = _at_least(nrows, 0, "pattern dimensions must be non-negative")
+        ncols = _at_least(ncols, 0, "pattern dimensions must be non-negative")
         rows = [0] * nrows
         for r, c in entries:
             r, c = operator.index(r), operator.index(c)
@@ -200,6 +199,18 @@ class Condensation(_Value):
     @property
     def n(self) -> int:
         return len(self.scc_of)
+
+
+def _at_least(value: int, low: int, message: str) -> int:
+    """``value`` taken through ``operator.index``, checked to be >= ``low``.
+
+    A float raises TypeError instead of being truncated; a value below
+    ``low`` raises ValueError(message).
+    """
+    value = operator.index(value)
+    if value < low:
+        raise ValueError(message)
+    return value
 
 
 def _check_zero_tol(zero_tol: float) -> None:
@@ -292,10 +303,7 @@ def _reaches_closure(pattern: Pattern, horizon: int) -> bool:
     of length 1..n already reach every pair that any walk reaches.  The
     horizon is taken through ``operator.index``: a float raises TypeError.
     """
-    horizon = operator.index(horizon)
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    return horizon >= pattern.nrows - 1
+    return _at_least(horizon, 0, "horizon must be >= 0") >= pattern.nrows - 1
 
 
 def _stepwise_union(pattern: Pattern, horizon: int) -> Pattern:
@@ -415,13 +423,16 @@ def condense(pattern: Pattern) -> Condensation:
     )
 
 
-def _state_mask(n: int, sensors: Collection[int]) -> int:
-    """The mask of the sensor states, each checked to lie in 0..n - 1."""
-    sensor_set = set(map(operator.index, sensors))
-    for s in sensor_set:
+def _states(n: int, sensors: Collection[int]) -> list[int]:
+    """The distinct sensor states, ascending, each checked to lie in 0..n - 1.
+
+    States are taken through ``operator.index``: a float raises TypeError.
+    """
+    states = sorted(set(map(operator.index, sensors)))
+    for s in states:
         if not (0 <= s < n):
             raise ValueError(f"sensor index {s} outside 0..{n - 1}")
-    return sum(1 << s for s in sensor_set)
+    return states
 
 
 def non_accessible_states(pattern: Pattern, sensors: Collection[int]) -> frozenset:
@@ -433,7 +444,7 @@ def non_accessible_states(pattern: Pattern, sensors: Collection[int]) -> frozens
     if not pattern.is_square():
         raise ValueError("accessibility needs a square pattern")
     n, rows = pattern.nrows, pattern.rows
-    seen = frontier = _state_mask(n, sensors)
+    seen = frontier = sum(1 << s for s in _states(n, sensors))
     while frontier:
         reached = 0
         for v in set_bits(frontier, n):

@@ -10,7 +10,6 @@ fixed seed makes the whole sweep deterministic, trial by trial.
 
 from __future__ import annotations
 
-import operator
 import warnings
 from typing import NamedTuple
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .fraccore import _ArrayValue, _readonly
 from .placement import minimal_sensors
-from .structure import Pattern
+from .structure import Pattern, _at_least
 
 __all__ = ["SweepSpec", "SweepRow", "run_sweep"]
 
@@ -58,28 +57,20 @@ class SweepSpec(_ArrayValue):
             raise ValueError("sparsity levels must lie in [0, 1)")
         if list(levels) != sorted(levels):
             raise ValueError("sparsity levels must be sorted ascending")
-        trials = operator.index(trials)
-        if trials < 1:
-            raise ValueError("need at least one trial per level")
+        trials = _at_least(trials, 1, "need at least one trial per level")
         if (n is None) == (base_matrix is None):
             raise ValueError("give exactly one of n or base_matrix")
         if n is not None:
-            n = operator.index(n)
-            if n < 1:
-                raise ValueError("state dimension must be positive")
+            n = _at_least(n, 1, "state dimension must be positive")
         if horizon is not None:
-            horizon = operator.index(horizon)
-            if horizon < 0:
-                raise ValueError("horizon must be >= 0")
+            horizon = _at_least(horizon, 0, "horizon must be >= 0")
         if base_matrix is not None:
             base_matrix = _readonly(np.atleast_2d(base_matrix))
             if base_matrix.shape[0] != base_matrix.shape[1]:
                 raise ValueError("base matrix must be square")
             if not np.all(np.isfinite(base_matrix)):
                 raise ValueError("every base matrix entry must be finite")
-        seed = operator.index(seed)
-        if seed < 0:
-            raise ValueError("seed must be >= 0")
+        seed = _at_least(seed, 0, "seed must be >= 0")
         super().__init__(levels, trials, n, base_matrix, horizon, seed)
 
     @property

@@ -13,10 +13,11 @@ package's 0-based convention on load)::
     end
 
 ``dense`` expects n rows of n whitespace-separated numbers, ``pattern``
-expects ``row col`` pairs and carries no numeric values.  Blank lines and
-``#`` comments are ignored.  The ``n``, ``alpha`` and ``k`` lines may each
-appear once; ``n`` and ``k`` take exactly one value.  Exactly one matrix
-block must be present, closed by ``end``; matrix values must be finite.
+expects ``row col`` pairs and carries no numeric values.  A ``sparse`` or
+``pattern`` entry may appear only once.  Blank lines and ``#`` comments
+are ignored.  The ``n``, ``alpha`` and ``k`` lines may each appear once;
+``n`` and ``k`` take exactly one value.  Exactly one matrix block must be
+present, closed by ``end``; matrix values must be finite.
 """
 
 from __future__ import annotations
@@ -206,12 +207,14 @@ def parse_system_file(text: str) -> SystemFile:
                 _fail(lineno, form)
             if not (1 <= r <= n and 1 <= c <= n):
                 _fail(lineno, f"index ({r}, {c}) outside 1..{n}")
-            if not numeric:
-                masks[r - 1] |= 1 << (c - 1)
-            elif math.isfinite(v):
+            bit = 1 << (c - 1)
+            if masks[r - 1] & bit:
+                _fail(lineno, f"entry ({r}, {c}) given twice")
+            masks[r - 1] |= bit
+            if numeric:
+                if not math.isfinite(v):
+                    _fail(lineno, "matrix values must be finite")
                 rows[r - 1][c - 1] = v
-            else:
-                _fail(lineno, "matrix values must be finite")
         if numeric:
             values = tuple(map(tuple, rows))
         else:

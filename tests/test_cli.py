@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import importlib
 import io
 import json
 import subprocess
@@ -109,6 +110,14 @@ class TestPlace:
         proc = run_cli("place", str(p))
         assert proc.returncode == 2
         assert "line 4: repeated 'n' line" in proc.stderr
+        assert proc.stdout == ""
+
+    def test_repeated_entry_exits_two(self, tmp_path):
+        p = tmp_path / "twice.fracsys"
+        p.write_text(CHAIN_SPARSE.replace("2 1 1.3\n", "2 1 1.3\n2 1 0.0\n"))
+        proc = run_cli("place", str(p))
+        assert proc.returncode == 2
+        assert "line 7: entry (2, 1) given twice" in proc.stderr
         assert proc.stdout == ""
 
     def test_missing_file(self):
@@ -598,3 +607,8 @@ print("csv" in sys.modules)
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+    def test_export_table_matches_each_module_all(self):
+        # the lazy table and a module's own list are kept by hand, side by side
+        for module, names in fracplace._EXPORTS.items():
+            assert list(names) == importlib.import_module(f"fracplace.{module}").__all__, module

@@ -449,6 +449,13 @@ class TestIsObservableNumeric:
         with pytest.raises(ValueError, match="tolerance must be finite and > 0"):
             is_observable_numeric(sysm, {0, 1, 2}, tol=tol)
 
+    @pytest.mark.parametrize("bad", [3, -1])
+    def test_sensor_out_of_range_named(self, bad):
+        # the structural layer's message, from the same check
+        sysm = FracSystem(np.eye(3), np.full(3, 0.5), 3)
+        with pytest.raises(ValueError, match=f"^sensor index {bad} outside 0..2$"):
+            is_observable_numeric(sysm, {0, bad})
+
     def test_overflow_is_named_not_a_linalg_error(self):
         sysm = FracSystem(np.full((4, 4), 10.0), [0.8] * 4, 200)
         with warnings.catch_warnings():

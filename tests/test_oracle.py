@@ -29,20 +29,13 @@ class TestExhaustiveMinPlacement:
         pat = Pattern(4, 4, [(0, 1), (1, 0), (2, 3), (3, 2)])
         assert exhaustive_min_placement(pat, 3) == (2, frozenset({0, 2}))
 
+    def test_no_states_need_no_sensor(self):
+        # as minimal_sensors and verify_observability have it
+        assert exhaustive_min_placement(Pattern(0, 0), 0) == (0, frozenset())
+
     def test_refuses_large_patterns(self):
         with pytest.raises(ValueError):
             exhaustive_min_placement(Pattern(17, 17), 1)
-
-    def test_cap_too_small(self):
-        with pytest.raises(ValueError):
-            exhaustive_min_placement(Pattern(3, 3), 1, cap=2)
-
-    def test_cap_is_an_index(self):
-        # a float cap was truncated: cap=1.9 searched sets of size 1 only
-        chain = Pattern(3, 3, [(1, 0), (2, 1)])
-        with pytest.raises(TypeError):
-            exhaustive_min_placement(chain, 3, cap=1.9)
-        assert exhaustive_min_placement(chain, 3, cap=np.int64(1)) == (1, frozenset({2}))
 
 
 class TestRandomRealization:

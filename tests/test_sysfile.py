@@ -128,3 +128,16 @@ class TestParseErrors:
     def test_repeated_keyword_or_extra_token_names_its_line(self, text, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             parse_system_file(text)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            (SPARSE.replace("2 1 1.0\n", "2 1 1.0\n2 1 0.0\n"), 7),
+            (PATTERN.replace("2 1\n", "2 1\n2 1\n"), 6),
+        ],
+        ids=["sparse", "pattern"],
+    )
+    def test_repeated_entry_names_its_line(self, text, line):
+        # the second value used to replace the first without a word
+        with pytest.raises(ValueError, match=rf"^line {line}: entry \(2, 1\) given twice$"):
+            parse_system_file(text)
