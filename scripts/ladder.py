@@ -3,6 +3,7 @@
 
     python3 scripts/ladder.py --label mine
     python3 scripts/ladder.py --label old --src ../other-checkout/src
+    python3 scripts/ladder.py --label mine --against ../other-checkout/src
 
 Every case runs in a subprocess of its own that imports fracplace from
 ``--src``.  The structural cases time ``minimal_sensors`` on one pattern
@@ -47,6 +48,18 @@ output of the last repeat.  ``cli-import`` records the cumulative time
 
 A case that runs past ``TIMEOUT_S`` is recorded as a timeout with the
 repeats it finished.  Needs the standard library and numpy only.
+
+With ``--against SRC`` the run is paired: each case runs
+``PAIRED_ROUNDS`` times on both trees, in alternating child runs whose
+first side alternates from round to round and from case to case, so
+that a drift in the host's speed falls on both trees alike.  The case
+records the ``--src`` tree's fields from its fastest round, and under
+``against`` the other tree's min, the median and the spread (max - min)
+of the per-round ratio of the mins (``--src`` over ``SRC``), and the
+non-timing fields (digests, counts, exit codes, errors) on which any
+two runs disagree.  Runs that timed out are left out of that check.  If
+any field disagrees, the result file is still written and the run exits
+with code 1.
 """
 
 from __future__ import annotations
@@ -57,6 +70,7 @@ import json
 import os
 import platform
 import resource
+import statistics
 import subprocess
 import sys
 import time
@@ -73,6 +87,8 @@ CLI_CASES = (("place", 256), ("verify", 256), ("sweep", 32), ("simulate", 64), (
 MIN_REPEATS = 3
 MIN_TIMED_S = 2.0
 TIMEOUT_S = 400.0  # per case
+PAIRED_ROUNDS = 5  # per case and tree with --against
+MEASURED = ("min_s", "spread_s", "repeats", "peak_rss_mib", "traced_peak_mib", "timeout")
 
 
 def cases() -> list[dict]:
@@ -249,10 +265,32 @@ def measure(case: dict, src: Path) -> dict:
     return result
 
 
+def paired(index: int, case: dict, src: Path, against: Path) -> dict:
+    """``case`` on both trees, ``PAIRED_ROUNDS`` alternating child runs each."""
+    runs: dict = {src: [], against: []}
+    for i in range(PAIRED_ROUNDS):
+        for tree in (src, against) if (index + i) % 2 == 0 else (against, src):
+            runs[tree].append(measure(case, tree))
+    ratios = sorted(
+        a["min_s"] / b["min_s"] for a, b in zip(runs[src], runs[against]) if "min_s" in a and "min_s" in b
+    )
+    finished = [r for r in runs[src] + runs[against] if not r["timeout"]]
+    fields = {k for r in finished for k in r if k not in MEASURED}
+    result = min(runs[src], key=lambda r: r.get("min_s", float("inf")))
+    result["against"] = {
+        "min_s": min((r["min_s"] for r in runs[against] if "min_s" in r), default=None),
+        "ratio_median": statistics.median(ratios) if ratios else None,
+        "ratio_spread": ratios[-1] - ratios[0] if ratios else None,
+        "differs": sorted(k for k in fields if len({json.dumps(r.get(k)) for r in finished}) > 1),
+    }
+    return result
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--label", help="writes BENCH_<label>.json at the repo root")
     parser.add_argument("--src", default=str(ROOT / "src"), help="the fracplace source tree to time")
+    parser.add_argument("--against", help="a second source tree, timed in alternation with --src")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.child:
@@ -261,11 +299,22 @@ def main() -> int:
     if not args.label:
         parser.error("--label is required")
 
+    src = Path(args.src).resolve()
     results = []
-    for case in cases():
-        result = measure(case, Path(args.src).resolve())
+    for index, case in enumerate(cases()):
+        if args.against:
+            result = paired(index, case, src, Path(args.against).resolve())
+        else:
+            result = measure(case, src)
         results.append(result)
-        shown = "timeout" if result["timeout"] else f"{result.get('min_s', float('nan')):.3f} s"
+        shown = "timeout" if result["timeout"] else f"{result.get('min_s', float('nan')):.4f} s"
+        if args.against:
+            other = result["against"]
+            if other["ratio_median"] is not None:
+                shown += f" against {other['min_s']:.4f} s, ratio {other['ratio_median']:.3f}"
+                shown += f" (spread {other['ratio_spread']:.3f})"
+            if other["differs"]:
+                shown += f"; DIFFERS: {', '.join(other['differs'])}"
         print(f"{case['name']:28s} {shown}", file=sys.stderr, flush=True)
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps({
@@ -274,9 +323,14 @@ def main() -> int:
         "min_repeats": MIN_REPEATS,
         "min_timed_s": MIN_TIMED_S,
         "timeout_s": TIMEOUT_S,
+        **({"paired_rounds": PAIRED_ROUNDS} if args.against else {}),
         "cases": results,
     }, indent=1) + "\n")
     print(out)
+    differ = [r["name"] for r in results if r.get("against", {}).get("differs")]
+    if differ:
+        print(f"non-timing fields differ between the trees: {', '.join(differ)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -16,6 +16,7 @@ with 17 significant digits so they round-trip exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -194,6 +195,7 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache  # built on the first main() call, then shared by later calls
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fracplace",
@@ -261,8 +263,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
     except (ValueError, OSError) as exc:

@@ -15,8 +15,11 @@ runs every phase on the masks: its breadth-first layers are column
 masks and its depth-first searches take the lowest column of a row mask
 and layer.  The weighted solver works in pure Python integers, in two
 steps: the Hungarian method, whose rounds run that Hopcroft-Karp on the
-tight edges of the current row and column potentials, kept as masks,
-with a dual step on the potentials between rounds; and a tie-break that
+tight edges of the current row and column potentials, kept as masks from
+round to round, with a dual step on the potentials between rounds that
+moves only the rows and columns it reached: the reached rows rebuild
+their tight masks, every other row drops its edges to the reached
+columns, and a slack column's potential stays 0; and a tie-break that
 walks the rows in ascending order and moves each onto its smallest
 column lying on a zero-reduced-cost alternating cycle of the current
 optimum.  The tie-break runs the same breadth-first search on the same
@@ -36,7 +39,7 @@ from __future__ import annotations
 import operator
 from typing import Iterable, Sequence
 
-from .structure import Pattern, _Value, set_bits
+from .structure import Pattern, _Value, _at_least, set_bits
 
 __all__ = [
     "WeightedBipartite",
@@ -60,7 +63,8 @@ class WeightedBipartite(_Value):
     unit: Pattern
 
     def __init__(self, n_rows: int, n_cols: int, edges: Iterable = ()):
-        n_rows, n_cols = operator.index(n_rows), operator.index(n_cols)
+        n_rows = _at_least(n_rows, 0, "graph dimensions must be non-negative")
+        n_cols = _at_least(n_cols, 0, "graph dimensions must be non-negative")
         masks = ([0] * n_rows, [0] * n_rows)  # indexed by weight
         for r, c, w in edges:
             r, c, w = operator.index(r), operator.index(c), operator.index(w)
@@ -276,9 +280,14 @@ def _min_weight_max_matching_rows(free: Sequence[int], unit: Sequence[int], n_co
        move by the smallest reduced cost delta >= 1 from a reached row to
        an unreached column: y up and z down by delta.  Every reached
        column is matched and stays matched, so z is 0 on the free real
-       columns.  Round 1, at zero potentials, matches on the weight-0
-       edges, and every later round without an augmentation raises each
-       free row's y, which the slack column caps;
+       columns; no step reaches a slack column, so its z stays 0.  The
+       rounds keep the tight masks and the columns grouped by potential:
+       a dual step moves only the reached columns to their new group and
+       rebuilds only the reached rows' masks, and every other row, whose
+       y did not move, loses just its edges to the reached columns.
+       Round 1, at zero potentials, matches on the weight-0 edges, and
+       every later round without an augmentation raises each free row's
+       y, which the slack column caps;
     2. the canonical tie-break: rows in ascending order, each takes the
        smallest column through which a zero-reduced-cost alternating
        cycle runs in the residual graph of the current optimum (the
@@ -301,17 +310,18 @@ def _min_weight_max_matching_rows(free: Sequence[int], unit: Sequence[int], n_co
     slack = min(n_rows, n_cols) + 1
     y = [0] * n_rows
     z = [0] * width
-    pairs: list = []
-    while True:
-        at_potential: dict = {}  # potential -> mask of the real columns that have it
-        for j in range(n_cols):
-            at_potential[z[j]] = at_potential.get(z[j], 0) | 1 << j
-        tight = [
+    at_potential = {0: (1 << n_cols) - 1}  # potential -> mask of the real columns that have it
+
+    def tight_row(r):  # row r's tight edges, its slack column last
+        return (
             free[r] & at_potential.get(-y[r], 0)
             | unit[r] & at_potential.get(1 - y[r], 0)
-            | (y[r] + z[n_cols + r] == slack) << (n_cols + r)  # row r's slack column
-            for r in range(n_rows)
-        ]
+            | (y[r] == slack) << (n_cols + r)
+        )
+
+    tight = [tight_row(r) for r in range(n_rows)]
+    pairs: list = []
+    while True:
         match_row, match_col = _max_matching_rows(tight, width, pairs)
         roots = [r for r, c in enumerate(match_row) if c == -1]
         if not roots:
@@ -320,18 +330,20 @@ def _min_weight_max_matching_rows(free: Sequence[int], unit: Sequence[int], n_co
         cols = 0  # the reached columns, all matched: no augmenting path is left
         for layer in _layers(tight, roots, match_col, 0, width):
             cols |= layer
+        unreached = ~cols
         reached_cols = set_bits(cols, width)
         rows = roots + [match_col[j] for j in reached_cols]
         # Every reached row's slack column is unreached: only that row has
         # an edge to it, a free tight one would be an augmenting path, and
-        # a row that holds it can be reached through it alone.
-        delta = min(slack - y[r] - z[n_cols + r] for r in rows)
+        # a row that holds it can be reached through it alone.  So every
+        # slack column keeps z = 0, and row r's is tight at y[r] == slack.
+        delta = min(slack - y[r] for r in rows)
         by_y: dict = {}  # row potential -> the weight-0 and weight-1 masks of its reached rows
         for r in rows:
             f, u = by_y.get(y[r], (0, 0))
             by_y[y[r]] = (f | free[r], u | unit[r])
         for zj, m in at_potential.items():
-            m &= ~cols  # the unreached real columns of potential zj
+            m &= unreached  # the unreached real columns of potential zj
             for yr, (f, u) in by_y.items():
                 if f & m:
                     delta = min(delta, -yr - zj)
@@ -341,6 +353,17 @@ def _min_weight_max_matching_rows(free: Sequence[int], unit: Sequence[int], n_co
             y[r] += delta
         for j in reached_cols:
             z[j] -= delta
+        moved: dict = {}
+        for zj, m in at_potential.items():
+            for zk, part in ((zj - delta, m & cols), (zj, m & unreached)):
+                if part:
+                    moved[zk] = moved.get(zk, 0) | part
+        at_potential = moved
+        # An unreached row keeps its y and loses exactly its edges to the
+        # reached columns, whose z fell; only a reached row can gain one.
+        tight = [t & unreached for t in tight]
+        for r in rows:
+            tight[r] = tight_row(r)
 
     _tie_break(tight, z, match_row, match_col)
     return [c if c < n_cols else -1 for c in match_row]

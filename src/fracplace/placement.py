@@ -40,6 +40,7 @@ from .structure import (
     Condensation,
     Pattern,
     _Value,
+    _states,
     condense,
     non_accessible_states,
     transposed_union,
@@ -153,10 +154,11 @@ def verify_observability(
     Condition (i): no state is non-accessible in the union digraph with
     output edges on the sensor states.  Condition (ii): the transposed
     union pattern plus the sensor identity columns has generic rank n.
+    The sensors are range-checked before the union is built.
     """
     if not pattern.is_square():
         raise ValueError("verification needs a square pattern")
-    sensors = frozenset(map(operator.index, sensors))
+    sensors = frozenset(_states(pattern.nrows, sensors))
     return _certify(pattern, transposed_union(pattern, horizon), sensors)
 
 

@@ -1,9 +1,18 @@
-"""The assignment-solver path that ``min_weight_max_matching`` replaced.
+"""Two earlier paths of ``min_weight_max_matching``, kept as test oracles.
 
-Kept as a test oracle: one scipy assignment per (cardinality, weight)
+``reference_min_weight_max_matching`` is the assignment-solver path the
+row-mask engine replaced: one scipy assignment per (cardinality, weight)
 optimum, and pairs forced greedily in ascending (row, col) order, each
 kept exactly when the rest of the graph still reaches the optimum.  It
 re-solves once per candidate edge, so it is only fit for test sizes.
+
+``rebuilt_min_weight_max_matching_rows`` is the library's
+``_min_weight_max_matching_rows`` from before its Hungarian rounds kept
+their state: every round rebuilds the potential -> columns table and
+every row's tight mask from the potentials, and reads a slack column's
+tight edge off its own z.  It is unchanged but for its name and for
+calling ``matching._tie_break`` through the module, so that a test can
+capture what each engine hands the tie-break.
 """
 
 from __future__ import annotations
@@ -12,7 +21,9 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
-from fracplace import Matching, WeightedBipartite
+from fracplace import Matching, WeightedBipartite, matching
+from fracplace.matching import _layers, _max_matching_rows
+from fracplace.structure import set_bits
 
 from conftest import graph_edges
 
@@ -80,3 +91,55 @@ def reference_min_weight_max_matching(graph: WeightedBipartite) -> Matching:
     if need_card != 0:
         raise RuntimeError("tie-breaking failed to reconstruct the optimum")
     return Matching(forced, best_weight)
+
+
+def rebuilt_min_weight_max_matching_rows(free, unit, n_cols: int) -> list:
+    """``_min_weight_max_matching_rows`` with every round's tight masks rebuilt."""
+    n_rows = len(free)
+    width = n_cols + n_rows  # the real columns, then the slack ones
+    slack = min(n_rows, n_cols) + 1
+    y = [0] * n_rows
+    z = [0] * width
+    pairs: list = []
+    while True:
+        at_potential: dict = {}  # potential -> mask of the real columns that have it
+        for j in range(n_cols):
+            at_potential[z[j]] = at_potential.get(z[j], 0) | 1 << j
+        tight = [
+            free[r] & at_potential.get(-y[r], 0)
+            | unit[r] & at_potential.get(1 - y[r], 0)
+            | (y[r] + z[n_cols + r] == slack) << (n_cols + r)  # row r's slack column
+            for r in range(n_rows)
+        ]
+        match_row, match_col = _max_matching_rows(tight, width, pairs)
+        roots = [r for r, c in enumerate(match_row) if c == -1]
+        if not roots:
+            break
+        pairs = [(r, c) for r, c in enumerate(match_row) if c != -1]
+        cols = 0  # the reached columns, all matched: no augmenting path is left
+        for layer in _layers(tight, roots, match_col, 0, width):
+            cols |= layer
+        reached_cols = set_bits(cols, width)
+        rows = roots + [match_col[j] for j in reached_cols]
+        # Every reached row's slack column is unreached: only that row has
+        # an edge to it, a free tight one would be an augmenting path, and
+        # a row that holds it can be reached through it alone.
+        delta = min(slack - y[r] - z[n_cols + r] for r in rows)
+        by_y: dict = {}  # row potential -> the weight-0 and weight-1 masks of its reached rows
+        for r in rows:
+            f, u = by_y.get(y[r], (0, 0))
+            by_y[y[r]] = (f | free[r], u | unit[r])
+        for zj, m in at_potential.items():
+            m &= ~cols  # the unreached real columns of potential zj
+            for yr, (f, u) in by_y.items():
+                if f & m:
+                    delta = min(delta, -yr - zj)
+                if u & m:
+                    delta = min(delta, 1 - yr - zj)
+        for r in rows:
+            y[r] += delta
+        for j in reached_cols:
+            z[j] -= delta
+
+    matching._tie_break(tight, z, match_row, match_col)
+    return [c if c < n_cols else -1 for c in match_row]

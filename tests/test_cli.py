@@ -528,6 +528,40 @@ class TestSweepScript:
             assert len(lines) == 1 and lines[0].startswith("fracplace: error:")
 
 
+class TestInProcessCalls:
+    def test_calls_in_one_process_share_no_state(self, chain_file):
+        # the parser is built once per process and reused: after a usage
+        # error and a call with flags, each call still prints what it
+        # prints as the first call of a fresh process
+        argvs = [
+            ["place", "--k", "3"],
+            ["place", chain_file, "--format", "csv", "--k", "3"],
+            ["place", chain_file],
+            ["verify", chain_file, "--sensors", "3"],
+        ]
+        code = f"""
+import contextlib, io, json
+import fracplace.cli
+out = []
+for argv in {argvs!r}:
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = fracplace.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    out.append([code, stdout.getvalue(), stderr.getvalue()])
+print(json.dumps(out))
+"""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        got = json.loads(proc.stdout)
+        # bytes, so the CSV's \r\n line ends are compared as written
+        first = [subprocess.run([sys.executable, "-m", "fracplace", *argv], capture_output=True) for argv in argvs]
+        assert got == [[p.returncode, p.stdout.decode(), p.stderr.decode()] for p in first]
+        assert [g[0] for g in got] == [2, 0, 0, 0]
+
+
 class TestImports:
     def test_runtime_does_not_import_scipy(self):
         code = "import sys, fracplace.cli, fracplace; print('scipy' in sys.modules)"

@@ -15,6 +15,7 @@ from fracplace import (
     Pattern,
     RealizationConfig,
     SweepSpec,
+    WeightedBipartite,
     draw_orders,
     gl_coefficient,
     simulate,
@@ -27,6 +28,8 @@ SYSTEM = FracSystem(np.eye(2), [0.5, 0.5], 3)
 BOUNDED = {
     "Pattern-nrows": (lambda v: Pattern(v, 2), 0, "pattern dimensions must be non-negative"),
     "Pattern-ncols": (lambda v: Pattern(2, v), 0, "pattern dimensions must be non-negative"),
+    "WeightedBipartite-n_rows": (lambda v: WeightedBipartite(v, 2), 0, "graph dimensions must be non-negative"),
+    "WeightedBipartite-n_cols": (lambda v: WeightedBipartite(2, v), 0, "graph dimensions must be non-negative"),
     "transition_union-horizon": (lambda v: transition_union(Pattern(2, 2), v), 0, "horizon must be >= 0"),
     "FracSystem-horizon": (lambda v: FracSystem(np.eye(2), [0.5, 0.5], v), 0, "horizon must be >= 0"),
     "gl_coefficient-j": (lambda v: gl_coefficient(0.5, v), 1, "tail index j must be >= 1"),

@@ -86,6 +86,15 @@ class TestVerify:
         with pytest.raises(ValueError):
             verify_observability(chain3, 3, {7})
 
+    def test_sensor_range_is_checked_before_the_union_is_built(self, chain3, monkeypatch):
+        def no_union(*args):
+            raise AssertionError("the union was built")
+
+        monkeypatch.setattr(fracplace.placement, "transposed_union", no_union)
+        with pytest.raises(ValueError) as info:
+            verify_observability(chain3, 3, {1, 7})
+        assert str(info.value) == "sensor index 7 outside 0..2"
+
     def test_rejects_a_float_sensor_or_horizon(self, chain3):
         # refused, not truncated to sensor 2 or to K = 1
         with pytest.raises(TypeError):
