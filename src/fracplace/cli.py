@@ -140,10 +140,10 @@ def _cmd_simulate(args) -> int:
             "the structural commands (place/verify/sweep) handle any size"
         )
     horizon = _resolve_horizon(args, sysfile)
-    with open(args.x0, "r", encoding="utf-8") as fh:
+    with open(args.x0, "r", encoding="utf-8-sig") as fh:
         x0 = [float(tok) for tok in fh.read().split()]
     steps = args.steps if args.steps is not None else horizon
-    system = FracSystem(sysfile.matrix, sysfile.alpha, horizon)
+    system = FracSystem(sysfile.values, sysfile.orders, horizon)
     traj = simulate(system, x0, steps)
     if args.format == "json":
         _emit_json(

@@ -16,8 +16,10 @@ package's 0-based convention on load)::
 expects ``row col`` pairs and carries no numeric values.  A ``sparse`` or
 ``pattern`` entry may appear only once.  Blank lines and ``#`` comments
 are ignored.  The ``n``, ``alpha`` and ``k`` lines may each appear once;
-``n`` and ``k`` take exactly one value.  Exactly one matrix block must be
-present, closed by ``end``; matrix values must be finite.
+``n`` and ``k`` each hold one integer, at least 1 for ``n`` and at least 0
+for ``k``.  Exactly one matrix block must be present, closed by ``end``;
+matrix values must be finite.  ``load_system_file`` reads UTF-8 and skips
+a leading byte-order mark.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
-from .structure import _ZERO_TOL, Pattern, _check_zero_tol, _Value, pattern_of
+from .structure import _ZERO_TOL, Pattern, _at_least, _check_zero_tol, _Value, pattern_of
 
 if TYPE_CHECKING:
     import numpy as np
@@ -87,6 +89,22 @@ def _fail(lineno: int, msg: str):
     raise ValueError(f"line {lineno}: {msg}")
 
 
+# the bound and the messages of each single-integer line
+_INTEGER_LINES = {
+    "n": (1, "expected 'n <positive integer>'", "state dimension must be positive"),
+    "k": (0, "expected 'k <non-negative integer>'", "horizon must be >= 0"),
+}
+
+
+def _integer_line(lineno: int, key: str, args: list) -> int:
+    least, form, bound = _INTEGER_LINES[key]
+    try:
+        (value,) = map(int, args)
+    except ValueError:
+        _fail(lineno, form)
+    return _at_least(value, least, f"line {lineno}: {bound}")
+
+
 def parse_system_file(text: str) -> SystemFile:
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -103,59 +121,42 @@ def parse_system_file(text: str) -> SystemFile:
     if parts[1] != str(FORMAT_VERSION):
         _fail(lineno, f"unsupported format version {parts[1]}")
 
-    n = None
-    alpha_values = None
-    horizon = None
+    header_values = {}  # the 'n', 'alpha' and 'k' lines, each read once
     kind = None
-    matrix_rows: list[tuple[int, str]] = []
-
-    seen_keys = set()
     i = 1
     while i < len(lines):
         lineno, body = lines[i]
-        toks = body.split()
-        key = toks[0].lower()
+        key, *args = body.split()
+        key = key.lower()
         if key in ("n", "alpha", "k"):
-            if key in seen_keys:
+            if key in header_values:
                 _fail(lineno, f"repeated '{key}' line")
-            seen_keys.add(key)
-        if key == "n":
-            try:
-                (n,) = map(int, toks[1:])
-            except ValueError:
-                _fail(lineno, "expected 'n <positive integer>'")
-            if n <= 0:
-                _fail(lineno, "state dimension must be positive")
-        elif key == "alpha":
-            try:
-                alpha_values = [float(tok) for tok in toks[1:]]
-            except ValueError:
-                _fail(lineno, "alpha values must be numbers")
-            if not alpha_values:
-                _fail(lineno, "alpha needs at least one value")
-        elif key == "k":
-            try:
-                (horizon,) = map(int, toks[1:])
-            except ValueError:
-                _fail(lineno, "expected 'k <non-negative integer>'")
-            if horizon < 0:
-                _fail(lineno, "horizon must be >= 0")
+            if key == "alpha":
+                try:
+                    header_values[key] = [float(tok) for tok in args]
+                except ValueError:
+                    _fail(lineno, "alpha values must be numbers")
+                if not args:
+                    _fail(lineno, "alpha needs at least one value")
+            else:
+                header_values[key] = _integer_line(lineno, key, args)
         elif key == "matrix":
-            if len(toks) != 2 or toks[1] not in ("dense", "sparse", "pattern"):
+            if len(args) != 1 or args[0] not in ("dense", "sparse", "pattern"):
                 _fail(lineno, "expected 'matrix dense|sparse|pattern'")
             if kind is not None:
                 _fail(lineno, "only one matrix block is allowed")
-            kind = toks[1]
-            i += 1
-            while i < len(lines) and lines[i][1].lower() != "end":
-                matrix_rows.append(lines[i])
-                i += 1
-            if i == len(lines):
+            kind = args[0]
+            start = i + 1
+            i = next((j for j in range(start, len(lines)) if lines[j][1].lower() == "end"), None)
+            if i is None:
                 _fail(lineno, "matrix block has no closing 'end' line")
+            matrix_rows = lines[start:i]
         else:
             _fail(lineno, f"unknown keyword '{key}'")
         i += 1
 
+    n = header_values.get("n")
+    alpha_values = header_values.get("alpha")
     if n is None:
         raise ValueError("missing 'n' line")
     if alpha_values is None:
@@ -182,14 +183,14 @@ def parse_system_file(text: str) -> SystemFile:
         rows = []
         for lineno, body in matrix_rows:
             try:
-                row = [float(tok) for tok in body.split()]
+                row = tuple(map(float, body.split()))
             except ValueError:
                 _fail(lineno, "dense rows must hold numbers")
             if len(row) != n:
                 _fail(lineno, f"dense row needs {n} entries, got {len(row)}")
             if not all(map(math.isfinite, row)):
                 _fail(lineno, "matrix values must be finite")
-            rows.append(tuple(row))
+            rows.append(row)
         values = tuple(rows)
     else:  # sparse or pattern: one 'row col value' or 'row col' entry per line
         numeric = kind == "sparse"
@@ -226,10 +227,10 @@ def parse_system_file(text: str) -> SystemFile:
         kind=kind,
         values=values,
         pattern=pattern,
-        horizon=horizon,
+        horizon=header_values.get("k"),
     )
 
 
 def load_system_file(path) -> SystemFile:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_system_file(fh.read())

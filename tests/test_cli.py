@@ -120,6 +120,19 @@ class TestPlace:
         assert "line 7: entry (2, 1) given twice" in proc.stderr
         assert proc.stdout == ""
 
+    def test_byte_order_mark_is_accepted(self, chain_file, tmp_path):
+        # editors on some platforms save UTF-8 with a leading BOM
+        marked = tmp_path / "marked.fracsys"
+        marked.write_text(CHAIN_SPARSE, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        outputs = []
+        for path in (chain_file, str(marked)):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(["place", path]) == 0
+            outputs.append(out.getvalue())
+        assert outputs[0] == outputs[1]
+
     def test_missing_file(self):
         proc = run_cli("place", "/nonexistent/x.fracsys")
         assert proc.returncode == 2
@@ -181,6 +194,16 @@ class TestSimulate:
         assert lines[1] == "0,0,1"
         assert lines[2] == "1,0,0"
         assert lines[3] == "2,0.125,0"
+
+    def test_initial_state_with_byte_order_mark(self, tmp_path):
+        sysf = tmp_path / "sys.fracsys"
+        sysf.write_text(WORKED)
+        x0 = tmp_path / "x0.txt"
+        x0.write_text("0 1\n", encoding="utf-8-sig")
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["simulate", str(sysf), "--x0", str(x0), "--steps", "2"]) == 0
+        assert out.getvalue() == "k,x1,x2\r\n0,0,1\r\n1,0,0\r\n2,0.125,0\r\n"
 
     def test_zero_initial_state(self, tmp_path):
         sysf = tmp_path / "sys.fracsys"

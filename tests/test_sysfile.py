@@ -58,43 +58,82 @@ class TestParsing:
         assert f.matrix is None
         assert f.pattern.entries == frozenset({(1, 0), (2, 1)})
 
+    def test_integer_lines_accept_their_bounds(self):
+        f = parse_system_file("fracsys 1\nn 1\nk 0\nalpha 1\nmatrix dense\n0\nend\n")
+        assert (f.n, f.horizon, f.values) == (1, 0, ((0.0,),))
+
     def test_pattern_at_thresholds_numeric(self):
         f = parse_system_file(DENSE)
         assert f.pattern_at().entries == frozenset({(0, 1)})
 
 
+# every reader error, keyed by an input that raises it; "line L:" names the offending line
+MALFORMED = {
+    "": "empty system file",
+    "something 1\nn 2\n": "line 1: expected header 'fracsys 1'",
+    "fracsys 2\nn 2\nalpha 1\nmatrix pattern\nend\n": "line 1: unsupported format version 2",
+    "fracsys 1\nalpha 1\nmatrix pattern\nend\n": "missing 'n' line",
+    "fracsys 1\nn 2\nmatrix pattern\nend\n": "missing 'alpha' line",
+    "fracsys 1\nn 2\nalpha 1\n": "missing matrix block",
+    "fracsys 1\nn 2\nalpha 1 2 3\nmatrix pattern\nend\n": "alpha has 3 values, expected 1 or 2",
+    "fracsys 1\nn 2\nalpha 0\nmatrix pattern\nend\n": "every alpha must be finite and > 0",
+    "fracsys 1\nn 2\nalpha 1\nmatrix dense\n1 2\nend\n": "dense matrix needs exactly 2 rows, got 1",
+    "fracsys 1\nn 2\nalpha 1\nmatrix dense\n1 2\n3 4 5\nend\n": "line 6: dense row needs 2 entries, got 3",
+    "fracsys 1\nn 2\nalpha 1\nmatrix sparse\n3 1 1.0\nend\n": "line 5: index (3, 1) outside 1..2",
+    "fracsys 1\nn 2\nalpha 1\nmatrix sparse\n1 1\nend\n": "line 5: sparse entries are 'row col value'",
+    "fracsys 1\nn 2\nalpha 1\nmatrix pattern\n0 1\nend\n": "line 5: index (0, 1) outside 1..2",
+    "fracsys 1\nn 2\nalpha 1\nmatrix pattern\nx y\nend\n": "line 5: pattern entries are 'row col'",
+    "fracsys 1\nn 2\nalpha 1\nwhat 3\nmatrix pattern\nend\n": "line 4: unknown keyword 'what'",
+    "fracsys 1\nn 2\nalpha 1\nmatrix pattern\nend\nmatrix pattern\nend\n": "line 6: only one matrix block is allowed",
+    "fracsys 1\nn -2\nalpha 1\nmatrix pattern\nend\n": "line 2: state dimension must be positive",
+    "fracsys 1\nn 2\nalpha 1\nk -1\nmatrix pattern\nend\n": "line 4: horizon must be >= 0",
+    "fracsys 1\nn 3\nalpha 1\nn 2\nmatrix pattern\nend\n": "line 4: repeated 'n' line",
+    "fracsys 1\nn 2\nalpha 1\nalpha 2\nmatrix pattern\nend\n": "line 4: repeated 'alpha' line",
+    "fracsys 1\nn 2\nalpha 1\nk 1\nk 2\nmatrix pattern\nend\n": "line 5: repeated 'k' line",
+    "fracsys 1\nn 3 7\nalpha 1\nmatrix pattern\nend\n": "line 2: expected 'n <positive integer>'",
+    "fracsys 1\nn 2\nalpha 1\nk 2 junk\nmatrix pattern\nend\n": "line 4: expected 'k <non-negative integer>'",
+    # the messages no input above reaches
+    "fracsys\nn 2\n": "line 1: expected header 'fracsys 1'",
+    "# comment\n\nfracsys 1 extra\n": "line 3: expected header 'fracsys 1'",
+    "fracsys 1\nn 0\nalpha 1\nmatrix pattern\nend\n": "line 2: state dimension must be positive",
+    "fracsys 1\nn\nalpha 1\nmatrix pattern\nend\n": "line 2: expected 'n <positive integer>'",
+    "fracsys 1\nn 2.0\nalpha 1\nmatrix pattern\nend\n": "line 2: expected 'n <positive integer>'",
+    "fracsys 1\nn 2\nalpha 1\nk\nmatrix pattern\nend\n": "line 4: expected 'k <non-negative integer>'",
+    "fracsys 1\nn 2\nalpha 1\nk x\nmatrix pattern\nend\n": "line 4: expected 'k <non-negative integer>'",
+    "fracsys 1\nn 2\nalpha\nmatrix pattern\nend\n": "line 3: alpha needs at least one value",
+    "fracsys 1\nn 2\nalpha 0.5 x\nmatrix pattern\nend\n": "line 3: alpha values must be numbers",
+    "fracsys 1\nn 2\nalpha 0.5 nan\nmatrix pattern\nend\n": "every alpha must be finite and > 0",
+    "fracsys 1\nn 2\nalpha inf\nmatrix pattern\nend\n": "every alpha must be finite and > 0",
+    "fracsys 1\nn 2\nalpha 1\nmatrix\nend\n": "line 4: expected 'matrix dense|sparse|pattern'",
+    "fracsys 1\nn 2\nalpha 1\nmatrix banded\nend\n": "line 4: expected 'matrix dense|sparse|pattern'",
+    "fracsys 1\nn 2\nalpha 1\nmatrix pattern x\nend\n": "line 4: expected 'matrix dense|sparse|pattern'",
+    "fracsys 1\nn 2\nalpha 1\nmatrix pattern\n2 1\n": "line 4: matrix block has no closing 'end' line",
+    "fracsys 1\nn 2\nalpha 1\nmatrix dense\n1 x\n0 0\nend\n": "line 5: dense rows must hold numbers",
+    "fracsys 1\nn 2\nalpha 1\nmatrix dense\n1 2\n3\nend\n": "line 6: dense row needs 2 entries, got 1",
+    "fracsys 1\nn 2\nalpha 1\nmatrix dense\n1 2\n3 4\n5 6\nend\n": "dense matrix needs exactly 2 rows, got 3",
+    "fracsys 1\nn 2\nalpha 1\nmatrix dense\n0 1\n-inf 0\nend\n": "line 6: matrix values must be finite",
+    "fracsys 1\nn 2\nalpha 1\nmatrix sparse\n1 2 nan\nend\n": "line 5: matrix values must be finite",
+    "fracsys 1\nn 2\nalpha 1\nmatrix sparse\n1 2 x\nend\n": "line 5: sparse entries are 'row col value'",
+    "fracsys 1\nn 2\nalpha 1\nmatrix sparse\n1 2 1.0 4\nend\n": "line 5: sparse entries are 'row col value'",
+    "fracsys 1\nn 2\nalpha 1\nmatrix pattern\n1 2 1.0\nend\n": "line 5: pattern entries are 'row col'",
+    "fracsys 1\nn 2\nalpha 1\nmatrix pattern\n1.0 2\nend\n": "line 5: pattern entries are 'row col'",
+    "fracsys 1\nn 2\nalpha 1\nmatrix pattern\n1 3\nend\n": "line 5: index (1, 3) outside 1..2",
+    "fracsys 1\nn 2\nalpha 1\nmatrix pattern\n1 2\n1 2\nend\n": "line 6: entry (1, 2) given twice",
+    "fracsys 1\nn 2\nalpha 1\nmatrix pattern\nend\nend\n": "line 6: unknown keyword 'end'",
+    # a keyword error after the block is reported before any error inside it
+    "fracsys 1\nn 2\nalpha 1\nmatrix pattern\nx y\nend\nwhat\n": "line 7: unknown keyword 'what'",
+    # keywords and 'end' are read without regard to case; the header is not
+    "fracsys 1\nN 2\nALPHA 1\nn 2\nmatrix pattern\nEND\n": "line 4: repeated 'n' line",
+    "FRACSYS 1\nn 2\n": "line 1: expected header 'fracsys 1'",
+}
+
+
 class TestParseErrors:
-    @pytest.mark.parametrize(
-        "text",
-        [
-            "",
-            "something 1\nn 2\n",
-            "fracsys 2\nn 2\nalpha 1\nmatrix pattern\nend\n",
-            "fracsys 1\nalpha 1\nmatrix pattern\nend\n",
-            "fracsys 1\nn 2\nmatrix pattern\nend\n",
-            "fracsys 1\nn 2\nalpha 1\n",
-            "fracsys 1\nn 2\nalpha 1 2 3\nmatrix pattern\nend\n",
-            "fracsys 1\nn 2\nalpha 0\nmatrix pattern\nend\n",
-            "fracsys 1\nn 2\nalpha 1\nmatrix dense\n1 2\nend\n",
-            "fracsys 1\nn 2\nalpha 1\nmatrix dense\n1 2\n3 4 5\nend\n",
-            "fracsys 1\nn 2\nalpha 1\nmatrix sparse\n3 1 1.0\nend\n",
-            "fracsys 1\nn 2\nalpha 1\nmatrix sparse\n1 1\nend\n",
-            "fracsys 1\nn 2\nalpha 1\nmatrix pattern\n0 1\nend\n",
-            "fracsys 1\nn 2\nalpha 1\nmatrix pattern\nx y\nend\n",
-            "fracsys 1\nn 2\nalpha 1\nwhat 3\nmatrix pattern\nend\n",
-            "fracsys 1\nn 2\nalpha 1\nmatrix pattern\nend\nmatrix pattern\nend\n",
-            "fracsys 1\nn -2\nalpha 1\nmatrix pattern\nend\n",
-            "fracsys 1\nn 2\nalpha 1\nk -1\nmatrix pattern\nend\n",
-            "fracsys 1\nn 3\nalpha 1\nn 2\nmatrix pattern\nend\n",
-            "fracsys 1\nn 2\nalpha 1\nalpha 2\nmatrix pattern\nend\n",
-            "fracsys 1\nn 2\nalpha 1\nk 1\nk 2\nmatrix pattern\nend\n",
-            "fracsys 1\nn 3 7\nalpha 1\nmatrix pattern\nend\n",
-            "fracsys 1\nn 2\nalpha 1\nk 2 junk\nmatrix pattern\nend\n",
-        ],
-    )
+    @pytest.mark.parametrize("text", list(MALFORMED))
     def test_malformed_inputs_raise(self, text):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             parse_system_file(text)
+        assert str(info.value) == MALFORMED[text]
 
     @pytest.mark.parametrize(
         "text, line",
