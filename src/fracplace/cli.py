@@ -36,8 +36,8 @@ def _one_based(indices) -> list[int]:
 
 
 def _emit_json(doc: dict):
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    # one write: json.dump would write each indented chunk on its own
+    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
 
 def _emit_csv(header, lines):

@@ -319,7 +319,7 @@ def _min_weight_max_matching_rows(free: Sequence[int], unit: Sequence[int], n_co
             | (y[r] == slack) << (n_cols + r)
         )
 
-    tight = [tight_row(r) for r in range(n_rows)]
+    tight = list(free)  # tight_row(r) at zero potentials
     pairs: list = []
     while True:
         match_row, match_col = _max_matching_rows(tight, width, pairs)

@@ -20,7 +20,12 @@ self-check of condition (ii) starts from the same matching's pairs.
 Both matchings run on bare row masks: the placement hands the weighted
 engine the union's rows and the shifted indicator rows and reads the
 groups off the ``match_row`` it returns, so no graph or matching object
-is built between them.
+is built between them.  A state with no out-edge has an empty union
+row: it is a sink SCC of its own, and its one edge, to its indicator
+column, is isolated, so every maximum matching holds it (Karp and
+Sipser's degree-1 rule).  Such a state is matched there first and the
+engine gets only the other rows; since the pair lies in every optimum,
+the canonical optimum of the rest is the rest of the canonical optimum.
 
 Only the transposed union is built, the pattern that is matched and
 certified.  For K >= n - 1 it is the transposed reachability closure of
@@ -212,9 +217,16 @@ def minimal_sensors(
     sink_ids = sorted(cond.sink_sccs)
 
     # row i of the placement graph is column i of the union, then its sink
-    # indicators; match_row[i] is -1 for a row left unmatched
+    # indicators; match_row[i] is -1 for a row left unmatched.  A row with
+    # no union edge keeps its one indicator column (module docstring).
     unit = [m << n for m in sink_scc_columns(cond).rows]
-    match_row = _min_weight_max_matching_rows(union_t.rows, unit, n + len(sink_ids))
+    match_row = [m.bit_length() - 1 for m in unit]  # the engine overwrites the rows it gets
+    others = [r for r, m in enumerate(union_t.rows) if m]
+    engine_rows = _min_weight_max_matching_rows(
+        [union_t.rows[r] for r in others], [unit[r] for r in others], n + len(sink_ids)
+    )
+    for r, c in zip(others, engine_rows):
+        match_row[r] = c
 
     j_prime = {r for r, c in enumerate(match_row) if c >= n}
     covered = {sink_ids[c - n] for c in match_row if c >= n}

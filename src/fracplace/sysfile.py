@@ -18,8 +18,15 @@ expects ``row col`` pairs and carries no numeric values.  A ``sparse`` or
 are ignored.  The ``n``, ``alpha`` and ``k`` lines may each appear once;
 ``n`` and ``k`` each hold one integer, at least 1 for ``n`` and at least 0
 for ``k``.  Exactly one matrix block must be present, closed by ``end``;
-matrix values must be finite.  ``load_system_file`` reads UTF-8 and skips
-a leading byte-order mark.
+matrix values must be finite.  Numbers are ASCII decimals: ``1_0`` or a
+non-ASCII digit is refused on the line that holds it.  The words ``n``,
+``alpha``, ``k``, ``matrix`` and ``end`` ignore case (``N 3``, ``END``);
+the header ``fracsys`` and the matrix kind do not.  ``load_system_file``
+reads UTF-8 and skips a leading byte-order mark.
+
+A ``sparse`` or ``pattern`` block whose lines are single-space separated
+and whose indices are spelled ``str(i)`` is read in one pass; any other
+block is read line by line, which also names the line at fault.
 """
 
 from __future__ import annotations
@@ -96,21 +103,103 @@ _INTEGER_LINES = {
 }
 
 
-def _integer_line(lineno: int, key: str, args: list) -> int:
+def _check_spelling(body: str, toks: list) -> None:
+    """Raise ValueError if a number of ``toks``, the tokens of ``body``, holds '_' or a non-ASCII character.
+
+    ``int`` and ``float`` take '_' between digits and any Unicode decimal
+    digit; the format takes neither.  A non-ASCII space between the
+    numbers is in no token and is allowed.
+    """
+    if "_" in body or not (body.isascii() or "".join(toks).isascii()):
+        raise ValueError("numbers are plain ASCII decimals")
+
+
+def _integer_line(lineno: int, key: str, body: str, args: list) -> int:
     least, form, bound = _INTEGER_LINES[key]
     try:
+        _check_spelling(body, args)
         (value,) = map(int, args)
     except ValueError:
         _fail(lineno, form)
     return _at_least(value, least, f"line {lineno}: {bound}")
 
 
+def _bulk_entries(n: int, numeric: bool, block: list):
+    """``(masks, rows)`` of a well-formed entry block, or None.
+
+    ``masks`` holds each row's entries as a bit mask, and ``rows`` the n
+    rows of n values of a ``sparse`` block (None for ``pattern``).  The
+    block's lines are read in one pass, as one string of tokens: every
+    line must be its 2 (``pattern``) or 3 (``sparse``) tokens joined by
+    single spaces, every index the canonical spelling ``str(i)`` of a
+    state, every value a finite number, and no entry may repeat.  Any
+    other block gives None, and ``_line_entries`` reads it or names the
+    line at fault.
+    """
+    width = 3 + numeric  # the tokens of a line, then the line break
+    text = " \n ".join([body for _, body in block])
+    toks = text.split(" ")
+    # once every index and value below is read, no line break is among
+    # them, so the len(block) - 1 breaks sit at every width-th token
+    if len(toks) != width * len(block) - 1:
+        return None
+    row_of = {str(i): i - 1 for i in range(1, n + 1)}  # canonical spelling -> 0-based state
+    bit_of = {s: 1 << i for s, i in row_of.items()}
+    try:
+        _check_spelling(text, toks)
+        rs = list(map(row_of.__getitem__, toks[::width]))
+        bits = list(map(bit_of.__getitem__, toks[1::width]))
+        vs = list(map(float, toks[2::width])) if numeric else None
+    except (KeyError, ValueError):
+        return None
+    masks = [0] * n
+    for r, b in zip(rs, bits):
+        masks[r] |= b
+    if sum(map(int.bit_count, masks)) != len(block):  # an entry given twice
+        return None
+    if not numeric:
+        return masks, None
+    if not all(map(math.isfinite, vs)):
+        return None
+    rows = [[0.0] * n for _ in range(n)]
+    for r, c, v in zip(rs, map(row_of.__getitem__, toks[1::width]), vs):
+        rows[r][c] = v
+    return masks, rows
+
+
+def _line_entries(n: int, numeric: bool, block: list):
+    """``_bulk_entries``' result, read line by line; raises for the first line at fault."""
+    form = "sparse entries are 'row col value'" if numeric else "pattern entries are 'row col'"
+    rows = [[0.0] * n for _ in range(n)] if numeric else None
+    masks = [0] * n
+    for lineno, body in block:
+        toks = body.split()
+        if len(toks) != 2 + numeric:
+            _fail(lineno, form)
+        try:
+            _check_spelling(body, toks)
+            r, c = int(toks[0]), int(toks[1])
+            v = float(toks[2]) if numeric else None
+        except ValueError:
+            _fail(lineno, form)
+        if not (1 <= r <= n and 1 <= c <= n):
+            _fail(lineno, f"index ({r}, {c}) outside 1..{n}")
+        bit = 1 << (c - 1)
+        if masks[r - 1] & bit:
+            _fail(lineno, f"entry ({r}, {c}) given twice")
+        masks[r - 1] |= bit
+        if numeric:
+            if not math.isfinite(v):
+                _fail(lineno, "matrix values must be finite")
+            rows[r - 1][c - 1] = v
+    return masks, rows
+
+
 def parse_system_file(text: str) -> SystemFile:
-    lines = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].strip()
-        if body:
-            lines.append((lineno, body))
+    raws = text.splitlines()
+    if "#" in text:
+        raws = [raw.split("#", 1)[0] for raw in raws]
+    lines = [(lineno, body) for lineno, body in enumerate(map(str.strip, raws), start=1) if body]
     if not lines:
         raise ValueError("empty system file")
 
@@ -133,13 +222,14 @@ def parse_system_file(text: str) -> SystemFile:
                 _fail(lineno, f"repeated '{key}' line")
             if key == "alpha":
                 try:
+                    _check_spelling(body, args)
                     header_values[key] = [float(tok) for tok in args]
                 except ValueError:
                     _fail(lineno, "alpha values must be numbers")
                 if not args:
                     _fail(lineno, "alpha needs at least one value")
             else:
-                header_values[key] = _integer_line(lineno, key, args)
+                header_values[key] = _integer_line(lineno, key, body, args)
         elif key == "matrix":
             if len(args) != 1 or args[0] not in ("dense", "sparse", "pattern"):
                 _fail(lineno, "expected 'matrix dense|sparse|pattern'")
@@ -147,7 +237,11 @@ def parse_system_file(text: str) -> SystemFile:
                 _fail(lineno, "only one matrix block is allowed")
             kind = args[0]
             start = i + 1
-            i = next((j for j in range(start, len(lines)) if lines[j][1].lower() == "end"), None)
+            # only a 3-character body can be 'end' in any case
+            i = next(
+                (j for j in range(start, len(lines)) if len(lines[j][1]) == 3 and lines[j][1].lower() == "end"),
+                None,
+            )
             if i is None:
                 _fail(lineno, "matrix block has no closing 'end' line")
             matrix_rows = lines[start:i]
@@ -182,8 +276,10 @@ def parse_system_file(text: str) -> SystemFile:
             )
         rows = []
         for lineno, body in matrix_rows:
+            toks = body.split()
             try:
-                row = tuple(map(float, body.split()))
+                _check_spelling(body, toks)
+                row = tuple(map(float, toks))
             except ValueError:
                 _fail(lineno, "dense rows must hold numbers")
             if len(row) != n:
@@ -194,28 +290,7 @@ def parse_system_file(text: str) -> SystemFile:
         values = tuple(rows)
     else:  # sparse or pattern: one 'row col value' or 'row col' entry per line
         numeric = kind == "sparse"
-        form = "sparse entries are 'row col value'" if numeric else "pattern entries are 'row col'"
-        rows = [[0.0] * n for _ in range(n)] if numeric else None
-        masks = [0] * n
-        for lineno, body in matrix_rows:
-            toks = body.split()
-            if len(toks) != 2 + numeric:
-                _fail(lineno, form)
-            try:
-                r, c = int(toks[0]), int(toks[1])
-                v = float(toks[2]) if numeric else None
-            except ValueError:
-                _fail(lineno, form)
-            if not (1 <= r <= n and 1 <= c <= n):
-                _fail(lineno, f"index ({r}, {c}) outside 1..{n}")
-            bit = 1 << (c - 1)
-            if masks[r - 1] & bit:
-                _fail(lineno, f"entry ({r}, {c}) given twice")
-            masks[r - 1] |= bit
-            if numeric:
-                if not math.isfinite(v):
-                    _fail(lineno, "matrix values must be finite")
-                rows[r - 1][c - 1] = v
+        masks, rows = _bulk_entries(n, numeric, matrix_rows) or _line_entries(n, numeric, matrix_rows)
         if numeric:
             values = tuple(map(tuple, rows))
         else:

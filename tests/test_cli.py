@@ -120,6 +120,16 @@ class TestPlace:
         assert "line 7: entry (2, 1) given twice" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize("number", ["1_0", "\u0663"], ids=["underscore", "arabic-indic-digit"])
+    def test_number_int_would_take_exits_two(self, tmp_path, number):
+        # int() reads '1_0' as 10 and an Arabic-Indic three as 3; the format takes ASCII decimals
+        p = tmp_path / "spelled.fracsys"
+        p.write_text(CHAIN_SPARSE.replace("k 3\n", f"k {number}\n"), encoding="utf-8")
+        proc = run_cli("place", str(p))
+        assert proc.returncode == 2
+        assert "expected 'k <non-negative integer>'" in proc.stderr
+        assert proc.stdout == ""
+
     def test_byte_order_mark_is_accepted(self, chain_file, tmp_path):
         # editors on some platforms save UTF-8 with a leading BOM
         marked = tmp_path / "marked.fracsys"

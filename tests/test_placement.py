@@ -397,10 +397,16 @@ class TestMinimalSensors:
         # states 1 and 2 both feed only state 0; sensing state 0 alone gives
         # generic rank 2 < 3, which the certificate must catch
         # (match_row [3, 0, 1]: row 0 takes the sink indicator column 3, and
-        # row 2 takes column 1, which is no edge of it)
-        monkeypatch.setattr(
-            fracplace.placement, "_min_weight_max_matching_rows", lambda free, unit, n_cols: [3, 0, 1]
-        )
+        # row 2 takes column 1, which is no edge of it).  State 0 has no
+        # out-edge, so the placement matches it to column 3 itself and hands
+        # the engine rows 1 and 2, which get their columns of that match_row.
+        bad = [3, 0, 1]
+
+        def engine(free, unit, n_cols):
+            assert len(free) == 2
+            return bad[1:]
+
+        monkeypatch.setattr(fracplace.placement, "_min_weight_max_matching_rows", engine)
         with pytest.raises(RuntimeError):
             minimal_sensors(Pattern(3, 3, [(0, 1), (0, 2)]), 0)
 

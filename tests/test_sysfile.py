@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracplace import parse_system_file
+from fracplace import parse_system_file, sysfile
 
 DENSE = """\
 fracsys 1
@@ -61,6 +61,11 @@ class TestParsing:
     def test_integer_lines_accept_their_bounds(self):
         f = parse_system_file("fracsys 1\nn 1\nk 0\nalpha 1\nmatrix dense\n0\nend\n")
         assert (f.n, f.horizon, f.values) == (1, 0, ((0.0,),))
+
+    def test_non_ascii_space_between_numbers_is_kept(self):
+        # only the numbers must be ASCII; str.split() takes any Unicode space
+        f = parse_system_file(DENSE.replace("0 1.5", "0\u00a01.5").replace("alpha 0.5 1.5", "alpha 0.5\u30001.5"))
+        assert f == parse_system_file(DENSE)
 
     def test_pattern_at_thresholds_numeric(self):
         f = parse_system_file(DENSE)
@@ -125,6 +130,20 @@ MALFORMED = {
     # keywords and 'end' are read without regard to case; the header is not
     "fracsys 1\nN 2\nALPHA 1\nn 2\nmatrix pattern\nEND\n": "line 4: repeated 'n' line",
     "FRACSYS 1\nn 2\n": "line 1: expected header 'fracsys 1'",
+    "fracsys 1\nn 2\nalpha 1\nMATRIX Pattern\nend\n": "line 4: expected 'matrix dense|sparse|pattern'",
+    # numbers are ASCII decimals: int() and float() would also take '_' and any Unicode digit
+    "fracsys 1\nn 1_0\nalpha 1\nmatrix pattern\nend\n": "line 2: expected 'n <positive integer>'",
+    "fracsys 1\nn ٣\nalpha 1\nmatrix pattern\nend\n": "line 2: expected 'n <positive integer>'",
+    "fracsys 1\nn 2\nalpha 0_5\nmatrix pattern\nend\n": "line 3: alpha values must be numbers",
+    "fracsys 1\nn 2\nalpha 0.٥\nmatrix pattern\nend\n": "line 3: alpha values must be numbers",
+    "fracsys 1\nn 2\nalpha 1\nk ٣\nmatrix pattern\nend\n": "line 4: expected 'k <non-negative integer>'",
+    "fracsys 1\nn 2\nalpha 1\nk 1_0\nmatrix pattern\nend\n": "line 4: expected 'k <non-negative integer>'",
+    "fracsys 1\nn 2\nalpha 1\nmatrix dense\n0 1_0\n0 0\nend\n": "line 5: dense rows must hold numbers",
+    "fracsys 1\nn 2\nalpha 1\nmatrix dense\n0 0\n１ 0\nend\n": "line 6: dense rows must hold numbers",
+    "fracsys 1\nn 2\nalpha 1\nmatrix sparse\n1 2 1_0\nend\n": "line 5: sparse entries are 'row col value'",
+    "fracsys 1\nn 2\nalpha 1\nmatrix sparse\n1 ٢ 1.0\nend\n": "line 5: sparse entries are 'row col value'",
+    "fracsys 1\nn 12\nalpha 1\nmatrix pattern\n1_1 2\nend\n": "line 5: pattern entries are 'row col'",
+    "fracsys 1\nn 2\nalpha 1\nmatrix pattern\n1 2\n٢ 1\nend\n": "line 6: pattern entries are 'row col'",
 }
 
 
@@ -180,3 +199,101 @@ class TestParseErrors:
         # the second value used to replace the first without a word
         with pytest.raises(ValueError, match=rf"^line {line}: entry \(2, 1\) given twice$"):
             parse_system_file(text)
+
+
+class TestBulkEntries:
+    """A ``sparse`` or ``pattern`` block read in bulk, against the line loop.
+
+    ``sysfile._bulk_entries`` reads a well-formed block in one pass and
+    refuses any other; ``sysfile._line_entries``, the oracle, reads every
+    block line by line.  A file must parse to an equal ``SystemFile``, or
+    fail with the same message, whichever of the two reads its block.
+    """
+
+    @staticmethod
+    def both(monkeypatch, text):
+        """The outcome of ``parse_system_file(text)`` with the bulk reader, then without it."""
+        outcomes = []
+        for bulk in (sysfile._bulk_entries, lambda n, numeric, block: None):
+            monkeypatch.setattr(sysfile, "_bulk_entries", bulk)
+            try:
+                outcomes.append(parse_system_file(text))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        return outcomes
+
+    @staticmethod
+    def random_file(rng, kind, canonical):
+        """A random system file whose entries are spelled canonically, or in every other way."""
+        n = int(rng.integers(1, 13))
+        lines = ["fracsys 1", f"n {n}", "alpha 0.5", f"matrix {kind}"]
+        count = int(rng.integers(0, n * n + 1))
+        for flat in rng.choice(n * n, size=count, replace=False):
+            r, c = divmod(int(flat), n)
+            toks = [str(r + 1), str(c + 1)]
+            if kind == "sparse":
+                toks.append(repr(float(rng.normal())))
+            sep = " "
+            if not canonical:
+                spell = rng.choice(["", "+", "0", "00"], size=2)
+                toks[:2] = [p + t for p, t in zip(spell, toks)]
+                sep = str(rng.choice([" ", "  ", "\t", " \t "]))
+            line = sep.join(toks)
+            if not canonical and rng.random() < 0.2:
+                line = f"  {line}  # entry"
+            lines.append(line)
+            if not canonical and rng.random() < 0.1:
+                lines.append(str(rng.choice(["", "# comment", "   "])))
+        lines.append("end")
+        eol = "\n" if canonical else str(rng.choice(["\n", "\r\n"]))
+        return eol.join(lines) + eol
+
+    @staticmethod
+    def block_of(text):
+        """The numbered lines of the matrix block of a file with no blank or comment line."""
+        return list(enumerate(text.splitlines(), 1))[4:-1]
+
+    @pytest.mark.parametrize("kind", ["pattern", "sparse"])
+    def test_random_blocks_parse_alike(self, monkeypatch, kind):
+        rng = np.random.default_rng(["pattern", "sparse"].index(kind))
+        read_in_bulk = 0
+        bulk = sysfile._bulk_entries
+        for canonical in (True, False) * 100:
+            text = self.random_file(rng, kind, canonical)
+            got, want = self.both(monkeypatch, text)
+            assert isinstance(want, sysfile.SystemFile)
+            assert got == want
+            block = self.block_of(text)
+            if canonical and block:
+                assert bulk(want.n, kind == "sparse", block) is not None
+                read_in_bulk += 1
+        assert read_in_bulk > 50
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["+2 1", "02 1", "2\t1", "2  1", "2 1 7", "2", "3 1", "0 1", "2 x", "2 1_0", "2 ٣",
+         "2 1\n2 1", "2 1\n1 2\n2 1"],
+    )
+    @pytest.mark.parametrize("kind", ["pattern", "sparse"])
+    def test_refused_blocks_fail_or_parse_alike(self, monkeypatch, kind, entry):
+        numeric = kind == "sparse"
+        if numeric:
+            entry = "\n".join(f"{line} 1.5" for line in entry.split("\n"))
+        text = f"fracsys 1\nn 2\nalpha 1\nmatrix {kind}\n1 1{' 2.0' if numeric else ''}\n{entry}\nend\n"
+        assert sysfile._bulk_entries(2, numeric, self.block_of(text)) is None
+        got, want = self.both(monkeypatch, text)
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "value", ["nan", "-inf", "1_0", "٣", "x", "1.0 2"],
+    )
+    def test_refused_sparse_values_fail_alike(self, monkeypatch, value):
+        text = f"fracsys 1\nn 2\nalpha 1\nmatrix sparse\n1 1 1.0\n2 1 {value}\nend\n"
+        assert sysfile._bulk_entries(2, True, self.block_of(text)) is None
+        got, want = self.both(monkeypatch, text)
+        assert got == want
+        assert got.startswith("line 6: ")
+
+    @pytest.mark.parametrize("text", list(MALFORMED))
+    def test_malformed_inputs_raise_alike(self, monkeypatch, text):
+        assert self.both(monkeypatch, text) == [MALFORMED[text]] * 2
