@@ -22,7 +22,7 @@ import sys
 
 from .placement import minimal_sensors, verify_observability
 from .structure import _ZERO_TOL
-from .sysfile import load_system_file
+from .sysfile import _load_initial_state, _numbers, load_system_file
 
 __all__ = ["main"]
 
@@ -57,12 +57,21 @@ def _emit_doc(doc: dict, fmt: str):
         _emit_csv(doc, [",".join(cells)])
 
 
-def _numbers(text: str, kind, what: str) -> list:
+def _number_list(text: str, kind, what: str) -> tuple:
     """The comma- or space-separated numbers of a flag, each read by ``kind``."""
     try:
-        return [kind(tok) for tok in text.replace(",", " ").split()]
+        return _numbers(text.replace(",", " ").split(), kind)
     except ValueError:
         raise ValueError(f"cannot parse {what} '{text}'") from None
+
+
+# the argparse types of the numeric flags; argparse names them in its error
+def integer(text: str) -> int:
+    return _numbers((text,), int)[0]
+
+
+def number(text: str) -> float:
+    return _numbers((text,), float)[0]
 
 
 def _resolve_horizon(args, sysfile) -> int:
@@ -100,7 +109,7 @@ def _cmd_place(args) -> int:
 def _cmd_verify(args) -> int:
     sysfile = load_system_file(args.file)
     horizon = _resolve_horizon(args, sysfile)
-    sensors_1b = _numbers(args.sensors, int, "sensor list")
+    sensors_1b = _number_list(args.sensors, int, "sensor list")
     if not sensors_1b:
         raise ValueError("empty sensor list")
     for s in sensors_1b:
@@ -140,8 +149,7 @@ def _cmd_simulate(args) -> int:
             "the structural commands (place/verify/sweep) handle any size"
         )
     horizon = _resolve_horizon(args, sysfile)
-    with open(args.x0, "r", encoding="utf-8-sig") as fh:
-        x0 = [float(tok) for tok in fh.read().split()]
+    x0 = _load_initial_state(args.x0)
     steps = args.steps if args.steps is not None else horizon
     system = FracSystem(sysfile.values, sysfile.orders, horizon)
     traj = simulate(system, x0, steps)
@@ -177,9 +185,9 @@ def _cmd_sweep(args) -> int:
         sysfile = load_system_file(args.base)
         if not sysfile.numeric:
             raise ValueError("sweep base file must hold numeric matrix values")
-        base = sysfile.matrix
+        base = sysfile.values
     spec = SweepSpec(
-        levels=_numbers(args.levels, float, "sparsity levels"),
+        levels=_number_list(args.levels, float, "sparsity levels"),
         trials=args.trials,
         n=args.n,
         base_matrix=base,
@@ -207,11 +215,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, fmt, with_tol=True):
-        p.add_argument("--k", type=int, default=None, help="horizon override")
+        p.add_argument("--k", type=integer, default=None, help="horizon override")
         if with_tol:
             p.add_argument(
                 "--tol",
-                type=float,
+                type=number,
                 default=_ZERO_TOL,
                 help="zero threshold when thresholding numeric entries into a "
                 "pattern (default %(default)s)",
@@ -243,20 +251,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="system file (numeric matrix required)")
     common(p, "csv", with_tol=False)
     p.add_argument("--x0", required=True, help="file with n initial values")
-    p.add_argument("--steps", type=int, default=None, help="steps to simulate")
+    p.add_argument("--steps", type=integer, default=None, help="steps to simulate")
     p.set_defaults(run=_cmd_simulate)
 
     p = sub.add_parser("sweep", help="sparsity sweep to CSV")
     common(p, "csv", with_tol=False)
-    p.add_argument("--n", type=int, default=None, help="random ensemble dimension")
+    p.add_argument("--n", type=integer, default=None, help="random ensemble dimension")
     p.add_argument("--base", default=None, help="numeric system file to sparsify")
     p.add_argument(
         "--levels",
         default="0.0,0.25,0.5,0.75,0.9",
         help="comma-separated sparsity levels in [0, 1)",
     )
-    p.add_argument("--trials", type=int, default=1, help="trials per level")
-    p.add_argument("--seed", type=int, default=0, help="random seed")
+    p.add_argument("--trials", type=integer, default=1, help="trials per level")
+    p.add_argument("--seed", type=integer, default=0, help="random seed")
     p.set_defaults(run=_cmd_sweep)
 
     return parser

@@ -231,6 +231,12 @@ def _check_limits(what: str, remedy: str, work: int = 0, nbytes: int = 0) -> Non
         )
 
 
+def _check_finite(finite: np.ndarray, message: str) -> None:
+    # one truth value per step or factor k; the error names the first k that is False
+    if not finite.all():
+        raise ValueError(message % int(np.argmin(finite)))
+
+
 def _recursion(A: np.ndarray, tails: np.ndarray, Y0: np.ndarray, steps: int) -> np.ndarray:
     """Y_0..Y_steps of Y_k = A Y_{k-1} + sum_{j=1}^{k-1} D_j Y_{k-1-j}, Y_0 an n x m block.
 
@@ -252,7 +258,9 @@ def transition_factors(system: FracSystem) -> TransitionSequence:
 
     T_0 = A and T_k = A T_{k-1} + sum_{j=1}^{k-1} D_j T_{k-1-j}, with the D_j
     from :func:`gl_tails`: the block recursion on Y_0 = A, whose history the
-    returned stack views.  O(K n^3 + K^2 n^2) time and O(K n^2) memory.
+    returned stack views.  O(K n^3 + K^2 n^2) time and O(K n^2) memory.  A
+    factor that leaves the float64 range raises ValueError naming the first
+    non-finite T_k.
     """
     n, K = system.n, system.horizon
     if n > MAX_DENSE_DIMENSION:
@@ -262,8 +270,13 @@ def transition_factors(system: FracSystem) -> TransitionSequence:
         )
     what = f"transition factors for n={n}, K={K} need"
     _check_limits(what, "lower the horizon or the number of steps", nbytes=(K + 1) * n * n * 8)
-    hist = _recursion(system.A, gl_tails(system).table, system.A, K)
-    return _adopt(TransitionSequence, "stack", hist[:, ::-1].transpose(1, 0, 2))
+    # an overflow is reported once, below, as an error rather than a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        hist = _recursion(system.A, gl_tails(system).table, system.A, K)
+    stack = hist[:, ::-1].transpose(1, 0, 2)
+    finite = np.array([np.isfinite(T).all() for T in stack])  # one factor's mask at a time
+    _check_finite(finite, "the transition factors overflow float64 at T_%d; lower the horizon")
+    return _adopt(TransitionSequence, "stack", stack)
 
 
 def simulate(system: FracSystem, x0: np.ndarray, steps: int) -> Trajectory:
@@ -302,11 +315,7 @@ def simulate(system: FracSystem, x0: np.ndarray, steps: int) -> Trajectory:
     states = hist[:, ::-1, 0].T  # row k is y_k
     states[0] = x0
     finite = np.isfinite(states).all(axis=1)
-    if not finite.all():
-        raise ValueError(
-            f"the trajectory overflows float64 at step {int(np.argmin(finite))}; "
-            "lower the number of steps"
-        )
+    _check_finite(finite, "the trajectory overflows float64 at step %d; lower the number of steps")
     return Trajectory(states)  # copied: row k of the reversed view is strided
 
 
@@ -384,12 +393,8 @@ def is_observable_numeric(
     del hist  # freed before the SVD
     stacked = stacked.reshape(-1, n)
     scale = np.abs(stacked).max(axis=1)  # inf or NaN on a non-finite row
-    finite = np.isfinite(scale)
-    if not finite.all():
-        raise ValueError(
-            f"the observability rows overflow float64 at C T_{int(np.argmin(finite)) // m - 1}; "
-            "lower the horizon"
-        )
+    finite = np.isfinite(scale[m:]).reshape(K + 1, m).all(axis=1)  # rows C T_0..C T_K
+    _check_finite(finite, "the observability rows overflow float64 at C T_%d; lower the horizon")
     scale[scale == 0.0] = 1.0  # an all-zero row adds no rank
     stacked /= scale[:, None]
     return numeric_rank(stacked, tol) == n

@@ -268,16 +268,13 @@ def transition_union(pattern: Pattern, horizon: int) -> Pattern:
     factor T_k structurally contains the pure power P^(k+1) and every
     other term's pattern is contained in a shorter power).
 
-    For horizon >= n - 1 it is read off the SCC condensation of the
-    transposed pattern, the only transpose made, and never by transposing
-    a built union; shorter horizons take one boolean product per step on
-    the pattern itself.
+    It is ``transposed_union`` of the transposed pattern, which picks the
+    route: the SCC condensation for horizon >= n - 1, one boolean product
+    per step below.  A built union is never transposed.
     """
     if not pattern.is_square():
         raise ValueError("transition union needs a square pattern")
-    if _reaches_closure(pattern, horizon):
-        return _closure_union(condense(pattern.transpose()))
-    return _stepwise_union(pattern, horizon)
+    return transposed_union(pattern.transpose(), horizon)
 
 
 def transposed_union(pattern: Pattern, horizon: int, cond: Condensation | None = None) -> Pattern:

@@ -15,14 +15,20 @@ package's 0-based convention on load)::
 ``dense`` expects n rows of n whitespace-separated numbers, ``pattern``
 expects ``row col`` pairs and carries no numeric values.  A ``sparse`` or
 ``pattern`` entry may appear only once.  Blank lines and ``#`` comments
-are ignored.  The ``n``, ``alpha`` and ``k`` lines may each appear once;
-``n`` and ``k`` each hold one integer, at least 1 for ``n`` and at least 0
-for ``k``.  Exactly one matrix block must be present, closed by ``end``;
-matrix values must be finite.  Numbers are ASCII decimals: ``1_0`` or a
-non-ASCII digit is refused on the line that holds it.  The words ``n``,
-``alpha``, ``k``, ``matrix`` and ``end`` ignore case (``N 3``, ``END``);
-the header ``fracsys`` and the matrix kind do not.  ``load_system_file``
-reads UTF-8 and skips a leading byte-order mark.
+are ignored.  A line ends at a line feed, a carriage return or the two
+together, and at no other character ``str.splitlines`` breaks at.  The
+``n``, ``alpha`` and ``k`` lines may each appear once; ``n`` and ``k``
+each hold one integer, at least 1 for ``n`` and at least 0 for ``k``.
+Exactly one matrix block must be present, closed by ``end``; matrix
+values must be finite.  The words ``n``, ``alpha``, ``k``, ``matrix`` and
+``end`` ignore case (``N 3``, ``END``); the header ``fracsys`` and the
+matrix kind do not.  ``load_system_file`` and the initial-state reader
+read UTF-8 and skip a leading byte-order mark.
+
+Every number the package reads from outside, in a system file, an
+initial-state file or a command-line flag, goes through ``_numbers``:
+numbers are ASCII decimals, and ``1_0`` or a non-ASCII digit is refused
+with the message of the line or flag that holds it.
 
 A ``sparse`` or ``pattern`` block whose lines are single-space separated
 and whose indices are spelled ``str(i)`` is read in one pass; any other
@@ -32,12 +38,8 @@ block is read line by line, which also names the line at fault.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .structure import _ZERO_TOL, Pattern, _at_least, _check_zero_tol, _Value, pattern_of
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = ["SystemFile", "parse_system_file", "load_system_file"]
 
@@ -50,8 +52,7 @@ class SystemFile(_Value):
 
     The file's numbers are held as Python floats: ``orders`` has one
     fractional order per state, and ``values`` the n rows of n matrix
-    values, or None for pattern-only files.  ``alpha`` and ``matrix``
-    give them as new numpy arrays on each read.  ``horizon`` is None when
+    values, or None for pattern-only files.  ``horizon`` is None when
     the file leaves it to the default (the state dimension).
     """
 
@@ -66,20 +67,6 @@ class SystemFile(_Value):
     @property
     def numeric(self) -> bool:
         return self.values is not None
-
-    @property
-    def alpha(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array(self.orders)
-
-    @property
-    def matrix(self) -> np.ndarray | None:
-        if self.values is None:
-            return None
-        import numpy as np
-
-        return np.array(self.values)
 
     def pattern_at(self, zero_tol: float = _ZERO_TOL) -> Pattern:
         """The structural pattern, thresholding numeric entries if needed.
@@ -103,22 +90,24 @@ _INTEGER_LINES = {
 }
 
 
-def _check_spelling(body: str, toks: list) -> None:
-    """Raise ValueError if a number of ``toks``, the tokens of ``body``, holds '_' or a non-ASCII character.
+def _numbers(toks, kind) -> tuple:
+    """The number tokens ``toks``, each converted by ``kind`` (``int`` or ``float``).
 
-    ``int`` and ``float`` take '_' between digits and any Unicode decimal
-    digit; the format takes neither.  A non-ASCII space between the
-    numbers is in no token and is allowed.
+    The package's one number reader: every number taken from a file or a
+    flag comes through it.  ``int`` and ``float`` take '_' between digits
+    and any Unicode decimal digit; a token holding '_' or a non-ASCII
+    character raises ValueError here instead.
     """
-    if "_" in body or not (body.isascii() or "".join(toks).isascii()):
+    text = "".join(toks)
+    if "_" in text or not text.isascii():
         raise ValueError("numbers are plain ASCII decimals")
+    return tuple(map(kind, toks))
 
 
-def _integer_line(lineno: int, key: str, body: str, args: list) -> int:
+def _integer_line(lineno: int, key: str, args: list) -> int:
     least, form, bound = _INTEGER_LINES[key]
     try:
-        _check_spelling(body, args)
-        (value,) = map(int, args)
+        (value,) = _numbers(args, int)
     except ValueError:
         _fail(lineno, form)
     return _at_least(value, least, f"line {lineno}: {bound}")
@@ -146,10 +135,9 @@ def _bulk_entries(n: int, numeric: bool, block: list):
     row_of = {str(i): i - 1 for i in range(1, n + 1)}  # canonical spelling -> 0-based state
     bit_of = {s: 1 << i for s, i in row_of.items()}
     try:
-        _check_spelling(text, toks)
         rs = list(map(row_of.__getitem__, toks[::width]))
         bits = list(map(bit_of.__getitem__, toks[1::width]))
-        vs = list(map(float, toks[2::width])) if numeric else None
+        vs = _numbers(toks[2::width], float) if numeric else None
     except (KeyError, ValueError):
         return None
     masks = [0] * n
@@ -177,9 +165,8 @@ def _line_entries(n: int, numeric: bool, block: list):
         if len(toks) != 2 + numeric:
             _fail(lineno, form)
         try:
-            _check_spelling(body, toks)
-            r, c = int(toks[0]), int(toks[1])
-            v = float(toks[2]) if numeric else None
+            r, c = _numbers(toks[:2], int)
+            v = _numbers(toks[2:], float)  # () for a pattern entry
         except ValueError:
             _fail(lineno, form)
         if not (1 <= r <= n and 1 <= c <= n):
@@ -189,14 +176,18 @@ def _line_entries(n: int, numeric: bool, block: list):
             _fail(lineno, f"entry ({r}, {c}) given twice")
         masks[r - 1] |= bit
         if numeric:
-            if not math.isfinite(v):
+            if not math.isfinite(v[0]):
                 _fail(lineno, "matrix values must be finite")
-            rows[r - 1][c - 1] = v
+            rows[r - 1][c - 1] = v[0]
     return masks, rows
 
 
 def parse_system_file(text: str) -> SystemFile:
-    raws = text.splitlines()
+    # str.splitlines would also end a line at \x0b, \x0c, \x1c-\x1e, \x85, \u2028 and \u2029;
+    # load_system_file's text holds no \r, as text mode reads universal newlines
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    raws = text.split("\n")
     if "#" in text:
         raws = [raw.split("#", 1)[0] for raw in raws]
     lines = [(lineno, body) for lineno, body in enumerate(map(str.strip, raws), start=1) if body]
@@ -222,14 +213,13 @@ def parse_system_file(text: str) -> SystemFile:
                 _fail(lineno, f"repeated '{key}' line")
             if key == "alpha":
                 try:
-                    _check_spelling(body, args)
-                    header_values[key] = [float(tok) for tok in args]
+                    header_values[key] = _numbers(args, float)
                 except ValueError:
                     _fail(lineno, "alpha values must be numbers")
                 if not args:
                     _fail(lineno, "alpha needs at least one value")
             else:
-                header_values[key] = _integer_line(lineno, key, body, args)
+                header_values[key] = _integer_line(lineno, key, args)
         elif key == "matrix":
             if len(args) != 1 or args[0] not in ("dense", "sparse", "pattern"):
                 _fail(lineno, "expected 'matrix dense|sparse|pattern'")
@@ -276,10 +266,8 @@ def parse_system_file(text: str) -> SystemFile:
             )
         rows = []
         for lineno, body in matrix_rows:
-            toks = body.split()
             try:
-                _check_spelling(body, toks)
-                row = tuple(map(float, toks))
+                row = _numbers(body.split(), float)
             except ValueError:
                 _fail(lineno, "dense rows must hold numbers")
             if len(row) != n:
@@ -298,7 +286,7 @@ def parse_system_file(text: str) -> SystemFile:
 
     return SystemFile(
         n=n,
-        orders=tuple(alpha_values),
+        orders=alpha_values,
         kind=kind,
         values=values,
         pattern=pattern,
@@ -306,6 +294,19 @@ def parse_system_file(text: str) -> SystemFile:
     )
 
 
-def load_system_file(path) -> SystemFile:
+def _read(path) -> str:
     with open(path, "r", encoding="utf-8-sig") as fh:
-        return parse_system_file(fh.read())
+        return fh.read()
+
+
+def load_system_file(path) -> SystemFile:
+    return parse_system_file(_read(path))
+
+
+def _load_initial_state(path) -> tuple:
+    """The whitespace-separated numbers of an initial-state file, as floats."""
+    toks = _read(path).split()
+    try:
+        return _numbers(toks, float)
+    except ValueError:
+        raise ValueError("initial state values must be numbers") from None

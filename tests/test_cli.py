@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import importlib
@@ -304,7 +305,7 @@ class TestSimulate:
         x0.write_text(" ".join(repr(float(v)) for v in rng.normal(size=n)))
         sysfile = load_system_file(str(sysf))
         states = simulate(
-            FracSystem(sysfile.matrix, sysfile.alpha, sysfile.horizon),
+            FracSystem(sysfile.values, sysfile.orders, sysfile.horizon),
             np.loadtxt(x0),
             30,
         ).states
@@ -559,6 +560,63 @@ class TestSweepScript:
             assert proc.stdout == b""
             lines = proc.stderr.decode().splitlines()
             assert len(lines) == 1 and lines[0].startswith("fracplace: error:")
+
+
+# flag -> (command line holding the flag's value V, what stderr names on refusal);
+# each line runs as it stands when V is spelled the way int() and float() read it
+NUMBER_FLAGS = {
+    "--sensors": (["verify", "{n12}", "--sensors", "V,1"], "cannot parse sensor list"),
+    "--levels": (["sweep", "--n", "4", "--levels", "0.V"], "cannot parse sparsity levels"),
+    "--x0": (["simulate", "{worked}", "--x0", "{x0}"], "initial state values must be numbers"),
+    "--k": (["place", "{n12}", "--k", "V"], "argument --k: invalid integer value"),
+    "--steps": (["simulate", "{worked}", "--x0", "{zeros}", "--k", "20", "--steps", "V"],
+                "argument --steps: invalid integer value"),
+    "--n": (["sweep", "--n", "V", "--levels", "0.5"], "argument --n: invalid integer value"),
+    "--trials": (["sweep", "--n", "4", "--levels", "0.5", "--trials", "V"], "argument --trials: invalid integer value"),
+    "--seed": (["sweep", "--n", "4", "--levels", "0.5", "--seed", "V"], "argument --seed: invalid integer value"),
+    "--tol": (["place", "{n12}", "--tol", "V"], "argument --tol: invalid number value"),
+}
+
+
+class TestNumberRule:
+    """Every numeric flag and the ``--x0`` file take ASCII decimals, as system files do."""
+
+    @pytest.mark.parametrize("spelled", ["1_0", "\u0661\u0662"], ids=["underscore", "arabic-indic-digits"])
+    @pytest.mark.parametrize("flag", NUMBER_FLAGS)
+    def test_number_int_would_take_exits_two(self, tmp_path, capsys, flag, spelled):
+        # int() reads '1_0' as 10 and the Arabic-Indic digits as 12
+        (tmp_path / "n12.fracsys").write_text("fracsys 1\nn 12\nalpha 1\nmatrix pattern\nend\n")
+        (tmp_path / "worked.fracsys").write_text(WORKED)
+        (tmp_path / "zeros.txt").write_text("0 0\n")
+        (tmp_path / "x0.txt").write_text(f"{spelled} 0\n", encoding="utf-8")
+        argv, message = NUMBER_FLAGS[flag]
+        paths = {name: str(tmp_path / f) for name, f in [
+            ("n12", "n12.fracsys"), ("worked", "worked.fracsys"), ("zeros", "zeros.txt"), ("x0", "x0.txt")]}
+        argv = [arg.format(**paths).replace("V", spelled) for arg in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses a flag's value this way
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert message in err
+
+    def test_every_numeric_flag_uses_the_number_reader(self):
+        from fracplace.cli import _build_parser, integer, number
+
+        subparsers = next(a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        types = {
+            (command, action.option_strings[0]): action.type
+            for command, sub in subparsers.choices.items()
+            for action in sub._actions
+            if action.option_strings
+        }
+        assert not [key for key, kind in types.items() if kind in (int, float)]
+        assert {key for key, kind in types.items() if kind in (integer, number)} == {
+            ("place", "--k"), ("place", "--tol"), ("verify", "--k"), ("verify", "--tol"),
+            ("simulate", "--k"), ("simulate", "--steps"),
+            ("sweep", "--k"), ("sweep", "--n"), ("sweep", "--trials"), ("sweep", "--seed"),
+        }
 
 
 class TestInProcessCalls:

@@ -200,6 +200,17 @@ class TestTransitionFactors:
             for k in range(K + 1):
                 assert np.abs(got[k] - want[k]).max() <= 1e-12 * np.abs(want[k]).max(), (case, k)
 
+    def test_overflow_names_the_first_non_finite_factor(self):
+        # T_0 = 1e200 is finite and T_1 = 1e400 is not; no RuntimeWarning on the way
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflow float64 at T_1;"):
+                transition_factors(FracSystem([[1e200]], [0.5], 3))
+        # T_k = 2**(k + 1) here, so T_1023 is the first past float64's range
+        with pytest.raises(ValueError, match="at T_1023;"):
+            transition_factors(FracSystem([[2.0]], [1.0], 1100))
+        assert transition_factors(FracSystem([[2.0]], [1.0], 1022))[1022][0, 0] == 2.0**1023
+
     def test_refuses_oversized_dense_systems(self):
         with pytest.raises(ValueError):
             transition_factors(FracSystem(np.zeros((513, 513)), np.ones(513) * 0.5, 1))

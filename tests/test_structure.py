@@ -257,9 +257,9 @@ class TestTransitionUnion:
             transition_union(Pattern(2, 3), 1)
 
     @pytest.mark.parametrize("horizon", [0, 1, 2, 3, 4, 8])
-    def test_transposes_only_on_the_closure_route(self, monkeypatch, horizon):
-        # below K = n - 1 the stepwise union runs on the pattern itself; at
-        # K >= n - 1 the base is transposed once, for its condensation
+    def test_transposes_only_the_base(self, monkeypatch, horizon):
+        # the base is transposed once for transposed_union, and transposed
+        # back below K = n - 1 for the stepwise union; a built union never is
         calls = []
         transpose = Pattern.transpose
 
@@ -270,7 +270,7 @@ class TestTransitionUnion:
         pattern = Pattern(4, 4, [(1, 0), (2, 1), (0, 2), (3, 3)])
         monkeypatch.setattr(Pattern, "transpose", counted)
         got = transition_union(pattern, horizon)
-        assert calls == ([pattern] if horizon >= 3 else [])
+        assert calls == ([pattern] if horizon >= 3 else [pattern, transpose(pattern)])
         assert got.entries == frozenset(walk_union_oracle(pattern, horizon + 1))
 
     def test_rejects_a_float_horizon(self, chain3):

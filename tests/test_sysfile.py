@@ -35,27 +35,29 @@ matrix pattern
 end
 """
 
+# the characters besides \n and \r at which str.splitlines ends a line
+SPLITLINES_BREAKS = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
 
 class TestParsing:
     def test_dense(self):
         f = parse_system_file(DENSE)
         assert f.n == 2
         assert f.kind == "dense"
-        assert np.array_equal(f.matrix, [[0, 1.5], [0, 0]])
-        assert f.alpha.tolist() == [0.5, 1.5]
+        assert f.values == ((0.0, 1.5), (0.0, 0.0))
+        assert f.orders == (0.5, 1.5)
         assert f.horizon == 4
 
     def test_sparse_with_broadcast_alpha_and_comment(self):
         f = parse_system_file(SPARSE)
         assert f.n == 3
-        assert f.matrix[1, 0] == 1.0 and f.matrix[2, 1] == 2.0
-        assert np.count_nonzero(f.matrix) == 2
-        assert f.alpha.tolist() == [0.97] * 3
+        assert f.values == ((0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.0, 2.0, 0.0))
+        assert f.orders == (0.97,) * 3
         assert f.horizon is None
 
     def test_pattern_is_one_based(self):
         f = parse_system_file(PATTERN)
-        assert f.matrix is None
+        assert f.values is None
         assert f.pattern.entries == frozenset({(1, 0), (2, 1)})
 
     def test_integer_lines_accept_their_bounds(self):
@@ -66,6 +68,19 @@ class TestParsing:
         # only the numbers must be ASCII; str.split() takes any Unicode space
         f = parse_system_file(DENSE.replace("0 1.5", "0\u00a01.5").replace("alpha 0.5 1.5", "alpha 0.5\u30001.5"))
         assert f == parse_system_file(DENSE)
+
+    @pytest.mark.parametrize("brk", SPLITLINES_BREAKS)
+    def test_only_newlines_end_a_line(self, brk):
+        # inside a comment the character is ignored; between numbers it is a space
+        text = DENSE.replace("k 4", f"k 4 # a{brk}b").replace("0 1.5", f"0{brk}1.5")
+        assert parse_system_file(text) == parse_system_file(DENSE)
+        text = PATTERN.replace("2 1", f"2{brk}1 # x{brk}y")
+        assert parse_system_file(text) == parse_system_file(PATTERN)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_crlf_and_cr_end_lines(self, end):
+        for text in (DENSE, SPARSE, PATTERN):
+            assert parse_system_file(text.replace("\n", end)) == parse_system_file(text)
 
     def test_pattern_at_thresholds_numeric(self):
         f = parse_system_file(DENSE)
@@ -144,6 +159,12 @@ MALFORMED = {
     "fracsys 1\nn 2\nalpha 1\nmatrix sparse\n1 ٢ 1.0\nend\n": "line 5: sparse entries are 'row col value'",
     "fracsys 1\nn 12\nalpha 1\nmatrix pattern\n1_1 2\nend\n": "line 5: pattern entries are 'row col'",
     "fracsys 1\nn 2\nalpha 1\nmatrix pattern\n1 2\n٢ 1\nend\n": "line 6: pattern entries are 'row col'",
+    # a line ends at \n, \r\n or \r only: the other breaks str.splitlines takes stay inside their line
+    **{
+        f"fracsys 1\nn 2 # a{brk}b\nalpha 1\nwhat\n": "line 4: unknown keyword 'what'"
+        for brk in SPLITLINES_BREAKS
+    },
+    "fracsys 1\r\nn 2\ralpha 1\r\rwhat\n": "line 5: unknown keyword 'what'",
 }
 
 
