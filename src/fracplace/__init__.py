@@ -17,7 +17,8 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
-# Each public name and the submodule that defines it.  Names resolve on
+# Each public name and the submodule that defines it: the one list of
+# public names, which each submodule's ``__all__`` reads.  Names resolve on
 # first access (PEP 562), so ``import fracplace`` loads no submodule and
 # the structural commands never load numpy or the test oracles.
 _EXPORTS = {

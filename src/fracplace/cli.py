@@ -19,6 +19,7 @@ import argparse
 import functools
 import json
 import sys
+import warnings
 
 from .placement import minimal_sensors, verify_observability
 from .structure import _ZERO_TOL
@@ -194,7 +195,12 @@ def _cmd_sweep(args) -> int:
         horizon=args.k,
         seed=args.seed,
     )
-    rows = run_sweep(spec)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        rows = run_sweep(spec)
+    # every trial of a clamped level warns alike: one line per message
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print(f"fracplace: warning: {message}", file=sys.stderr)
     header = SweepRow._fields[:-1] + ("K",)
     if args.format == "json":
         _emit_json({"schema": "fracplace.sweep/1", "rows": [dict(zip(header, r)) for r in rows]})

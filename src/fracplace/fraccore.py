@@ -25,20 +25,10 @@ from typing import Collection
 
 import numpy as np
 
+from . import _EXPORTS
 from .structure import _at_least, _states, _Value
 
-__all__ = [
-    "FracSystem",
-    "GlCoefficients",
-    "TransitionSequence",
-    "Trajectory",
-    "gl_coefficient",
-    "gl_tails",
-    "transition_factors",
-    "simulate",
-    "numeric_rank",
-    "is_observable_numeric",
-]
+__all__ = list(_EXPORTS["fraccore"])
 
 # Dense transition factors are refused above this state dimension; use the
 # structural path instead, which never materializes numeric matrices.
@@ -269,7 +259,7 @@ def transition_factors(system: FracSystem) -> TransitionSequence:
             "use the structural path, which never builds numeric factors"
         )
     what = f"transition factors for n={n}, K={K} need"
-    _check_limits(what, "lower the horizon or the number of steps", nbytes=(K + 1) * n * n * 8)
+    _check_limits(what, "lower the horizon", nbytes=(K + 1) * n * n * 8)
     # an overflow is reported once, below, as an error rather than a warning
     with np.errstate(over="ignore", invalid="ignore"):
         hist = _recursion(system.A, gl_tails(system).table, system.A, K)

@@ -39,14 +39,10 @@ from __future__ import annotations
 import operator
 from typing import Iterable, Sequence
 
+from . import _EXPORTS
 from .structure import Pattern, _Value, _at_least, set_bits
 
-__all__ = [
-    "WeightedBipartite",
-    "Matching",
-    "max_matching",
-    "min_weight_max_matching",
-]
+__all__ = list(_EXPORTS["matching"])
 
 
 class WeightedBipartite(_Value):

@@ -12,17 +12,12 @@ from itertools import combinations
 
 import numpy as np
 
+from . import _EXPORTS
 from .matching import Matching, WeightedBipartite
 from .placement import verify_observability
-from .structure import Pattern, _at_least, _Value, set_bits
+from .structure import Pattern, _at_least, _square, _Value, set_bits
 
-__all__ = [
-    "RealizationConfig",
-    "random_realization",
-    "draw_orders",
-    "exhaustive_min_placement",
-    "enumerate_matchings",
-]
+__all__ = list(_EXPORTS["oracle"])
 
 _MAX_EXHAUSTIVE_STATES = 16
 _MAX_ENUMERATION_ROWS = 8
@@ -116,9 +111,7 @@ def exhaustive_min_placement(pattern: Pattern, horizon: int):
     passing set; the set of all n states always passes.  Refuses more
     than 16 states.
     """
-    if not pattern.is_square():
-        raise ValueError("placement search needs a square pattern")
-    n = pattern.nrows
+    n = _square(pattern, "placement search")
     if n > _MAX_EXHAUSTIVE_STATES:
         raise ValueError(f"exhaustive search refused for n={n} > {_MAX_EXHAUSTIVE_STATES}")
     for size in range(n + 1):

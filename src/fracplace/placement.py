@@ -40,25 +40,20 @@ from __future__ import annotations
 import operator
 from typing import Collection
 
+from . import _EXPORTS
 from .matching import _max_matching_rows, _min_weight_max_matching_rows
 from .structure import (
     Condensation,
     Pattern,
     _Value,
+    _square,
     _states,
     condense,
     non_accessible_states,
     transposed_union,
 )
 
-__all__ = [
-    "SensorSet",
-    "Certificate",
-    "PlacementReport",
-    "sink_scc_columns",
-    "minimal_sensors",
-    "verify_observability",
-]
+__all__ = list(_EXPORTS["placement"])
 
 
 class SensorSet(_Value):
@@ -161,9 +156,7 @@ def verify_observability(
     union pattern plus the sensor identity columns has generic rank n.
     The sensors are range-checked before the union is built.
     """
-    if not pattern.is_square():
-        raise ValueError("verification needs a square pattern")
-    sensors = frozenset(_states(pattern.nrows, sensors))
+    sensors = frozenset(_states(_square(pattern, "verification"), sensors))
     return _certify(pattern, transposed_union(pattern, horizon), sensors)
 
 
@@ -206,9 +199,7 @@ def minimal_sensors(
     The returned certificate always passes; every instance has a solution
     (the full state set in the worst case).
     """
-    if not pattern.is_square():
-        raise ValueError("placement needs a square pattern")
-    n = pattern.nrows
+    n = _square(pattern, "placement")
     # every union edge is a walk of base edges and every base edge is a
     # union edge, so both digraphs have the same SCCs and sink SCCs: the
     # sparser base is condensed

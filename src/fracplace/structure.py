@@ -17,14 +17,9 @@ import operator
 from itertools import compress
 from typing import Collection, Iterable, Sequence
 
-__all__ = [
-    "Pattern",
-    "Condensation",
-    "pattern_of",
-    "transition_union",
-    "condense",
-    "non_accessible_states",
-]
+from . import _EXPORTS
+
+__all__ = list(_EXPORTS["structure"])
 
 
 # maps the digits of a binary numeral to the bytes 0 and 1
@@ -213,6 +208,13 @@ def _at_least(value: int, low: int, message: str) -> int:
     return value
 
 
+def _square(pattern: Pattern, what: str) -> int:
+    """The dimension n of an n x n pattern; ValueError naming ``what`` otherwise."""
+    if not pattern.is_square():
+        raise ValueError(f"{what} needs a square pattern")
+    return pattern.nrows
+
+
 def _check_zero_tol(zero_tol: float) -> None:
     if not (math.isfinite(zero_tol) and zero_tol >= 0):
         raise ValueError("zero_tol must be finite and >= 0")
@@ -272,8 +274,7 @@ def transition_union(pattern: Pattern, horizon: int) -> Pattern:
     route: the SCC condensation for horizon >= n - 1, one boolean product
     per step below.  A built union is never transposed.
     """
-    if not pattern.is_square():
-        raise ValueError("transition union needs a square pattern")
+    _square(pattern, "transition union")
     return transposed_union(pattern.transpose(), horizon)
 
 
@@ -359,9 +360,7 @@ def condense(pattern: Pattern) -> Condensation:
     its parent outside the top component closes that component as an
     SCC.  Each step costs O(n / 64) word operations, O(n^2 / 64) in all.
     """
-    if not pattern.is_square():
-        raise ValueError("condensation needs a square pattern")
-    n, rows = pattern.nrows, pattern.rows
+    n, rows = _square(pattern, "condensation"), pattern.rows
     unvisited = (1 << n) - 1
     live = 0  # the visited states in no closed SCC: the open path's
     comps = []  # closed SCC masks, each after every SCC with an edge into it
@@ -438,9 +437,7 @@ def non_accessible_states(pattern: Pattern, sensors: Collection[int]) -> frozens
     Computed as the complement of reverse reachability from the sensor
     states; a sensor state is accessible through its own output edge.
     """
-    if not pattern.is_square():
-        raise ValueError("accessibility needs a square pattern")
-    n, rows = pattern.nrows, pattern.rows
+    n, rows = _square(pattern, "accessibility"), pattern.rows
     seen = frontier = sum(1 << s for s in _states(n, sensors))
     while frontier:
         reached = 0

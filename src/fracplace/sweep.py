@@ -15,11 +15,12 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _EXPORTS
 from .fraccore import _ArrayValue, _readonly
 from .placement import minimal_sensors
 from .structure import Pattern, _at_least
 
-__all__ = ["SweepSpec", "SweepRow", "run_sweep"]
+__all__ = list(_EXPORTS["sweep"])
 
 
 class SweepSpec(_ArrayValue):
@@ -50,7 +51,7 @@ class SweepSpec(_ArrayValue):
         horizon: int | None = None,
         seed: int = 0,
     ):
-        levels = tuple(float(s) for s in levels)
+        levels = tuple(float(s) + 0.0 for s in levels)  # + 0.0 canonicalizes -0.0
         if not levels:
             raise ValueError("need at least one sparsity level")
         if any(not (0.0 <= s < 1.0) for s in levels):
@@ -90,13 +91,29 @@ def _entry_budget(sparsity: float, total: int) -> int:
     return int(round((1.0 - sparsity) * total))
 
 
+def _flat_pattern(n: int, flat: np.ndarray) -> Pattern:
+    """The n x n pattern whose entries sit at the ascending row-major flat indices ``flat``.
+
+    Rows are packed a block of about 2**18 cells at a time, so no n x n
+    scratch buffer is made, whatever n is.
+    """
+    step = max(1, (1 << 18) // max(n, 1))
+    masks = []
+    for lo in range(0, n, step):
+        start, stop = np.searchsorted(flat, (lo * n, (lo + step) * n))
+        keep = np.zeros((min(step, n - lo), n), dtype=bool)
+        keep.flat[flat[start:stop] - lo * n] = True
+        rows = np.packbits(keep, axis=1, bitorder="little")
+        masks.extend(int.from_bytes(row.tobytes(), "little") for row in rows)
+    return Pattern.from_masks(n, n, masks)
+
+
 def _random_pattern(n: int, sparsity: float, rng: np.random.Generator) -> Pattern:
-    total = n * n
-    want = min(_entry_budget(sparsity, total), total)
-    if want == 0:
-        return Pattern(n, n)
-    flat = rng.choice(total, size=want, replace=False)
-    return Pattern(n, n, ((int(p) // n, int(p) % n) for p in flat))
+    want = min(_entry_budget(sparsity, n * n), n * n)
+    # no rng call for an empty draw, so no numpy version can advance the stream there
+    flat = rng.choice(n * n, size=want, replace=False) if want else np.empty(0, np.int64)
+    flat.sort()  # in place, so a dense draw is not copied
+    return _flat_pattern(n, flat)
 
 
 def _magnitude_order(base: np.ndarray) -> np.ndarray:
@@ -122,10 +139,7 @@ def _thresholded_pattern(n: int, order: np.ndarray, sparsity: float) -> Pattern:
             stacklevel=3,
         )
         want = len(order)
-    keep = np.zeros(n * n, dtype=bool)
-    keep[order[:want]] = True
-    rows = np.packbits(keep.reshape(n, n), axis=1, bitorder="little")
-    return Pattern.from_masks(n, n, [int.from_bytes(row.tobytes(), "little") for row in rows])
+    return _flat_pattern(n, np.sort(order[:want]))
 
 
 def run_sweep(spec: SweepSpec) -> list[SweepRow]:

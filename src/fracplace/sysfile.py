@@ -39,9 +39,10 @@ from __future__ import annotations
 
 import math
 
+from . import _EXPORTS
 from .structure import _ZERO_TOL, Pattern, _at_least, _check_zero_tol, _Value, pattern_of
 
-__all__ = ["SystemFile", "parse_system_file", "load_system_file"]
+__all__ = list(_EXPORTS["sysfile"])
 
 FORMAT_NAME = "fracsys"
 FORMAT_VERSION = 1

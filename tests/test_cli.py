@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import csv
 import importlib
@@ -184,6 +185,12 @@ class TestVerify:
     def test_unparseable_sensor_list(self, chain_file):
         proc = run_cli("verify", chain_file, "--sensors", "a,b")
         assert proc.returncode == 2
+
+    def test_blank_sensor_list_exits_two(self, chain_file):
+        proc = run_cli("verify", chain_file, "--sensors", " , ")
+        assert proc.returncode == 2
+        assert proc.stderr == "fracplace: error: empty sensor list\n"
+        assert proc.stdout == ""
 
     def test_repeated_sensor_reported_once(self, chain_file):
         proc = run_cli("verify", chain_file, "--sensors", "3,3,1", check=True)
@@ -382,6 +389,19 @@ class TestSimulate:
         assert proc.returncode == 2
         assert "structural" in proc.stderr
 
+    def test_refusal_above_the_dense_limit_names_it(self, tmp_path):
+        sysf = tmp_path / "n513.fracsys"
+        sysf.write_text(BIG_SPARSE.replace("n 600", "n 513"))
+        x0 = tmp_path / "x0.txt"
+        x0.write_text(" ".join(["0"] * 513))
+        proc = run_cli("simulate", str(sysf), "--x0", str(x0))
+        assert proc.returncode == 2
+        assert proc.stderr == (
+            "fracplace: error: numeric mode refused for n=513 > 512; the structural "
+            "commands (place/verify/sweep) handle any size\n"
+        )
+        assert proc.stdout == ""
+
     def test_huge_horizon_fails_cleanly(self, tmp_path):
         # n = 64 with K = 700000 would need a 21 GiB factor stack
         rng = np.random.default_rng(7)
@@ -434,6 +454,28 @@ class TestSweep:
         proc = run_cli("sweep", "--base", chain_file, "--levels", "0.0", "--trials", "1")
         assert proc.returncode == 0
         assert "clamp" in proc.stderr.lower()
+
+    def test_clamp_warning_is_one_line_per_entry_count(self, chain_file):
+        # levels 0.5 and 0.6 both ask for 4 entries: one line for both
+        args = ("--levels", "0.0,0.1,0.5,0.6,0.9", "--trials", "3")
+        proc = run_cli("sweep", "--base", chain_file, *args)
+        assert proc.returncode == 0
+        assert proc.stderr == "".join(
+            f"fracplace: warning: target density needs {want} entries but the base "
+            "matrix has only 2 nonzeros; clamping\n"
+            for want in (9, 8, 4)
+        )
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "sparsity,trial,n_sensors,beta,K" and len(lines) == 16
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_a_negative_zero_level_prints_as_zero(self, fmt):
+        proc = run_cli("sweep", "--n", "3", "--levels", "-0", "--format", fmt, check=True)
+        if fmt == "csv":
+            assert proc.stdout.splitlines()[1].startswith("0,")
+        else:
+            sparsity = json.loads(proc.stdout)["rows"][0]["sparsity"]
+            assert sparsity == 0.0 and str(sparsity) == "0.0"
 
     def test_requires_source(self):
         proc = run_cli("sweep", "--levels", "0.5")
@@ -737,3 +779,14 @@ print("csv" in sys.modules)
         # the lazy table and a module's own list are kept by hand, side by side
         for module, names in fracplace._EXPORTS.items():
             assert list(names) == importlib.import_module(f"fracplace.{module}").__all__, module
+
+    def test_each_module_all_reads_the_export_table(self):
+        # outside the package root and cli, no __all__ spells a name itself
+        found = {}
+        for path in Path(fracplace.__file__).parent.glob("*.py"):
+            if path.stem in ("__init__", "cli"):
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Assign) and ast.unparse(node.targets) == "__all__":
+                    found[path.stem] = ast.unparse(node.value)
+        assert found == {m: f"list(_EXPORTS['{m}'])" for m in fracplace._EXPORTS}

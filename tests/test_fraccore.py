@@ -215,6 +215,29 @@ class TestTransitionFactors:
         with pytest.raises(ValueError):
             transition_factors(FracSystem(np.zeros((513, 513)), np.ones(513) * 0.5, 1))
 
+    @pytest.mark.parametrize(
+        "n, K, message",
+        [
+            (
+                64,
+                70_000,
+                "transition factors for n=64, K=70000 need 2.1 GiB, above the 2 GiB limit; "
+                "lower the horizon",
+            ),
+            (
+                513,
+                1,
+                "dense transition factors refused for n=513 > 512; use the structural path, "
+                "which never builds numeric factors",
+            ),
+        ],
+    )
+    def test_refusal_messages(self, n, K, message):
+        system = FracSystem(np.zeros((n, n)), np.full(n, 0.5), K)
+        with pytest.raises(ValueError) as info:
+            transition_factors(system)
+        assert str(info.value) == message
+
     def test_refuses_oversized_stack_before_allocating(self):
         n = 64
         K = MAX_FACTOR_STACK_BYTES // (8 * n * n)  # one factor over the limit

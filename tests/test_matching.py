@@ -98,6 +98,11 @@ class TestMatching:
         m = Matching([(np.int64(0), np.uint8(1))], True)
         assert m.pairs == frozenset({(0, 1)}) and m.total_weight == 1
 
+    def test_rejects_a_repeated_vertex(self):
+        with pytest.raises(ValueError) as info:
+            Matching([(0, 0), (0, 1)], 0)
+        assert str(info.value) == "matching repeats a row or column vertex"
+
 
 class TestMaxMatching:
     def test_complete_three_by_three(self):

@@ -9,11 +9,14 @@ from fracplace import (
     RealizationConfig,
     condense,
     draw_orders,
+    exhaustive_min_placement,
+    minimal_sensors,
     non_accessible_states,
     pattern_of,
     random_realization,
     transition_factors,
     transition_union,
+    verify_observability,
 )
 
 from conftest import identity_columns, pattern_array, random_pattern
@@ -476,3 +479,21 @@ class TestNonAccessible:
                 reach = np.minimum(reach + adj @ reach, 1)
             blocked = {j for j in range(n) if not any(reach[s, j] for s in sensors)}
             assert non_accessible_states(pat, sensors) == frozenset(blocked)
+
+
+class TestSquareCheck:
+    @pytest.mark.parametrize(
+        "call, what",
+        [
+            (lambda p: transition_union(p, 1), "transition union"),
+            (condense, "condensation"),
+            (lambda p: non_accessible_states(p, [0]), "accessibility"),
+            (lambda p: verify_observability(p, 1, [0]), "verification"),
+            (lambda p: minimal_sensors(p, 1), "placement"),
+            (lambda p: exhaustive_min_placement(p, 1), "placement search"),
+        ],
+    )
+    def test_each_entry_point_refuses_a_rectangular_pattern(self, call, what):
+        with pytest.raises(ValueError) as info:
+            call(Pattern(2, 3))
+        assert str(info.value) == f"{what} needs a square pattern"

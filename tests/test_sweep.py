@@ -1,3 +1,5 @@
+import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,7 +7,12 @@ import pytest
 from scipy.stats import spearmanr
 
 from fracplace import Pattern, SweepSpec, minimal_sensors, run_sweep
-from fracplace.sweep import _magnitude_order, _thresholded_pattern
+from fracplace.sweep import (
+    _flat_pattern,
+    _magnitude_order,
+    _random_pattern,
+    _thresholded_pattern,
+)
 
 
 def per_level_thresholded_pattern(base, sparsity):
@@ -31,6 +38,19 @@ class TestSweepSpec:
     def test_rejects_levels_outside_domain(self):
         with pytest.raises(ValueError):
             SweepSpec(levels=(1.0,), trials=1, n=4)
+
+    def test_refusal_messages(self):
+        with pytest.raises(ValueError) as info:
+            SweepSpec(levels=(), trials=1, n=4)
+        assert str(info.value) == "need at least one sparsity level"
+        with pytest.raises(ValueError) as info:
+            SweepSpec(levels=(0.5,), trials=1, base_matrix=np.ones((2, 3)))
+        assert str(info.value) == "base matrix must be square"
+
+    def test_a_negative_zero_level_is_stored_as_zero(self):
+        levels = SweepSpec(levels=(-0.0, 0.5), trials=1, n=4).levels
+        assert levels == (0.0, 0.5)
+        assert math.copysign(1.0, levels[0]) == 1.0
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
@@ -147,6 +167,45 @@ class TestRunSweep:
         rho, _ = spearmanr(levels, means)
         assert rho >= 0.9
         assert all(a <= b + 1e-9 for a, b in zip(means, means[1:]))
+
+
+class TestFlatPattern:
+    @pytest.mark.parametrize("n", [1, 3, 8, 13])
+    def test_random_patterns_match_the_per_entry_construction(self, n):
+        # the same draws, turned into a pattern one entry at a time
+        levels = (0.0, 0.3, 0.5, 0.9, 0.99)
+        got_rng, want_rng = np.random.default_rng(11), np.random.default_rng(11)
+        for level in levels:
+            got = _random_pattern(n, level, got_rng)
+            want_count = min(int(round((1.0 - level) * n * n)), n * n)
+            if want_count == 0:
+                want = Pattern(n, n)
+            else:
+                flat = want_rng.choice(n * n, size=want_count, replace=False)
+                want = Pattern(n, n, ((int(p) // n, int(p) % n) for p in flat))
+            assert got == want
+            assert got.count == want_count
+        # both streams made the same calls, so they stand at the same state
+        assert got_rng.random() == want_rng.random()
+
+    def test_blocks_of_rows_join_at_their_edges(self):
+        # n = 600 packs 436 rows, then 164: probe both edges and the corners
+        n, edge = 600, (1 << 18) // 600 * 600
+        flat = np.array([0, 1, n - 1, edge - n, edge - 1, edge, edge + 1, n * n - n, n * n - 1])
+        want = Pattern(n, n, ((int(p) // n, int(p) % n) for p in flat))
+        assert _flat_pattern(n, flat) == want
+        assert _flat_pattern(n, np.empty(0, np.int64)) == Pattern(n, n)
+
+    def test_a_sparse_draw_makes_no_square_buffer(self):
+        n = 8192  # an n x n bool buffer would take 64 MiB
+        tracemalloc.start()
+        try:
+            pattern = _random_pattern(n, 1.0 - 2.0 / n, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert pattern.count == 2 * n
+        assert peak < n * n // 4
 
 
 class TestBaseMatrixRanking:
