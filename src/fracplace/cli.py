@@ -15,13 +15,14 @@ with 17 significant digits so they round-trip exactly.
 
 from __future__ import annotations
 
+# Loaded here is only what every subcommand runs; each subcommand imports
+# the rest itself, so `simulate` never loads the placement engine and CSV
+# output never loads json.
 import argparse
 import functools
-import json
 import sys
 import warnings
 
-from .placement import minimal_sensors, verify_observability
 from .structure import _ZERO_TOL
 from .sysfile import _load_initial_state, _numbers, load_system_file
 
@@ -37,6 +38,8 @@ def _one_based(indices) -> list[int]:
 
 
 def _emit_json(doc: dict):
+    import json
+
     # one write: json.dump would write each indented chunk on its own
     sys.stdout.write(json.dumps(doc, indent=2) + "\n")
 
@@ -84,6 +87,8 @@ def _resolve_horizon(args, sysfile) -> int:
 
 
 def _cmd_place(args) -> int:
+    from .placement import minimal_sensors
+
     sysfile = load_system_file(args.file)
     horizon = _resolve_horizon(args, sysfile)
     pattern = sysfile.pattern_at(zero_tol=args.tol)
@@ -108,6 +113,8 @@ def _cmd_place(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .placement import verify_observability
+
     sysfile = load_system_file(args.file)
     horizon = _resolve_horizon(args, sysfile)
     sensors_1b = _number_list(args.sensors, int, "sensor list")
@@ -135,7 +142,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    # numpy loads here and in _cmd_sweep only: place and verify print no floats
     from .fraccore import MAX_DENSE_DIMENSION, FracSystem, simulate
 
     sysfile = load_system_file(args.file)

@@ -363,7 +363,8 @@ def is_observable_numeric(
     N(0, 1/n) coupling with orders in [0.9, 1.3), one sensor on state 0
     and ``default_rng(0)`` gives False at n = 64, where the rank of the
     stack computed exactly mod 2**31 - 1 is 64.  False is therefore no
-    proof of unobservability (ROADMAP item 5).
+    proof of unobservability (ROADMAP, "A rank test that streams, stops at
+    rank n, and has an exact twin").
     """
     _check_tol(tol)
     n, K = system.n, system.horizon

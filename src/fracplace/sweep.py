@@ -5,7 +5,9 @@ placement is computed with the horizon equal to the state dimension
 (unless overridden), and one result row is emitted.  Patterns come either
 from a numeric base matrix, keeping the largest-magnitude entries until
 the target density is reached, or from a uniform random ensemble.  A
-fixed seed makes the whole sweep deterministic, trial by trial.
+base-matrix level draws nothing at random, so it is placed once and its
+row repeated for each trial.  A fixed seed makes the whole sweep
+deterministic, trial by trial.
 """
 
 from __future__ import annotations
@@ -151,12 +153,12 @@ def run_sweep(spec: SweepSpec) -> list[SweepRow]:
         order = _magnitude_order(spec.base_matrix)  # sorted once per sweep
     rows = []
     for level in spec.levels:
+        if spec.base_matrix is not None:
+            # a base-matrix level draws nothing at random: one placement per level
+            report = minimal_sensors(_thresholded_pattern(n, order, level), horizon)
         for trial in range(spec.trials):
-            if spec.base_matrix is not None:
-                pat = _thresholded_pattern(n, order, level)
-            else:
-                pat = _random_pattern(n, level, rng)
-            report = minimal_sensors(pat, horizon)
+            if spec.base_matrix is None:
+                report = minimal_sensors(_random_pattern(n, level, rng), horizon)
             rows.append(
                 SweepRow(level, trial, len(report.sensors), report.beta, horizon)
             )

@@ -2,7 +2,6 @@ import argparse
 import ast
 import contextlib
 import csv
-import importlib
 import io
 import json
 import subprocess
@@ -724,6 +723,33 @@ print(loaded())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split("\n") == ["[]", "[]", ""]
 
+    def test_each_subcommand_loads_only_what_it_runs(self, tmp_path):
+        # simulate with CSV output needs neither the placement engine nor json
+        numeric = tmp_path / "chain.fracsys"
+        numeric.write_text(CHAIN_SPARSE)
+        x0 = tmp_path / "x0.txt"
+        x0.write_text("1 0 0\n")
+        code = f"""
+import contextlib, io, sys
+import fracplace.cli
+loaded = lambda: sorted({{"fracplace.placement", "fracplace.matching", "json"}} & set(sys.modules))
+path = {str(numeric)!r}
+print(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    assert fracplace.cli.main(["simulate", path, "--x0", {str(x0)!r}, "--format", "csv"]) == 0
+print(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    assert fracplace.cli.main(["place", path]) == 0
+print(loaded())
+"""
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [
+            "[]",
+            "[]",
+            "['fracplace.matching', 'fracplace.placement', 'json']",
+        ]
+
     def test_csv_output_does_not_import_csv(self, tmp_path):
         numeric = tmp_path / "chain.fracsys"
         numeric.write_text(CHAIN_SPARSE)
@@ -774,11 +800,6 @@ print("csv" in sys.modules)
         )
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-
-    def test_export_table_matches_each_module_all(self):
-        # the lazy table and a module's own list are kept by hand, side by side
-        for module, names in fracplace._EXPORTS.items():
-            assert list(names) == importlib.import_module(f"fracplace.{module}").__all__, module
 
     def test_each_module_all_reads_the_export_table(self):
         # outside the package root and cli, no __all__ spells a name itself

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+import fracplace.sweep
 from fracplace import Pattern, SweepSpec, minimal_sensors, run_sweep
 from fracplace.sweep import (
     _flat_pattern,
@@ -221,6 +222,23 @@ class TestBaseMatrixRanking:
                     warnings.simplefilter("ignore")  # the clamping levels
                     got = _thresholded_pattern(n, order, level)
                 assert got == per_level_thresholded_pattern(base, level)
+
+    def test_places_once_per_level(self, monkeypatch):
+        # a base-matrix level draws nothing at random: its trials share one placement
+        calls = []
+
+        def counted(pattern, horizon):
+            calls.append(pattern)
+            return minimal_sensors(pattern, horizon)
+
+        monkeypatch.setattr(fracplace.sweep, "minimal_sensors", counted)
+        base = tied_base(np.random.default_rng(5), 9)
+        spec = SweepSpec(levels=self.LEVELS, trials=4, base_matrix=base)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rows = run_sweep(spec)
+        assert len(calls) == len(self.LEVELS)
+        assert len(rows) == 4 * len(self.LEVELS)
 
     def test_sweep_rows_match_the_per_level_routine(self):
         base = tied_base(np.random.default_rng(3), 24)
