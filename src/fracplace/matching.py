@@ -6,32 +6,15 @@ minimum-weight maximum-cardinality matching for weights restricted to
 represented by absence, never by a big finite constant, so all
 arithmetic stays exact.
 
-Both engines take bare row masks and return ``match_row``, the column
-of each row or -1; the graph and matching types exist only at the
-public boundary, where ``max_matching`` and ``min_weight_max_matching``
-read a :class:`WeightedBipartite`'s masks and wrap the result in a
-:class:`Matching`.  Hopcroft-Karp can start from a given matching and
-runs every phase on the masks: its breadth-first layers are column
-masks and its depth-first searches take the lowest column of a row mask
-and layer.  The weighted solver works in pure Python integers, in two
-steps: the Hungarian method, whose rounds run that Hopcroft-Karp on the
-tight edges of the current row and column potentials, kept as masks from
-round to round, with a dual step on the potentials between rounds that
-moves only the rows and columns it reached: the reached rows rebuild
-their tight masks, every other row drops its edges to the reached
-columns, and a slack column's potential stays 0; and a tie-break that
-walks the rows in ascending order and moves each onto its smallest
-column lying on a zero-reduced-cost alternating cycle of the current
-optimum.  The tie-break runs the same breadth-first search on the same
-tight masks: a row with no tight column below its own outside the fixed
-and dead ones costs one mask test, and any other row a search forward
-from the owner of each candidate, in ascending order, to the row's own
-column.  Each failed search marks every column it reached dead for the
-rest of the pass, and the dead set starts again empty only when a row
-whose own column is dead rotates.  It returns a canonical optimum: among
-all matchings with maximum cardinality and minimum total weight, the one
-whose sorted (row, col) pair sequence is lexicographically smallest.
-That makes placement output reproducible across platforms.
+Both engines take bare row masks and a column count and return
+``match_row``, the column of each row or -1; the graph and matching
+types exist only at the public boundary, where ``max_matching`` and
+``min_weight_max_matching`` read a :class:`WeightedBipartite`'s masks
+and wrap the result in a :class:`Matching`.  The weighted engine
+returns a canonical optimum: among all matchings with maximum
+cardinality and minimum total weight, the one whose sorted (row, col)
+pair sequence is lexicographically smallest.  That makes placement
+output reproducible across platforms.
 """
 
 from __future__ import annotations
@@ -102,7 +85,8 @@ def _max_matching_rows(rows: Sequence[int], width: int, start: Iterable = ()) ->
     """Hopcroft-Karp on row masks below ``2**width``; returns match_row and match_col.
 
     A pair of ``start`` is kept if it is an edge sharing no row or column
-    with a pair kept before it.  Each phase then searches from the free
+    with a pair kept before it, so an earlier ``enumerate(match_row)``
+    can be the start: its -1 columns name no edge.  Each phase then searches from the free
     rows that have edges (``_layers``) and augments along vertex-disjoint
     shortest paths: one depth-first search per free row, in ascending
     order, which at depth d takes the lowest column of its row left in
@@ -184,7 +168,7 @@ def max_matching(graph: WeightedBipartite) -> Matching:
     return Matching(pairs, sum(graph.unit.rows[r] >> c & 1 for r, c in pairs))
 
 
-def _tie_break(tight, z, match_row, match_col) -> None:
+def _tie_break(tight, zero: int, match_row, match_col) -> None:
     """Move the optimum in ``match_row`` and ``match_col`` onto the canonical one.
 
     Rows in ascending order each take their smallest candidate, a tight
@@ -193,10 +177,9 @@ def _tie_break(tight, z, match_row, match_col) -> None:
     in and the row's column is fixed.  The cycles are those of the
     residual graph (Regin 1994).  Its nodes are the rows and a sink that
     owns the free columns.  A row can take its tight columns, and the
-    sink every column of potential 0: an alternative optimum may take a
-    free column and leave one of those, while a column of negative
-    potential is matched in every optimum (complementary slackness).
-    Edge (r, c) closes a cycle iff c's owner can reach r's column: it can
+    sink the columns in the mask ``zero``, the columns the sink may take:
+    those an alternative optimum may leave for a free column.  Edge
+    (r, c) closes a cycle iff c's owner can reach r's column: it can
     take that column, or the column of a node that can.
 
     Candidate c is tried by ``_layers`` from c's owner, on the tight masks
@@ -215,11 +198,10 @@ def _tie_break(tight, z, match_row, match_col) -> None:
     and never searches through a dead column.  A row whose column is
     dead searches without the dead set, and if it rotates, the cycle
     ran through a dead column and the set starts again empty.  Either
-    way the row's own failures then join it.  The appended list is built
-    when the first candidate is tried.
+    way the row's own failures then join it.
     """
-    width = len(z)
-    takes = None  # node -> the columns it can take; the sink's last
+    width = len(match_col)
+    takes = tight + [zero]  # node -> the columns it can take; the sink's last
     fixed = gone = 0  # gone: the pass's dead columns
     for r in range(len(tight)):
         col = match_row[r]
@@ -229,8 +211,6 @@ def _tie_break(tight, z, match_row, match_col) -> None:
         while cands:
             c = (cands & -cands).bit_length() - 1
             dead |= 1 << c
-            if takes is None:
-                takes = tight + [sum(1 << j for j, zj in enumerate(z) if zj == 0)]
             seen = fixed | dead
             if takes[match_col[c]] & ~seen:
                 layers = _layers(takes, [match_col[c]], match_col, 1 << col, width, seen=seen)
@@ -270,42 +250,34 @@ def _min_weight_max_matching_rows(free: Sequence[int], unit: Sequence[int], n_co
     1. the Hungarian method, in rounds over row potentials y and column
        potentials z that stay dual feasible (y[r] + z[c] never exceeds
        the cost of (r, c)).  A round runs Hopcroft-Karp on the tight
-       edges (those where it is equal), starting from the pairs of the
-       round before, which stay tight.  If a row is still free, the rows
-       and columns that alternating tight paths from the free rows reach
-       move by the smallest reduced cost delta >= 1 from a reached row to
-       an unreached column: y up and z down by delta.  Every reached
-       column is matched and stays matched, so z is 0 on the free real
-       columns; no step reaches a slack column, so its z stays 0.  The
-       rounds keep the tight masks and the columns grouped by potential:
-       a dual step moves only the reached columns to their new group and
-       rebuilds only the reached rows' masks, and every other row, whose
-       y did not move, loses just its edges to the reached columns.
-       Round 1, at zero potentials, matches on the weight-0 edges, and
-       every later round without an augmentation raises each free row's
-       y, which the slack column caps;
-    2. the canonical tie-break: rows in ascending order, each takes the
-       smallest column through which a zero-reduced-cost alternating
-       cycle runs in the residual graph of the current optimum (the
-       edges of some optimum, as in Regin's 1994 all-different
-       filtering); the cycle is rotated in, and the row and its column
-       are fixed.  A row whose tight columns below its own are all
-       fixed or dead keeps its column after one mask test.  For any
-       other row, ``_layers`` on the tight masks searches from the owner
-       of each candidate column in ascending order (the sink, if the
-       column is free) for the row's own column, and the first candidate
-       whose search reaches it wins.  A failed search's columns stay
-       dead for the later rows too (``_tie_break``).
+       edges (those where it is equal), starting from the round before's
+       ``match_row``, whose pairs stay tight.  If a row is still free, the
+       rows and columns that alternating tight paths from the free rows
+       reach move by the smallest reduced cost delta >= 1 from a reached
+       row to an unreached column: y up and z down by delta.  Every
+       reached column is matched and stays matched, so z is 0 on the free
+       real columns; no step reaches a slack column, so its z stays 0.
+       z is kept only as the real columns grouped by potential, and the
+       rounds keep the tight masks: a dual step moves only the reached
+       columns to their new group and rebuilds only the reached rows'
+       masks, and every other row, whose y did not move, loses just its
+       edges to the reached columns.  Round 1, at zero potentials,
+       matches on the weight-0 edges, and every later round without an
+       augmentation raises each free row's y, which the slack column caps;
+    2. the canonical tie-break (``_tie_break``) on the last round's tight
+       masks, which stay those of an optimal dual.  The columns the sink
+       may take are those of potential 0, the real ones in
+       ``at_potential[0]`` and every slack column: an alternative optimum
+       may leave such a column for a free one, while a column of negative
+       potential is matched in every optimum (complementary slackness).
 
     The result is the lexicographically smallest optimal sorted pair
-    sequence.  The potentials stay an optimal dual throughout step 2, so
-    it reads the tight edges of step 1's last round.
+    sequence.
     """
     n_rows = len(free)
     width = n_cols + n_rows  # the real columns, then the slack ones
     slack = min(n_rows, n_cols) + 1
     y = [0] * n_rows
-    z = [0] * width
     at_potential = {0: (1 << n_cols) - 1}  # potential -> mask of the real columns that have it
 
     def tight_row(r):  # row r's tight edges, its slack column last
@@ -316,13 +288,12 @@ def _min_weight_max_matching_rows(free: Sequence[int], unit: Sequence[int], n_co
         )
 
     tight = list(free)  # tight_row(r) at zero potentials
-    pairs: list = []
+    match_row: list = []
     while True:
-        match_row, match_col = _max_matching_rows(tight, width, pairs)
+        match_row, match_col = _max_matching_rows(tight, width, enumerate(match_row))
         roots = [r for r, c in enumerate(match_row) if c == -1]
         if not roots:
             break
-        pairs = [(r, c) for r, c in enumerate(match_row) if c != -1]
         cols = 0  # the reached columns, all matched: no augmenting path is left
         for layer in _layers(tight, roots, match_col, 0, width):
             cols |= layer
@@ -347,8 +318,6 @@ def _min_weight_max_matching_rows(free: Sequence[int], unit: Sequence[int], n_co
                     delta = min(delta, 1 - yr - zj)
         for r in rows:
             y[r] += delta
-        for j in reached_cols:
-            z[j] -= delta
         moved: dict = {}
         for zj, m in at_potential.items():
             for zk, part in ((zj - delta, m & cols), (zj, m & unreached)):
@@ -361,7 +330,8 @@ def _min_weight_max_matching_rows(free: Sequence[int], unit: Sequence[int], n_co
         for r in rows:
             tight[r] = tight_row(r)
 
-    _tie_break(tight, z, match_row, match_col)
+    slack_cols = (1 << width) - (1 << n_cols)
+    _tie_break(tight, at_potential.get(0, 0) | slack_cols, match_row, match_col)
     return [c if c < n_cols else -1 for c in match_row]
 
 

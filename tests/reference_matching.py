@@ -10,9 +10,11 @@ re-solves once per candidate edge, so it is only fit for test sizes.
 ``_min_weight_max_matching_rows`` from before its Hungarian rounds kept
 their state: every round rebuilds the potential -> columns table and
 every row's tight mask from the potentials, and reads a slack column's
-tight edge off its own z.  It is unchanged but for its name and for
+tight edge off its own z.  It is unchanged but for its name, for
 calling ``matching._tie_break`` through the module, so that a test can
-capture what each engine hands the tie-break.
+capture what each engine hands the tie-break, and for handing it the
+mask of the columns of potential 0, scanned off its own z, which the
+tie-break once scanned itself.
 """
 
 from __future__ import annotations
@@ -141,5 +143,6 @@ def rebuilt_min_weight_max_matching_rows(free, unit, n_cols: int) -> list:
         for j in reached_cols:
             z[j] -= delta
 
-    matching._tie_break(tight, z, match_row, match_col)
+    zero = sum(1 << j for j, zj in enumerate(z) if zj == 0)  # the columns the sink may take
+    matching._tie_break(tight, zero, match_row, match_col)
     return [c if c < n_cols else -1 for c in match_row]

@@ -5,9 +5,12 @@ grouped by potential from round to round, and after a dual step updates
 only what the step moved.  ``rebuilt_min_weight_max_matching_rows``
 (``reference_matching``) rebuilds both from the potentials every round.
 On random rectangular graphs and on the placement graphs of the golden
-CLI corpus, the two must return the same ``match_row`` and hand the
-tie-break the same tight masks and column potentials, and every slack
-column must keep potential 0.
+CLI corpus, the two must return the same ``match_row``, start every
+round's Hopcroft-Karp from the same pairs on the same tight masks, and
+hand the tie-break the same tight masks and the same columns the sink
+may take, every slack column among them.  Every potential the output
+depends on is read through one of these: a round's tight masks, or the
+tie-break's mask of potential-0 columns.
 """
 
 import json
@@ -17,6 +20,7 @@ import numpy as np
 import pytest
 
 import fracplace.placement
+import reference_matching
 from fracplace import matching, minimal_sensors, parse_system_file
 
 from reference_matching import rebuilt_min_weight_max_matching_rows
@@ -28,32 +32,39 @@ GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 def both(monkeypatch):
     """Run both engines on (free, unit, n_cols); return the library's round count."""
     handed = []
+    rounds = {"library": [], "oracle": []}  # each round's (tight masks, start pairs)
     tie_break = matching._tie_break
     max_matching_rows = matching._max_matching_rows
-    rounds = [0]
 
-    def captured(tight, z, match_row, match_col):
-        handed.append((list(tight), list(z)))
-        tie_break(tight, z, match_row, match_col)
+    def captured(tight, zero, match_row, match_col):
+        handed.append((list(tight), zero))
+        tie_break(tight, zero, match_row, match_col)
 
-    def counted(*args):
-        rounds[0] += 1
-        return max_matching_rows(*args)
+    def recorded(engine):
+        def run(rows, width, start):
+            start = [(r, c) for r, c in start if c != -1]
+            rounds[engine].append((list(rows), start))
+            return max_matching_rows(rows, width, start)
+
+        return run
 
     monkeypatch.setattr(matching, "_tie_break", captured)
-    monkeypatch.setattr(matching, "_max_matching_rows", counted)  # the oracle holds its own
+    monkeypatch.setattr(matching, "_max_matching_rows", recorded("library"))
+    monkeypatch.setattr(reference_matching, "_max_matching_rows", recorded("oracle"))
 
     def run(free, unit, n_cols):
         handed.clear()
-        rounds[0] = 0
+        for seen in rounds.values():
+            seen.clear()
         got = matching._min_weight_max_matching_rows(free, unit, n_cols)
         want = rebuilt_min_weight_max_matching_rows(free, unit, n_cols)
         assert got == want
-        (tight, z), (want_tight, want_z) = handed
+        assert rounds["library"] == rounds["oracle"]
+        (tight, zero), (want_tight, want_zero) = handed
         assert tight == want_tight
-        assert z == want_z
-        assert not any(z[n_cols:])  # every slack column
-        return rounds[0]
+        assert zero == want_zero
+        assert zero >> n_cols == (1 << len(free)) - 1  # every slack column
+        return len(rounds["library"])
 
     return run
 

@@ -4,6 +4,9 @@ Each graph is matched twice by ``min_weight_max_matching``: once as the
 library runs it, and once with an oracle of ``reference_tiebreak``
 swapped in for ``_tie_break``, so both tie-breaks start from the same
 optimum of the dual rounds.  Both must return the same pairs and weight.
+The oracles take a list of column potentials, which they read only to
+test a potential for 0, so each is handed one built from the library's
+mask of the columns the sink may take.
 The oracles are ``residual_tie_break``, the hand-written reverse search
 over ``_Residual``; ``reverse_tie_break``, which ran ``_layers``
 backward on the transposed tight masks; and ``forward_tie_break``, whose
@@ -70,7 +73,7 @@ def check(request, monkeypatch):
     moved = {"rows": 0, "free columns": 0, "wins after a failed search": 0}
     moved.update(dict.fromkeys(["candidates skipped through G", "rows inside G", "clears of G"], 0))
 
-    def watched(tight, z, match_row, match_col):
+    def watched(tight, zero, match_row, match_col):
         by_row = {}  # row -> its searches: (target column mask, seen, reached columns, won)
 
         def recorded(takes, roots, cols, target, width, seen):
@@ -85,7 +88,7 @@ def check(request, monkeypatch):
 
         before_rows, before_free = list(match_row), [i == -1 for i in match_col]
         monkeypatch.setattr(fracplace.matching, "_layers", recorded)
-        tie_break(tight, z, match_row, match_col)
+        tie_break(tight, zero, match_row, match_col)
         monkeypatch.setattr(fracplace.matching, "_layers", layers)
         replay_dead_set(tight, match_row, by_row, moved)
         moved["rows"] += match_row != before_rows
@@ -94,10 +97,14 @@ def check(request, monkeypatch):
             not a[3] and b[3] for own in by_row.values() for a, b in zip(own, own[1:])
         )
 
+    def oracle(tight, zero, match_row, match_col):
+        z = [0 if zero >> j & 1 else -1 for j in range(len(match_col))]
+        request.param(tight, z, match_row, match_col)
+
     def compare(graph):
         monkeypatch.setattr(fracplace.matching, "_tie_break", watched)
         got = min_weight_max_matching(graph)
-        monkeypatch.setattr(fracplace.matching, "_tie_break", request.param)
+        monkeypatch.setattr(fracplace.matching, "_tie_break", oracle)
         want = min_weight_max_matching(graph)
         assert sorted(got.pairs) == sorted(want.pairs)
         assert got.total_weight == want.total_weight
