@@ -54,12 +54,14 @@ With ``--against SRC`` the run is paired: each case runs
 first side alternates from round to round and from case to case, so
 that a drift in the host's speed falls on both trees alike.  The case
 records the ``--src`` tree's fields from its fastest round, and under
-``against`` the other tree's min, the median and the spread (max - min)
-of the per-round ratio of the mins (``--src`` over ``SRC``), and the
-non-timing fields (digests, counts, exit codes, errors) on which any
-two runs disagree.  Runs that timed out are left out of that check.  If
-any field disagrees, the result file is still written and the run exits
-with code 1.
+``against`` the other tree's min and peak RSS from its own fastest round,
+the median and the spread (max - min) of the per-round ratio of the mins
+(``--src`` over ``SRC``), and the non-timing fields (digests, counts,
+exit codes, errors) on which any two runs disagree.  Runs that timed out
+are left out of that check.  If any field disagrees, the result file is
+still written and the run exits with code 1.  Every case whose ``--src``
+peak RSS is more than ``RSS_BOUND`` above the other tree's is named at
+the end; that alone does not change the exit code.
 """
 
 from __future__ import annotations
@@ -88,6 +90,7 @@ MIN_REPEATS = 3
 MIN_TIMED_S = 2.0
 TIMEOUT_S = 400.0  # per case
 PAIRED_ROUNDS = 5  # per case and tree with --against
+RSS_BOUND = 0.05  # the peak_rss_mib bound of BENCHMARK.json
 MEASURED = ("min_s", "spread_s", "repeats", "peak_rss_mib", "traced_peak_mib", "timeout")
 
 
@@ -276,9 +279,14 @@ def paired(index: int, case: dict, src: Path, against: Path) -> dict:
     )
     finished = [r for r in runs[src] + runs[against] if not r["timeout"]]
     fields = {k for r in finished for k in r if k not in MEASURED}
-    result = min(runs[src], key=lambda r: r.get("min_s", float("inf")))
+
+    def fastest(rs):
+        return min(rs, key=lambda r: r.get("min_s", float("inf")))
+
+    result, other = fastest(runs[src]), fastest(runs[against])
     result["against"] = {
-        "min_s": min((r["min_s"] for r in runs[against] if "min_s" in r), default=None),
+        "min_s": other.get("min_s"),
+        "peak_rss_mib": other.get("peak_rss_mib"),
         "ratio_median": statistics.median(ratios) if ratios else None,
         "ratio_spread": ratios[-1] - ratios[0] if ratios else None,
         "differs": sorted(k for k in fields if len({json.dumps(r.get(k)) for r in finished}) > 1),
@@ -327,6 +335,13 @@ def main() -> int:
         "cases": results,
     }, indent=1) + "\n")
     print(out)
+    above = []
+    for r in results:
+        mine, theirs = r.get("peak_rss_mib"), r.get("against", {}).get("peak_rss_mib")
+        if mine and theirs and mine > (1 + RSS_BOUND) * theirs:
+            above.append(f"{r['name']} ({mine:.1f} against {theirs:.1f} MiB)")
+    if above:
+        print(f"peak RSS more than {RSS_BOUND:.0%} above the other tree: {', '.join(above)}", file=sys.stderr)
     differ = [r["name"] for r in results if r.get("against", {}).get("differs")]
     if differ:
         print(f"non-timing fields differ between the trees: {', '.join(differ)}", file=sys.stderr)

@@ -204,7 +204,8 @@ def _cmd_sweep(args) -> int:
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", UserWarning)
         rows = run_sweep(spec)
-    # every trial of a clamped level warns alike: one line per message
+    # a clamped level warns once; levels that ask for the same entry count
+    # warn alike, and print one line between them
     for message in dict.fromkeys(str(w.message) for w in caught):
         print(f"fracplace: warning: {message}", file=sys.stderr)
     header = SweepRow._fields[:-1] + ("K",)
@@ -286,8 +287,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (ValueError, OSError) as exc:
-        print(f"fracplace: error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # only a MemoryError of Python's own allocator comes without a message
+        print(f"fracplace: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

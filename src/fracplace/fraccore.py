@@ -9,10 +9,14 @@ matrices T_0..T_K with
 
 where D_j = diag(c_j(alpha_1), ..., c_j(alpha_n)) holds the
 Grunwald-Letnikov memory tail coefficients, and the trajectory is
-x_k = T_k x_0 for k >= 1.  One block recursion runs this sequence: on the
-factors themselves (:func:`transition_factors`), on the vector T_k x_0
-(:func:`simulate`), and, transposed, on the sensor rows of the observability
-test (:func:`is_observable_numeric`), which so never builds an n x n factor.
+x_k = T_k x_0 for k >= 1.  One block recursion, ``_recursion(A, alpha, Y0,
+steps)``, runs this sequence: on the factors themselves
+(:func:`transition_factors`), on the vector T_k x_0 (:func:`simulate`), and,
+transposed, on the sensor rows of the observability test
+(:func:`is_observable_numeric`), which so never builds an n x n factor.  It
+builds its own tail table from the orders, runs with numpy's overflow
+warnings silenced, and returns Y_0..Y_steps in time order; each caller
+checks the result once and names the first non-finite step in an error.
 
 Everything in this module is a pure function of its inputs; all returned
 containers hold read-only arrays and are safe to share across threads.
@@ -227,20 +231,25 @@ def _check_finite(finite: np.ndarray, message: str) -> None:
         raise ValueError(message % int(np.argmin(finite)))
 
 
-def _recursion(A: np.ndarray, tails: np.ndarray, Y0: np.ndarray, steps: int) -> np.ndarray:
+def _recursion(A: np.ndarray, alpha: np.ndarray, Y0: np.ndarray, steps: int) -> np.ndarray:
     """Y_0..Y_steps of Y_k = A Y_{k-1} + sum_{j=1}^{k-1} D_j Y_{k-1-j}, Y_0 an n x m block.
 
-    Reversed in time, shape (n, steps + 1, m): Y_k is ``hist[:, steps - k]``,
-    so the memory term of every step reads one contiguous slice.
+    The D_j are the tails of the orders ``alpha``.  Returned in time order,
+    shape (n, steps + 1, m): Y_k is ``[:, k]``.  That is a view of storage
+    reversed in time, so the memory term of every step reads one contiguous
+    slice.
     """
     hist = np.empty((Y0.shape[0], steps + 1, Y0.shape[1]))
     hist[:, steps] = Y0
-    for k in range(1, steps + 1):
-        y = A @ hist[:, steps - k + 1]
-        if k >= 2:
-            y += np.einsum("ij,ijm->im", tails[:, : k - 1], hist[:, steps - k + 2 :])
-        hist[:, steps - k] = y
-    return hist
+    # an overflow is reported once, by the caller, as an error rather than a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        tails = _tail_table(alpha, steps)
+        for k in range(1, steps + 1):
+            y = A @ hist[:, steps - k + 1]
+            if k >= 2:
+                y += np.einsum("ij,ijm->im", tails[:, : k - 1], hist[:, steps - k + 2 :])
+            hist[:, steps - k] = y
+    return hist[:, ::-1]
 
 
 def transition_factors(system: FracSystem) -> TransitionSequence:
@@ -260,10 +269,7 @@ def transition_factors(system: FracSystem) -> TransitionSequence:
         )
     what = f"transition factors for n={n}, K={K} need"
     _check_limits(what, "lower the horizon", nbytes=(K + 1) * n * n * 8)
-    # an overflow is reported once, below, as an error rather than a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        hist = _recursion(system.A, gl_tails(system).table, system.A, K)
-    stack = hist[:, ::-1].transpose(1, 0, 2)
+    stack = _recursion(system.A, system.alpha, system.A, K).transpose(1, 0, 2)
     finite = np.array([np.isfinite(T).all() for T in stack])  # one factor's mask at a time
     _check_finite(finite, "the transition factors overflow float64 at T_%d; lower the horizon")
     return _adopt(TransitionSequence, "stack", stack)
@@ -298,11 +304,7 @@ def simulate(system: FracSystem, x0: np.ndarray, steps: int) -> Trajectory:
     work = n * steps * (steps + 1) // 2
     _check_limits(f"simulating n={n} for {steps} steps needs", "lower the number of steps", work)
     A = system.A
-    tails = _tail_table(system.alpha, steps)
-    # an overflow is reported once, below, as an error rather than a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        hist = _recursion(A, tails, (A @ x0)[:, None], steps)
-    states = hist[:, ::-1, 0].T  # row k is y_k
+    states = _recursion(A, system.alpha, (A @ x0)[:, None], steps)[:, :, 0].T  # row k is y_k
     states[0] = x0
     finite = np.isfinite(states).all(axis=1)
     _check_finite(finite, "the trajectory overflows float64 at step %d; lower the number of steps")
@@ -376,11 +378,10 @@ def is_observable_numeric(
     _check_limits(what, "lower the horizon", n * m * K * (K + 1) // 2, (K + 2) * m * n * 8)
     stacked = np.zeros((K + 2, m, n))
     stacked[0, range(m), idx] = 1.0  # C
-    # R_k^T is hist[:, K - k]; R_k A goes straight into block k + 1
-    # an overflow is reported once, below, as an error rather than a warning
+    hist = _recursion(system.A.T, system.alpha, stacked[0].T, K)
+    # R_k^T is hist[:, k]; R_k A goes straight into block k + 1, guarded as in _recursion
     with np.errstate(over="ignore", invalid="ignore"):
-        hist = _recursion(system.A.T, gl_tails(system).table, stacked[0].T, K)
-        np.matmul(hist.transpose(1, 2, 0)[::-1], system.A, out=stacked[1:])
+        np.matmul(hist.transpose(1, 2, 0), system.A, out=stacked[1:])
     del hist  # freed before the SVD
     stacked = stacked.reshape(-1, n)
     scale = np.abs(stacked).max(axis=1)  # inf or NaN on a non-finite row

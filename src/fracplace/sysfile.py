@@ -18,7 +18,8 @@ expects ``row col`` pairs and carries no numeric values.  A ``sparse`` or
 are ignored.  A line ends at a line feed, a carriage return or the two
 together, and at no other character ``str.splitlines`` breaks at.  The
 ``n``, ``alpha`` and ``k`` lines may each appear once; ``n`` and ``k``
-each hold one integer, at least 1 for ``n`` and at least 0 for ``k``.
+each hold one integer, from 1 to ``sys.maxsize`` (the most states a list
+can index) for ``n`` and at least 0 for ``k``.
 Exactly one matrix block must be present, closed by ``end``; matrix
 values must be finite.  The words ``n``, ``alpha``, ``k``, ``matrix`` and
 ``end`` ignore case (``N 3``, ``END``); the header ``fracsys`` and the
@@ -32,12 +33,17 @@ with the message of the line or flag that holds it.
 
 A ``sparse`` or ``pattern`` block whose lines are single-space separated
 and whose indices are spelled ``str(i)`` is read in one pass; any other
-block is read line by line, which also names the line at fault.
+block is read line by line, which also names the line at fault.  Either
+reader returns the block's entries as one bit mask per row and, for
+``sparse``, a list of 0-based ``(row, col, value)`` triples;
+``parse_system_file`` builds the n x n grid of ``values`` from that list,
+in one place.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 
 from . import _EXPORTS
 from .structure import _ZERO_TOL, Pattern, _at_least, _check_zero_tol, _Value, pattern_of
@@ -111,18 +117,20 @@ def _integer_line(lineno: int, key: str, args: list) -> int:
         (value,) = _numbers(args, int)
     except ValueError:
         _fail(lineno, form)
+    if key == "n" and value > sys.maxsize:
+        _fail(lineno, f"state dimension {value} is above {sys.maxsize}, the most a list can index")
     return _at_least(value, least, f"line {lineno}: {bound}")
 
 
 def _bulk_entries(n: int, numeric: bool, block: list):
-    """``(masks, rows)`` of a well-formed entry block, or None.
+    """``(masks, entries)`` of a well-formed entry block, or None.
 
-    ``masks`` holds each row's entries as a bit mask, and ``rows`` the n
-    rows of n values of a ``sparse`` block (None for ``pattern``).  The
-    block's lines are read in one pass, as one string of tokens: every
-    line must be its 2 (``pattern``) or 3 (``sparse``) tokens joined by
-    single spaces, every index the canonical spelling ``str(i)`` of a
-    state, every value a finite number, and no entry may repeat.  Any
+    ``masks`` holds each row's entries as a bit mask, and ``entries`` the
+    0-based ``(row, col, value)`` triples of a ``sparse`` block (None for
+    ``pattern``).  The block's lines are read in one pass, as one string of
+    tokens: every line must be its 2 (``pattern``) or 3 (``sparse``) tokens
+    joined by single spaces, every index the canonical spelling ``str(i)``
+    of a state, every value a finite number, and no entry may repeat.  Any
     other block gives None, and ``_line_entries`` reads it or names the
     line at fault.
     """
@@ -133,33 +141,28 @@ def _bulk_entries(n: int, numeric: bool, block: list):
     # them, so the len(block) - 1 breaks sit at every width-th token
     if len(toks) != width * len(block) - 1:
         return None
-    row_of = {str(i): i - 1 for i in range(1, n + 1)}  # canonical spelling -> 0-based state
-    bit_of = {s: 1 << i for s, i in row_of.items()}
+    # canonical spelling -> 0-based state, for the rows and the columns alike
+    state_of = {str(i): i - 1 for i in range(1, n + 1)}.__getitem__
     try:
-        rs = list(map(row_of.__getitem__, toks[::width]))
-        bits = list(map(bit_of.__getitem__, toks[1::width]))
+        rs = list(map(state_of, toks[::width]))
+        cs = list(map(state_of, toks[1::width]))
         vs = _numbers(toks[2::width], float) if numeric else None
     except (KeyError, ValueError):
         return None
     masks = [0] * n
-    for r, b in zip(rs, bits):
-        masks[r] |= b
+    for r, c in zip(rs, cs):
+        masks[r] |= 1 << c
     if sum(map(int.bit_count, masks)) != len(block):  # an entry given twice
         return None
-    if not numeric:
-        return masks, None
-    if not all(map(math.isfinite, vs)):
+    if numeric and not all(map(math.isfinite, vs)):
         return None
-    rows = [[0.0] * n for _ in range(n)]
-    for r, c, v in zip(rs, map(row_of.__getitem__, toks[1::width]), vs):
-        rows[r][c] = v
-    return masks, rows
+    return masks, list(zip(rs, cs, vs)) if numeric else None
 
 
 def _line_entries(n: int, numeric: bool, block: list):
     """``_bulk_entries``' result, read line by line; raises for the first line at fault."""
     form = "sparse entries are 'row col value'" if numeric else "pattern entries are 'row col'"
-    rows = [[0.0] * n for _ in range(n)] if numeric else None
+    entries = [] if numeric else None
     masks = [0] * n
     for lineno, body in block:
         toks = body.split()
@@ -179,8 +182,8 @@ def _line_entries(n: int, numeric: bool, block: list):
         if numeric:
             if not math.isfinite(v[0]):
                 _fail(lineno, "matrix values must be finite")
-            rows[r - 1][c - 1] = v[0]
-    return masks, rows
+            entries.append((r - 1, c - 1, v[0]))
+    return masks, entries
 
 
 def parse_system_file(text: str) -> SystemFile:
@@ -279,8 +282,11 @@ def parse_system_file(text: str) -> SystemFile:
         values = tuple(rows)
     else:  # sparse or pattern: one 'row col value' or 'row col' entry per line
         numeric = kind == "sparse"
-        masks, rows = _bulk_entries(n, numeric, matrix_rows) or _line_entries(n, numeric, matrix_rows)
+        masks, entries = _bulk_entries(n, numeric, matrix_rows) or _line_entries(n, numeric, matrix_rows)
         if numeric:
+            rows = [[0.0] * n for _ in range(n)]
+            for r, c, v in entries:
+                rows[r][c] = v
             values = tuple(map(tuple, rows))
         else:
             pattern = Pattern.from_masks(n, n, masks)

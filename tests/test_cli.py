@@ -131,6 +131,26 @@ class TestPlace:
         assert "expected 'k <non-negative integer>'" in proc.stderr
         assert proc.stdout == ""
 
+    @pytest.mark.parametrize(
+        "n, message",
+        [
+            # one alpha broadcast to 10**15 states asks for 8 PB up front
+            ("1000000000000000", "out of memory"),
+            ("10000000000000000000", "line 2: state dimension 10000000000000000000 is above "),
+        ],
+        ids=["too-large-to-allocate", "too-large-to-index"],
+    )
+    def test_oversized_dimension_exits_two_with_one_line(self, tmp_path, n, message):
+        # exit 1 means "not observable": an input too large is an input error
+        p = tmp_path / "huge.fracsys"
+        p.write_text(f"fracsys 1\nn {n}\nalpha 0.5\nmatrix pattern\nend\n")
+        proc = run_cli("place", str(p))
+        assert proc.returncode == 2
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(f"fracplace: error: {message}")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_byte_order_mark_is_accepted(self, chain_file, tmp_path):
         # editors on some platforms save UTF-8 with a leading BOM
         marked = tmp_path / "marked.fracsys"

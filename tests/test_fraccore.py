@@ -330,6 +330,18 @@ class TestSimulate:
                 simulate(sysm, [1.0], 1100)
             assert np.isfinite(simulate(sysm, [1.0], 1022).states).all()
 
+    def test_overflowing_tails_are_an_error_not_a_warning(self):
+        # C(1e200, 2) overflows, so D_1 holds inf: every caller of the recursion says so once
+        sysm = FracSystem(np.zeros((2, 2)), [1e200, 1e200], 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="step 2"):
+                simulate(sysm, [1.0, 1.0], 3)
+            with pytest.raises(ValueError, match="T_2"):
+                transition_factors(sysm)
+            with pytest.raises(ValueError, match="C T_2"):
+                is_observable_numeric(sysm, [0])
+
     def test_matches_factor_oracle(self):
         # the factor stack is the oracle: x_k = T_k x_0, up to rounding
         rng = np.random.default_rng(31)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -318,3 +320,15 @@ class TestBulkEntries:
     @pytest.mark.parametrize("text", list(MALFORMED))
     def test_malformed_inputs_raise_alike(self, monkeypatch, text):
         assert self.both(monkeypatch, text) == [MALFORMED[text]] * 2
+
+    def test_a_large_block_of_few_entries_parses_in_little_memory(self):
+        # no table of n big integers (1 << c for every state, O(n^2) bits) is built
+        text = "fracsys 1\nn 20000\nalpha 0.5\nmatrix pattern\n1 2\n20000 1\nend\n"
+        tracemalloc.start()
+        try:
+            parsed = parse_system_file(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert parsed.pattern.count == 2
+        assert peak < 8 * 2**20
